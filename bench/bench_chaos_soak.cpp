@@ -42,8 +42,8 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
-                   core::kSendDone, core::kRtsAck, core::kSendDoneAck}) {
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kSendDone,
+                   core::kRtsAck, core::kSendDoneAck}) {
     fm.set_kind(kind, ctrl);
   }
   netsim::FaultSpec data;
@@ -122,7 +122,7 @@ CellResult run_cell(std::size_t rpn, core::CollSelect select,
     res.faults += fs.fabric.total() + fs.ipc.total();
     const auto& rs = cluster.retry_stats(r);
     res.retransmits += rs.rts_retransmits + rs.chunk_retransmits +
-                       rs.cts_resent + rs.acks_resent + rs.done_resent +
+                       rs.cts_resent + rs.acks_resent +
                        rs.send_done_retransmits;
   }
   if (!crash) {

@@ -1,14 +1,13 @@
 #include "core/rndv.hpp"
 
 #include <algorithm>
-#include <limits>
-
-#include "core/sched.hpp"
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "core/sched.hpp"
 
 namespace mv2gnc::core {
 
@@ -58,20 +57,13 @@ namespace {
 // never touch the pool, so they bypass the gate too.
 detail::StagingSlot sched_acquire(RankResources& res, std::uint64_t id,
                                   std::size_t bytes, bool gated = true) {
-  if (gated && res.sched != nullptr && bytes <= res.vbufs->buffer_bytes() &&
+  if (gated && bytes <= res.vbufs->buffer_bytes() &&
       !res.sched->may_acquire(id)) {
     return {};
   }
   detail::StagingSlot s = detail::acquire_slot(*res.vbufs, *res.cuda, bytes);
-  if (s.from_pool && res.sched != nullptr) res.sched->note_acquired(id);
+  if (s.from_pool) res.sched->note_acquired(id);
   return s;
-}
-
-// The transfer stopped wanting a slot (depth-capped, staging finished,
-// window advertised): drop any queued fairness turn so freed slots are
-// not held idle for it.
-void sched_withdraw(RankResources& res, std::uint64_t id) {
-  if (res.sched != nullptr) res.sched->withdraw(id);
 }
 
 // Release counterpart: returns the slot and updates the transfer's held
@@ -80,7 +72,7 @@ void sched_release(RankResources& res, std::uint64_t id,
                    detail::StagingSlot& slot) {
   const bool pooled = slot.from_pool && slot.ptr != nullptr;
   detail::release_slot(*res.vbufs, slot);
-  if (pooled && res.sched != nullptr) res.sched->note_released(id);
+  if (pooled) res.sched->note_released(id);
 }
 
 bool has_usable_pattern(const MsgView& msg) {
@@ -115,15 +107,57 @@ std::size_t chunk_segments(const MsgView& msg,
 
 // Figure-2 scheme choice for a device-resident non-contiguous message.
 bool select_offload(const RankResources& res, const MsgView& msg) {
-  const Tunables& tun = *res.tun;
   // Irregular layouts always take the offload path: there is no single
   // cudaMemcpy2D that can walk them across PCIe.
   if (!has_usable_pattern(msg)) return true;
-  if (tun.scheme_select == SchemeSelect::kTunable) return tun.gpu_offload;
   // Model-driven, with gpu_offload=false kept as a hard ablation override
   // (the paper's nc2c measurement runs).
-  if (!tun.gpu_offload || res.cuda == nullptr) return false;
+  if (!res.tun->gpu_offload) return false;
   return model_prefers_offload(res.cuda->device().cost(), msg);
+}
+
+// The sender's stages of one transfer (the table in rndv.hpp).
+SendStages send_stages(const RankResources& res, const MsgView& msg,
+                       bool ipc_direct) {
+  using ToHost = SendStages::ToHost;
+  using Wire = SendStages::Wire;
+  if (!msg.on_device) {
+    if (msg.contiguous) return {false, ToHost::kNone, Wire::kUser};
+    return {false, ToHost::kCpuPack, Wire::kSlot};
+  }
+  if (ipc_direct) {
+    // Intra-node fast path: the peer copy reads device memory directly,
+    // so the whole D2H staging stage drops out (collapsed pipeline).
+    if (msg.contiguous) return {false, ToHost::kNone, Wire::kUser};
+    return {true, ToHost::kNone, Wire::kTbuf};
+  }
+  if (msg.contiguous) return {false, ToHost::kD2HCopy, Wire::kSlot};
+  if (select_offload(res, msg)) return {true, ToHost::kD2HCopy, Wire::kSlot};
+  return {false, ToHost::kPcieStrided, Wire::kSlot};
+}
+
+// The receiver's stages of one transfer (the table in rndv.hpp).
+RecvStages recv_stages(const RankResources& res, const MsgView& msg,
+                       bool ipc_direct) {
+  using Landing = RecvStages::Landing;
+  using H2D = RecvStages::H2D;
+  using Unpack = RecvStages::Unpack;
+  if (!msg.on_device) {
+    if (msg.contiguous) return {Landing::kUser, H2D::kNone, Unpack::kNone};
+    return {Landing::kSlots, H2D::kNone, Unpack::kCpu};
+  }
+  if (ipc_direct) {
+    // Co-located sender with a peer-copy-capable transport: the payload
+    // lands in device memory directly (the user buffer when contiguous, a
+    // device reassembly buffer otherwise). No host staging window.
+    if (msg.contiguous) return {Landing::kUser, H2D::kNone, Unpack::kNone};
+    return {Landing::kDeviceBuffer, H2D::kNone, Unpack::kDeviceKernel};
+  }
+  if (msg.contiguous) return {Landing::kSlots, H2D::kCopy, Unpack::kNone};
+  if (select_offload(res, msg)) {
+    return {Landing::kSlots, H2D::kCopy, Unpack::kDeviceKernel};
+  }
+  return {Landing::kSlots, H2D::kPcieStrided, Unpack::kNone};
 }
 
 // Pipeline chunk size (§IV-B): one degenerate chunk at or below the
@@ -134,8 +168,7 @@ std::size_t select_chunk(const RankResources& res, const MsgView& msg,
   if (!tun.pipelining || msg.packed_bytes <= tun.pipeline_threshold) {
     return msg.packed_bytes;  // n = 1: degenerate (unpipelined) transfer
   }
-  if (msg.on_device && tun.chunk_select == ChunkSelect::kModel &&
-      res.cuda != nullptr) {
+  if (msg.on_device && tun.chunk_select == ChunkSelect::kModel) {
     return select_chunk_bytes(res.cuda->device().cost(), msg, offload_path,
                               tun.chunk_bytes);
   }
@@ -203,48 +236,30 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
       req_id_(my_req_id),
       graph_(res.trig),
       timer_(*res.engine) {
-  // The one path input that can change between rounds of a persistent
+  // The one stage input that can change between rounds of a persistent
   // request is the transport route (failover demotes/restores IPC peers);
   // the cache is keyed on it so a stale entry falls back to a fresh
   // derivation.
-  const bool ipc_direct = msg_.on_device && res_.net != nullptr &&
-                          res_.net->device_direct(dst_node);
+  const bool ipc_direct = msg_.on_device && res_.net->device_direct(dst_node);
   if (cache != nullptr && cache->send_valid && cache->send_ipc == ipc_direct) {
-    // Persistent re-fire: path, chunk table and pack cursors come straight
-    // from the cache — no cost-model calls, no plan lookup.
-    path_ = static_cast<Path>(cache->send_path);
+    // Persistent re-fire: stages, chunk table and pack cursors come
+    // straight from the cache — no cost-model calls, no plan lookup.
+    stages_ = cache->send_stages;
     plan_ = cache->send_plan;
     cursors_ = cache->send_cursors;
-    if (res_.trig != nullptr) ++res_.trig->plan_cache_hits;
+    ++res_.trig->plan_cache_hits;
   } else {
-    if (msg_.on_device) {
-      if (ipc_direct) {
-        // Intra-node fast path: the peer copy reads device memory directly,
-        // so the whole D2H staging stage drops out (collapsed pipeline).
-        path_ = msg_.contiguous ? Path::kDeviceIpcContig
-                                : Path::kDeviceIpcOffload;
-      } else if (msg_.contiguous) {
-        path_ = Path::kDeviceContig;
-      } else if (select_offload(res_, msg_)) {
-        path_ = Path::kDeviceOffload;
-      } else {
-        path_ = Path::kDevicePcie;
-      }
-    } else {
-      path_ = msg_.contiguous ? Path::kHostContig : Path::kHostPack;
-    }
-    plan_ = ChunkPlan::make(
-        msg_.packed_bytes,
-        select_chunk(res_, msg_,
-                     path_ == Path::kDeviceOffload ||
-                         path_ == Path::kDeviceIpcOffload));
-    if (path_ == Path::kHostPack && msg_.plan && msg_.packed_bytes > 0) {
+    stages_ = send_stages(res_, msg_, ipc_direct);
+    plan_ = ChunkPlan::make(msg_.packed_bytes,
+                            select_chunk(res_, msg_, stages_.device_pack));
+    if (stages_.to_host == SendStages::ToHost::kCpuPack && msg_.plan &&
+        msg_.packed_bytes > 0) {
       cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
     }
     if (cache != nullptr) {
       cache->send_valid = true;
       cache->send_ipc = ipc_direct;
-      cache->send_path = static_cast<int>(path_);
+      cache->send_stages = stages_;
       cache->send_plan = plan_;
       cache->send_cursors = cursors_;
     }
@@ -259,15 +274,13 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
   write_errors_.assign(plan_.count, 0);
   remote_slot_idx_.assign(plan_.count, kNoSlot);
   remote_addr_.assign(plan_.count, nullptr);
-  if (res_.sched != nullptr) {
-    res_.sched->register_transfer(req_id_, plan_.total);
-  }
+  res_.sched->register_transfer(req_id_, plan_.total);
 }
 
 RndvSend::~RndvSend() {
   try {
     timer_.cancel();
-    if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
+    res_.sched->unregister_transfer(req_id_);
     if (tbuf_ != nullptr) {
       res_.cuda->free(tbuf_);
       tbuf_ = nullptr;
@@ -282,20 +295,16 @@ RndvSend::~RndvSend() {
 }
 
 void RndvSend::trace_event(const char* category) {
-  if (res_.trace != nullptr) {
-    res_.trace->event(res_.rank, category, res_.engine->now());
-  }
+  res_.trace->event(res_.rank, category, res_.engine->now());
 }
 
 void RndvSend::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
   msg.flow = req_id_;  // hashed routing keys this transfer's path on it
-  if (res_.sched != nullptr) {
-    res_.sched->note_ctrl(msg.kind);
-    // Any control message to the peer is a free ride for credits this
-    // rank's receive side is holding back for the same destination.
-    res_.sched->flush_peer(dst_);
-  }
+  res_.sched->note_ctrl(msg.kind);
+  // Any control message to the peer is a free ride for credits this rank's
+  // receive side is holding back for the same destination.
+  res_.sched->flush_peer(dst_);
   res_.net->post_send(dst_, std::move(msg));
 }
 
@@ -305,53 +314,37 @@ void RndvSend::start(std::uint64_t tag_word) {
   rts_.header[1] = plan_.total;
   rts_.header[2] = req_id_;
   rts_.header[3] = plan_.chunk;
-  if (res_.tun->rget && path_ == Path::kHostContig) {
-    // Advertise the source address: an RGET-capable receiver may pull the
-    // data directly and skip the CTS leg.
-    rts_.header[4] = 1;
-    rts_.header[5] = reinterpret_cast<std::uintptr_t>(msg_.base);
-  }
   post_ctrl(rts_);
   build_graph();
-  if ((path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) &&
-      !data_gate_.valid()) {
-    // Offload the whole pack immediately; it overlaps the RTS/CTS
-    // handshake ("the sender ... triggers multiple asynchronous memory
-    // copies, each of which does a chunk size non-contiguous data pack").
-    // With a stream data gate the packs are deferred to the graph's pack
-    // node instead — they must not read the buffer before the gate fires.
-    tbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
-    for (std::size_t i = 0; i < plan_.count; ++i) {
-      pack_events_[i] = submit_device_pack(
-          *res_.cuda, res_.pack_stream, msg_, plan_.offset_of(i),
-          plan_.bytes_of(i), tbuf_ + plan_.offset_of(i));
-    }
-  }
+  // Offload the whole pack immediately; it overlaps the RTS/CTS handshake
+  // ("the sender ... triggers multiple asynchronous memory copies, each of
+  // which does a chunk size non-contiguous data pack"). With a stream data
+  // gate the packs are deferred to the graph's pack node instead — they
+  // must not read the buffer before the gate fires.
+  if (stages_.device_pack && !data_gate_.valid()) submit_packs();
   arm_timer();
   advance();
 }
 
+void RndvSend::submit_packs() {
+  tbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+  for (std::size_t i = 0; i < plan_.count; ++i) {
+    pack_events_[i] = submit_device_pack(*res_.cuda, res_.pack_stream, msg_,
+                                         plan_.offset_of(i), plan_.bytes_of(i),
+                                         tbuf_ + plan_.offset_of(i));
+  }
+}
+
 void RndvSend::build_graph() {
   graph_.clear();
-  if (res_.trig != nullptr) ++res_.trig->graphs_built;
-  // Gated offload pack: one node that waits for the stream data gate, then
+  ++res_.trig->graphs_built;
+  // Gated device pack: one node that waits for the stream data gate, then
   // submits every chunk pack. Ungated transfers pack inline in start()
-  // (before the retransmission deadline is armed), exactly as before the
-  // graph existed.
-  if ((path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) &&
-      data_gate_.valid()) {
+  // (before the retransmission deadline is armed).
+  if (stages_.device_pack && data_gate_.valid()) {
     const int pack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
     graph_.add_node(pack, [this] { return data_ready(); },
-                    [this] {
-                      tbuf_ =
-                          static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
-                      for (std::size_t i = 0; i < plan_.count; ++i) {
-                        pack_events_[i] = submit_device_pack(
-                            *res_.cuda, res_.pack_stream, msg_,
-                            plan_.offset_of(i), plan_.bytes_of(i),
-                            tbuf_ + plan_.offset_of(i));
-                      }
-                    });
+                    [this] { submit_packs(); });
   }
   // Stage frontier: pack (if any) must have completed; a staging slot must
   // be available. Staging runs regardless of CTS — it overlaps the
@@ -366,7 +359,7 @@ void RndvSend::build_graph() {
   }
   // Every chunk staged: this transfer asks for nothing more.
   graph_.set_epilogue(stage, [this] {
-    if (next_stage_ == plan_.count) sched_withdraw(res_, req_id_);
+    if (next_stage_ == plan_.count) res_.sched->withdraw(req_id_);
   });
   // RDMA frontier: needs the CTS (remote landing addresses) and the
   // staged chunk data sitting in host memory.
@@ -386,30 +379,24 @@ bool RndvSend::stage_gate(std::size_t i) {
   // and a spot in the transmit pipeline) stay within the scheduler's
   // adaptive budget; acks re-drive us as they land. Either refusal means
   // we are not slot-starved right now — withdraw any queued turn.
-  const std::size_t cap = (res_.sched != nullptr)
-                              ? res_.sched->inflight_cap()
-                              : std::numeric_limits<std::size_t>::max();
-  if (next_stage_ - acked_count_ >= cap) {
-    sched_withdraw(res_, req_id_);
+  if (next_stage_ - acked_count_ >= res_.sched->inflight_cap()) {
+    res_.sched->withdraw(req_id_);
     return false;
   }
-  if (path_ == Path::kDeviceOffload || path_ == Path::kDeviceIpcOffload) {
-    if (!pack_events_[i].valid() || !pack_events_[i].query()) {
-      sched_withdraw(res_, req_id_);
-      return false;
-    }
-  }
-  // Stream data gate: the paths whose staging reads the user buffer (PCIe
-  // strided pack, contiguous D2H, host CPU pack) hold until the producing
-  // kernels drain. The offload paths are covered by their pack node above;
-  // the zero-staging paths gate at the RDMA frontier instead.
-  if (data_gate_.valid() && !data_ready() &&
-      (path_ == Path::kDevicePcie || path_ == Path::kDeviceContig ||
-       path_ == Path::kHostPack)) {
+  if (stages_.device_pack &&
+      (!pack_events_[i].valid() || !pack_events_[i].query())) {
+    res_.sched->withdraw(req_id_);
     return false;
   }
-  const bool needs_slot = uses_staging();
-  if (needs_slot && !slots_[i].valid()) {
+  // Stream data gate: staging that reads the user buffer (strided PCIe
+  // copy, contiguous D2H, CPU pack) holds until the producing kernels
+  // drain. A device pack is covered by its pack node; a wire that reads
+  // the user buffer gates at the RDMA frontier instead.
+  if (data_gate_.valid() && !data_ready() && uses_staging() &&
+      !stages_.device_pack) {
+    return false;
+  }
+  if (uses_staging() && !slots_[i].valid()) {
     if (force_pinned_) {
       // Stall watchdog verdict: the pool is wedged, take a pinned slot.
       slots_[i] = detail::pinned_slot(*res_.cuda, plan_.bytes_of(i));
@@ -427,9 +414,7 @@ bool RndvSend::stage_gate(std::size_t i) {
       // transfer is guaranteed to progress (this breaks the circular
       // wait when concurrent receive windows have consumed the pool).
       const std::size_t in_flight = next_stage_ - acked_count_;
-      const bool gated =
-          res_.sched != nullptr && res_.sched->is_waiting(req_id_);
-      if (in_flight > 0 || gated) return false;
+      if (in_flight > 0 || res_.sched->is_waiting(req_id_)) return false;
       slots_[i] = detail::pinned_slot(*res_.cuda, plan_.bytes_of(i));
     }
   }
@@ -439,10 +424,10 @@ bool RndvSend::stage_gate(std::size_t i) {
 bool RndvSend::rdma_gate(std::size_t i) {
   if (!stage_submitted_[i]) return false;
   if (stage_events_[i].valid() && !stage_events_[i].query()) return false;
-  // Zero-staging paths RDMA straight out of the user buffer: the stream
-  // data gate holds the write itself (staged paths gated at staging).
+  // A wire that reads the user buffer directly: the stream data gate holds
+  // the write itself (staged chunks were gated at staging).
   if (data_gate_.valid() && !data_ready() &&
-      (path_ == Path::kHostContig || path_ == Path::kDeviceIpcContig)) {
+      stages_.wire == SendStages::Wire::kUser) {
     return false;
   }
   if (mode_ == CtsMode::kStaged && remote_slots_.empty()) return false;
@@ -457,9 +442,7 @@ void RndvSend::arm_timer() {
   // The callback runs on the scheduler thread: wake the progress loop and
   // nothing else. The retransmission itself happens in-process, in
   // handle_timeout(), driven from the next advance().
-  timer_.arm(at, [n] {
-    if (n != nullptr) n->notify();
-  });
+  timer_.arm(at, [n] { n->notify(); });
 }
 
 void RndvSend::handle_timeout() {
@@ -467,7 +450,7 @@ void RndvSend::handle_timeout() {
     // Only the direct-mode SEND_DONE handshake is still running; no data
     // event can move the epoch, so every expiry is genuine.
     ++retries_;
-    if (res_.retries != nullptr) ++res_.retries->timeouts;
+    ++res_.retries->timeouts;
     trace_event("fault_timeout");
     if (retries_ > res_.tun->rndv_max_retries) {
       // Give up — the data itself was fully acked. The receiver recovers
@@ -477,7 +460,7 @@ void RndvSend::handle_timeout() {
       return;
     }
     post_ctrl(done_);
-    if (res_.retries != nullptr) ++res_.retries->send_done_retransmits;
+    ++res_.retries->send_done_retransmits;
     trace_event("fault_done_retransmit");
     arm_timer();
     return;
@@ -497,14 +480,14 @@ void RndvSend::handle_timeout() {
     // not charge the retry budget. Keep probing with the RTS so the
     // peer's liveness watchdog stays fed meanwhile.
     post_ctrl(rts_);
-    if (res_.retries != nullptr) ++res_.retries->rts_retransmits;
+    ++res_.retries->rts_retransmits;
     trace_event("fault_rts_retransmit");
     retries_ = 0;
     arm_timer();
     return;
   }
   ++retries_;
-  if (res_.retries != nullptr) ++res_.retries->timeouts;
+  ++res_.retries->timeouts;
   trace_event("fault_timeout");
   if (retries_ > res_.tun->rndv_max_retries) {
     fail("rendezvous " + std::to_string(req_id_) + " to rank " +
@@ -518,11 +501,11 @@ void RndvSend::handle_timeout() {
 
 void RndvSend::retransmit_unacked() {
   if (!cts_received_) {
-    // Handshake not established (RTS, CTS or the RGET done was lost):
-    // resend the stored RTS. The receiver dedups by (src, sender req) and
-    // replays its CTS / done if it already answered.
+    // Handshake not established (RTS or CTS was lost): resend the stored
+    // RTS. The receiver dedups by (src, sender req) and replays its CTS if
+    // it already answered.
     post_ctrl(rts_);
-    if (res_.retries != nullptr) ++res_.retries->rts_retransmits;
+    ++res_.retries->rts_retransmits;
     trace_event("fault_rts_retransmit");
     return;
   }
@@ -530,7 +513,7 @@ void RndvSend::retransmit_unacked() {
   for (std::size_t i = 0; i < next_rdma_; ++i) {
     if (posted_[i] && !acked_[i] && inflight_[i] == 0) {
       post_chunk_rdma(i, /*retransmit=*/true);
-      if (res_.retries != nullptr) ++res_.retries->chunk_retransmits;
+      ++res_.retries->chunk_retransmits;
       trace_event("fault_chunk_retransmit");
       any = true;
     }
@@ -541,17 +524,14 @@ void RndvSend::retransmit_unacked() {
     // (vbuf pool exhausted, e.g. because the acks that would recycle them
     // were lost on other transfers), degrade to a one-off pinned slot so
     // this transfer keeps moving.
-    const bool needs_slot = uses_staging();
-    const bool gated =
-        res_.sched != nullptr && res_.sched->is_waiting(req_id_);
-    if (needs_slot && next_stage_ < plan_.count &&
+    if (uses_staging() && next_stage_ < plan_.count &&
         !slots_[next_stage_].valid() &&
-        (res_.vbufs->available() == 0 || gated)) {
+        (res_.vbufs->available() == 0 || res_.sched->is_waiting(req_id_))) {
       // Starved of staging slots — pool drained, or the fairness gate kept
       // us queued for a full timeout (the slots it is saving us from are
       // not coming back). Either way, degrade to a one-off pinned slot.
       force_pinned_ = true;
-      if (res_.retries != nullptr) ++res_.retries->stall_fallbacks;
+      ++res_.retries->stall_fallbacks;
       trace_event("fault_stall_fallback");
     }
   }
@@ -560,25 +540,22 @@ void RndvSend::retransmit_unacked() {
 void RndvSend::submit_stage(std::size_t i) {
   const std::size_t off = plan_.offset_of(i);
   const std::size_t bytes = plan_.bytes_of(i);
-  switch (path_) {
-    case Path::kDeviceOffload:
-      res_.cuda->memcpy_async(slots_[i].ptr, tbuf_ + off, bytes,
+  switch (stages_.to_host) {
+    case SendStages::ToHost::kD2HCopy: {
+      // Out of the packed tbuf, or straight out of a contiguous user buffer.
+      const std::byte* src =
+          stages_.device_pack ? tbuf_ : static_cast<std::byte*>(msg_.base);
+      res_.cuda->memcpy_async(slots_[i].ptr, src + off, bytes,
                               cusim::MemcpyKind::kDeviceToHost,
                               res_.d2h_stream);
       stage_events_[i] = res_.cuda->record_event(res_.d2h_stream);
       break;
-    case Path::kDevicePcie:
+    }
+    case SendStages::ToHost::kPcieStrided:
       stage_events_[i] = submit_pcie_pack_to_host(
           *res_.cuda, res_.d2h_stream, msg_, off, bytes, slots_[i].ptr);
       break;
-    case Path::kDeviceContig:
-      res_.cuda->memcpy_async(slots_[i].ptr,
-                              static_cast<std::byte*>(msg_.base) + off, bytes,
-                              cusim::MemcpyKind::kDeviceToHost,
-                              res_.d2h_stream);
-      stage_events_[i] = res_.cuda->record_event(res_.d2h_stream);
-      break;
-    case Path::kHostPack:
+    case SendStages::ToHost::kCpuPack:
       // Host packing occupies the CPU (the cost the paper's offload dodges).
       res_.engine->delay(res_.tun->host_pack_time(
           bytes, chunk_segments(msg_, cursors_.get(), i, off, bytes)));
@@ -590,15 +567,11 @@ void RndvSend::submit_stage(std::size_t i) {
                               slots_[i].ptr);
       }
       break;
-    case Path::kHostContig:
-      break;  // zero-copy: the RDMA reads straight from the user buffer
-    case Path::kDeviceIpcOffload:
-      // No D2H staging — the peer copy reads the packed chunk straight out
-      // of the device tbuf. The pack event doubles as the RDMA gate.
-      stage_events_[i] = pack_events_[i];
+    case SendStages::ToHost::kNone:
+      // No host slot: the wire reads the tbuf or the user buffer directly.
+      // A packed chunk's pack event doubles as the RDMA gate.
+      if (stages_.device_pack) stage_events_[i] = pack_events_[i];
       break;
-    case Path::kDeviceIpcContig:
-      break;  // zero staging: the peer copy reads the user buffer directly
   }
   stage_submitted_[i] = true;
   note_progress();
@@ -607,13 +580,11 @@ void RndvSend::submit_stage(std::size_t i) {
 void RndvSend::post_chunk_rdma(std::size_t i, bool retransmit) {
   const std::size_t off = plan_.offset_of(i);
   const std::size_t bytes = plan_.bytes_of(i);
-  const std::byte* src;
-  if (path_ == Path::kDeviceIpcOffload) {
-    src = tbuf_ + off;  // packed in place on the device; no host staging
-  } else if (slots_[i].valid()) {
+  const std::byte* src = static_cast<std::byte*>(msg_.base) + off;
+  if (stages_.wire == SendStages::Wire::kSlot) {
     src = slots_[i].ptr;
-  } else {
-    src = static_cast<std::byte*>(msg_.base) + off;
+  } else if (stages_.wire == SendStages::Wire::kTbuf) {
+    src = tbuf_ + off;  // packed in place on the device; no host staging
   }
   void* remote = nullptr;
   std::uint64_t slot_idx = kNoSlot;
@@ -642,7 +613,7 @@ void RndvSend::post_chunk_rdma(std::size_t i, bool retransmit) {
   fin.header[2] = slot_idx;
   fin.header[3] = off;
   fin.header[4] = bytes;
-  if (res_.sched != nullptr) res_.sched->note_ctrl(kChunkFin);
+  res_.sched->note_ctrl(kChunkFin);
   const std::uint64_t wr =
       res_.net->post_rdma_write(dst_, src, remote, bytes, std::move(fin));
   wr_to_chunk_.emplace(wr, i);
@@ -665,7 +636,7 @@ void RndvSend::advance() {
 
 void RndvSend::on_cts(const netsim::WireMessage& m) {
   if (cts_received_ || complete_ || failed_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
     return;
   }
   cts_received_ = true;
@@ -693,7 +664,7 @@ void RndvSend::on_cts(const netsim::WireMessage& m) {
 
 void RndvSend::on_rts_ack() {
   if (cts_received_ || complete_ || failed_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
     return;
   }
   // The RTS is known delivered; the peer simply has no matching recv yet.
@@ -706,7 +677,7 @@ void RndvSend::on_rts_ack() {
 
 void RndvSend::on_send_done_ack() {
   if (!done_owed_ || done_acked_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
     return;
   }
   done_acked_ = true;
@@ -730,19 +701,17 @@ void RndvSend::apply_chunk_ack(const AckBatchEntry& e) {
   const std::size_t idx = e.chunk_idx;
   if (idx >= plan_.count) return;
   if (acked_[idx]) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
     return;
   }
   acked_[idx] = true;
   ++acked_count_;
   note_progress();
-  if (res_.sched != nullptr) {
-    // ECN echo: the receiver tells us whether this chunk's fin queued past
-    // the fabric's backlog threshold; the scheduler turns marks into depth
-    // halvings and clean streaks into growth. After the duplicate check,
-    // so a replayed ack cannot double-count one congestion episode.
-    res_.sched->note_chunk_ack(req_id_, e.congested);
-  }
+  // ECN echo: the receiver tells us whether this chunk's fin queued past
+  // the fabric's backlog threshold; the scheduler turns marks into depth
+  // halvings and clean streaks into growth. After the duplicate check, so a
+  // replayed ack cannot double-count one congestion episode.
+  res_.sched->note_chunk_ack(req_id_, e.congested);
   if (e.slot_idx != kNoSlot) {
     // The freed landing slot rides on the ack (the paper's CREDIT).
     remote_slots_.emplace_back(e.slot_idx, e.slot_addr);
@@ -784,11 +753,10 @@ bool RndvSend::on_rdma_complete(std::uint64_t wr_id) {
   const std::size_t i = it->second;
   wr_to_chunk_.erase(it);
   --inflight_[i];
-  ++rdma_done_;
   // Deliberately NO note_progress(): a local transmit completion is our own
   // event, not evidence the peer is alive — retransmitted writes would
   // otherwise keep resetting the retry budget forever. Budget refresh comes
-  // only from receipts (CTS, acks, RTS_ACK, the RGET done).
+  // only from receipts (CTS, acks, RTS_ACK).
   maybe_release_slot(i);
   if (!complete_ && !failed_ && maybe_complete()) return true;
   advance();
@@ -813,22 +781,10 @@ bool RndvSend::on_rdma_error(std::uint64_t wr_id) {
          std::to_string(write_errors_[i]) + " times");
     return true;
   }
-  if (res_.retries != nullptr) ++res_.retries->error_retransmits;
+  ++res_.retries->error_retransmits;
   trace_event("fault_error_retransmit");
   post_chunk_rdma(i, /*retransmit=*/true);
   return true;
-}
-
-void RndvSend::on_rget_done(const netsim::WireMessage& m) {
-  if (complete_ || failed_) return;
-  if (rget_done_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
-    return;
-  }
-  rget_done_ = true;
-  peer_req_ = m.header[1];  // lets the SEND_DONE be addressed back
-  note_progress();
-  complete_transfer();
 }
 
 void RndvSend::complete_transfer() {
@@ -836,7 +792,7 @@ void RndvSend::complete_transfer() {
   res_.net->note_success(dst_);  // failover health: the path delivered
   for (std::size_t i = 0; i < plan_.count; ++i) {
     if (!slots_[i].valid()) continue;
-    if (inflight_[i] > 0 && res_.slot_graveyard != nullptr) {
+    if (inflight_[i] > 0) {
       // A duplicate write still sits in the transmit pipeline and will read
       // this buffer at drain time; park it until the rank tears down.
       res_.slot_graveyard->push_back(std::move(slots_[i]));
@@ -848,7 +804,7 @@ void RndvSend::complete_transfer() {
   // Holds no pool slots and asks for none: out of the QoS head count (a
   // direct-mode SEND_DONE handshake may still be running; it needs no
   // staging resources).
-  if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
+  res_.sched->unregister_transfer(req_id_);
   if (tbuf_ != nullptr) {
     // Safe even on the IPC path, where peer copies read the tbuf directly:
     // maybe_complete() required every inflight write's local CQE, and the
@@ -861,7 +817,7 @@ void RndvSend::complete_transfer() {
     res_.cuda->ipc_close_mem_handle(direct_base_);
     ipc_mapped_ = false;
   }
-  if (cts_received_ || rget_done_) {
+  if (cts_received_) {
     // Tell the receiver no retransmission can follow, releasing its
     // retained landing slots (and, in direct mode, its request).
     done_.kind = kSendDone;
@@ -885,7 +841,7 @@ void RndvSend::complete_transfer() {
 
 void RndvSend::fail(const std::string& reason) {
   res_.net->note_failure(dst_);  // failover health: retry budget exhausted
-  if (res_.retries != nullptr) ++res_.retries->transfer_failures;
+  ++res_.retries->transfer_failures;
   trace_event("fault_transfer_failed");
   if (cts_received_) {
     // Best effort: a matched receiver fails immediately instead of waiting
@@ -924,15 +880,14 @@ void RndvSend::abandon(const std::string& reason) {
   timer_.cancel();
   for (std::size_t i = 0; i < plan_.count; ++i) {
     if (!slots_[i].valid()) continue;
-    if (inflight_[i] > 0 && res_.slot_graveyard != nullptr) {
+    if (inflight_[i] > 0) {
       res_.slot_graveyard->push_back(std::move(slots_[i]));
       slots_[i] = detail::StagingSlot{};
     } else {
       sched_release(res_, req_id_, slots_[i]);
     }
   }
-  if (tbuf_ != nullptr && path_ == Path::kDeviceIpcOffload &&
-      res_.slot_graveyard != nullptr) {
+  if (tbuf_ != nullptr && stages_.wire == SendStages::Wire::kTbuf) {
     // IPC peer copies read the device tbuf at drain time; a queued write of
     // this failed transfer may still reference it. Park it like a host slot.
     bool writes_queued = false;
@@ -949,7 +904,7 @@ void RndvSend::abandon(const std::string& reason) {
     res_.cuda->ipc_close_mem_handle(direct_base_);
     ipc_mapped_ = false;
   }
-  if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
+  res_.sched->unregister_transfer(req_id_);
 }
 
 // ===========================================================================
@@ -959,59 +914,34 @@ void RndvSend::abandon(const std::string& reason) {
 RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
                    std::uint64_t sender_req, std::uint64_t my_req_id,
                    std::size_t incoming_bytes, std::size_t sender_chunk,
-                   const std::byte* rget_src, RndvCache* cache)
+                   RndvCache* cache)
     : res_(res),
       msg_(std::move(msg)),
       src_(src_node),
       sender_req_(sender_req),
       req_id_(my_req_id),
       graph_(res.trig),
-      rget_src_(rget_src),
       timer_(*res.engine) {
-  const Tunables& tun = *res_.tun;
-  // Path inputs that may change between persistent rounds: the transport
-  // route (failover) and the sender's per-round RGET advertisement. The
-  // cache is keyed on both; the chunk table stays sender-driven (below).
-  const bool rget_path = tun.rget && rget_src_ != nullptr &&
-                         !msg_.on_device && msg_.contiguous;
-  const bool ipc_direct = !rget_path && msg_.on_device &&
-                          res_.net != nullptr &&
-                          res_.net->device_direct(src_node);
-  if (cache != nullptr && cache->recv_valid &&
-      cache->recv_ipc == ipc_direct && cache->recv_rget == rget_path) {
-    path_ = static_cast<Path>(cache->recv_path);
-    if (res_.trig != nullptr) ++res_.trig->plan_cache_hits;
+  // The one stage input that may change between persistent rounds is the
+  // transport route (failover); the cache is keyed on it. The chunk table
+  // stays sender-driven (below).
+  const bool ipc_direct = msg_.on_device && res_.net->device_direct(src_node);
+  if (cache != nullptr && cache->recv_valid && cache->recv_ipc == ipc_direct) {
+    stages_ = cache->recv_stages;
+    ++res_.trig->plan_cache_hits;
   } else {
-    if (rget_path) {
-      path_ = Path::kHostRget;
-    } else if (ipc_direct) {
-      // Co-located sender with a peer-copy-capable transport: the payload
-      // lands in device memory directly (user buffer when contiguous, a
-      // device-side reassembly buffer otherwise). No host staging window.
-      path_ = msg_.contiguous ? Path::kDeviceIpcDirect
-                              : Path::kDeviceIpcOffload;
-    } else if (msg_.on_device) {
-      if (msg_.contiguous) {
-        path_ = Path::kDeviceContig;
-      } else if (select_offload(res_, msg_)) {
-        path_ = Path::kDeviceOffload;
-      } else {
-        path_ = Path::kDevicePcie;
-      }
-    } else {
-      path_ = msg_.contiguous ? Path::kHostDirect : Path::kHostUnpack;
-    }
+    stages_ = recv_stages(res_, msg_, ipc_direct);
     if (cache != nullptr) {
       cache->recv_valid = true;
       cache->recv_ipc = ipc_direct;
-      cache->recv_rget = rget_path;
-      cache->recv_path = static_cast<int>(path_);
+      cache->recv_stages = stages_;
     }
   }
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
-  if (path_ == Path::kHostUnpack && msg_.plan && msg_.packed_bytes > 0) {
+  if (stages_.unpack == RecvStages::Unpack::kCpu && msg_.plan &&
+      msg_.packed_bytes > 0) {
     if (cache != nullptr && cache->recv_cursors &&
         cache->recv_chunk == plan_.chunk) {
       cursors_ = cache->recv_cursors;  // same sender chunk: cursors hold
@@ -1026,9 +956,7 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
   chunks_.resize(plan_.count);
   acks_.resize(plan_.count);
   drained_chunk_.assign(plan_.count, false);
-  if (res_.sched != nullptr) {
-    res_.sched->register_transfer(req_id_, plan_.total);
-  }
+  res_.sched->register_transfer(req_id_, plan_.total);
 }
 
 RndvRecv::~RndvRecv() {
@@ -1036,10 +964,8 @@ RndvRecv::~RndvRecv() {
   // engine abort interrupted mid-flight.
   try {
     timer_.cancel();
-    if (res_.sched != nullptr) {
-      res_.sched->drop_pending(src_, sender_req_);
-      res_.sched->unregister_transfer(req_id_);
-    }
+    res_.sched->drop_pending(src_, sender_req_);
+    res_.sched->unregister_transfer(req_id_);
     if (rtbuf_ != nullptr) {
       res_.cuda->free(rtbuf_);
       rtbuf_ = nullptr;
@@ -1050,20 +976,16 @@ RndvRecv::~RndvRecv() {
 }
 
 void RndvRecv::trace_event(const char* category) {
-  if (res_.trace != nullptr) {
-    res_.trace->event(res_.rank, category, res_.engine->now());
-  }
+  res_.trace->event(res_.rank, category, res_.engine->now());
 }
 
 void RndvRecv::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
   msg.flow = sender_req_;  // same flow label as the sender's leg
-  if (res_.sched != nullptr) {
-    res_.sched->note_ctrl(msg.kind);
-    // Piggyback: pending coalesced credits for this peer must never trail
-    // a fresher control message.
-    res_.sched->flush_peer(src_);
-  }
+  res_.sched->note_ctrl(msg.kind);
+  // Piggyback: pending coalesced credits for this peer must never trail a
+  // fresher control message.
+  res_.sched->flush_peer(src_);
   res_.net->post_send(src_, std::move(msg));
 }
 
@@ -1072,9 +994,7 @@ void RndvRecv::arm_timer() {
   const sim::SimTime at =
       backoff_deadline(*res_.tun, retries_, res_.engine->now());
   sim::Notifier* n = res_.notifier;
-  timer_.arm(at, [n] {
-    if (n != nullptr) n->notify();
-  });
+  timer_.arm(at, [n] { n->notify(); });
 }
 
 void RndvRecv::handle_timeout() {
@@ -1086,7 +1006,7 @@ void RndvRecv::handle_timeout() {
     return;
   }
   ++retries_;
-  if (res_.retries != nullptr) ++res_.retries->timeouts;
+  ++res_.retries->timeouts;
   trace_event("fault_timeout");
   // Twice the sender's budget: a struggling-but-alive sender always outlasts
   // this watchdog (its retransmissions keep moving our epoch), and when it
@@ -1112,24 +1032,22 @@ void RndvRecv::force_drain() {
   // Failover health: the payload made it, but the peer went silent before
   // closing the handshake — count it against the path.
   res_.net->note_failure(src_);
-  if (res_.sched != nullptr) {
-    // A pending coalesced ack advertises a slot address as a credit; the
-    // release below recycles those addresses, so the acks must die first.
-    res_.sched->drop_pending(src_, sender_req_);
-  }
+  // A pending coalesced ack advertises a slot address as a credit; the
+  // release below recycles those addresses, so the acks must die first.
+  res_.sched->drop_pending(src_, sender_req_);
   // Safe to recycle rather than park in the graveyard: the silence that got
   // us here spans the entire backoff budget, orders of magnitude beyond any
   // delivery latency plus jitter, so no write posted by the sender can
   // still be queued against these addresses.
   for (auto& s : slots_) sched_release(res_, req_id_, s);
-  if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
-  if (res_.retries != nullptr) ++res_.retries->force_drains;
+  res_.sched->unregister_transfer(req_id_);
+  ++res_.retries->force_drains;
   trace_event("fault_force_drain");
 }
 
 void RndvRecv::fail(const std::string& reason) {
   res_.net->note_failure(src_);  // failover health
-  if (res_.retries != nullptr) ++res_.retries->transfer_failures;
+  ++res_.retries->transfer_failures;
   trace_event("fault_transfer_failed");
   abandon(reason);
 }
@@ -1148,23 +1066,17 @@ void RndvRecv::abandon(const std::string& reason) {
   failed_ = true;
   error_ = reason;
   timer_.cancel();
-  if (res_.sched != nullptr) {
-    // Queued acks for this transfer advertise slots headed for the
-    // graveyard (or the pool); they must never reach the wire.
-    res_.sched->drop_pending(src_, sender_req_);
-  }
+  // Queued acks for this transfer advertise slots headed for the graveyard;
+  // they must never reach the wire.
+  res_.sched->drop_pending(src_, sender_req_);
   for (auto& s : slots_) {
     if (!s.valid()) continue;
-    if (res_.slot_graveyard != nullptr) {
-      // The sender may still have writes queued against these addresses;
-      // park them until the rank tears down.
-      res_.slot_graveyard->push_back(std::move(s));
-      s = detail::StagingSlot{};
-    } else {
-      sched_release(res_, req_id_, s);
-    }
+    // The sender may still have writes queued against these addresses;
+    // park them until the rank tears down.
+    res_.slot_graveyard->push_back(std::move(s));
+    s = detail::StagingSlot{};
   }
-  if (rtbuf_ != nullptr && res_.slot_graveyard != nullptr) {
+  if (rtbuf_ != nullptr) {
     // Same hazard in device memory: the co-located sender's peer copies
     // target the rtbuf through its IPC mapping, and a queued duplicate may
     // still drain after this failure. Park it for teardown-time cudaFree.
@@ -1174,7 +1086,7 @@ void RndvRecv::abandon(const std::string& reason) {
     res_.slot_graveyard->push_back(park);
     rtbuf_ = nullptr;
   }
-  if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
+  res_.sched->unregister_transfer(req_id_);
 }
 
 void RndvRecv::start() {
@@ -1185,44 +1097,33 @@ void RndvRecv::start() {
   // failed or the path died, and the receive must resolve bounded instead
   // of tripping the engine's deadlock detector.
   arm_timer();
-  if (path_ == Path::kHostRget) {
-    // Receiver-driven: pull the whole message in one RDMA READ; no CTS.
-    rget_wr_ = res_.net->post_rdma_read(src_, msg_.base, rget_src_,
-                                             plan_.total);
-    return;
-  }
   cts_.kind = kCts;
   cts_.header[0] = sender_req_;
   cts_.header[1] = req_id_;
-  if (path_ == Path::kHostDirect) {
-    cts_.header[2] = static_cast<std::uint64_t>(CtsMode::kDirect);
-    cts_.header[3] = 1;
-    append_address(cts_.payload, msg_.base);
-    cts_sent_ = true;
-    post_ctrl(cts_);
-    return;
-  }
-  if (path_ == Path::kDeviceIpcDirect || path_ == Path::kDeviceIpcOffload) {
-    // Intra-node device-direct landing: export an IPC handle for the
-    // landing buffer instead of advertising host staging slots. The
-    // co-located sender opens the handle and peer-copies straight in.
-    std::byte* landing;
-    if (path_ == Path::kDeviceIpcOffload) {
-      rtbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
-      landing = rtbuf_;
-    } else {
-      landing = static_cast<std::byte*>(msg_.base);
-    }
-    cts_.header[2] = static_cast<std::uint64_t>(CtsMode::kDirect);
-    cts_.header[3] = 1;
-    cts_.header[4] = 1;  // payload carries an IPC handle, not an address
-    append_ipc_handle(cts_.payload, res_.cuda->ipc_get_mem_handle(landing));
-    cts_sent_ = true;
-    post_ctrl(cts_);
-    return;
-  }
-  if (path_ == Path::kDeviceOffload) {
+  if (stages_.unpack == RecvStages::Unpack::kDeviceKernel) {
+    // The device unpack scatters out of a reassembly buffer: the landing
+    // itself (intra-node), or the target of the H2D stage.
     rtbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+  }
+  if (direct_landing()) {
+    cts_.header[2] = static_cast<std::uint64_t>(CtsMode::kDirect);
+    cts_.header[3] = 1;
+    if (msg_.on_device) {
+      // Device-direct landing: export an IPC handle for the landing buffer
+      // instead of an address. The co-located sender opens the handle and
+      // peer-copies straight in.
+      std::byte* landing =
+          stages_.landing == RecvStages::Landing::kDeviceBuffer
+              ? rtbuf_
+              : static_cast<std::byte*>(msg_.base);
+      cts_.header[4] = 1;  // payload carries an IPC handle, not an address
+      append_ipc_handle(cts_.payload, res_.cuda->ipc_get_mem_handle(landing));
+    } else {
+      append_address(cts_.payload, msg_.base);
+    }
+    cts_sent_ = true;
+    post_ctrl(cts_);
+    return;
   }
   // Advertise a window of landing slots. The first slot falls back to a
   // pinned one-off buffer when the pool is drained, so a CTS can always be
@@ -1250,7 +1151,7 @@ void RndvRecv::start() {
   }
   // The window is advertised exactly once — a denial above must not leave
   // a stale fairness turn queued (this receiver will never re-ask).
-  sched_withdraw(res_, req_id_);
+  res_.sched->withdraw(req_id_);
   cts_.header[2] = static_cast<std::uint64_t>(CtsMode::kStaged);
   cts_.header[3] = slots_.size();
   for (const auto& s : slots_) append_address(cts_.payload, s.ptr);
@@ -1261,19 +1162,9 @@ void RndvRecv::start() {
 
 void RndvRecv::on_duplicate_rts() {
   note_progress();  // the sender is alive and probing
-  if (path_ == Path::kHostRget) {
-    if (done_sent_) {
-      // Our kRndvDone was lost; replay it.
-      post_ctrl(done_msg_);
-      if (res_.retries != nullptr) ++res_.retries->done_resent;
-      trace_event("fault_done_resent");
-    }
-    // Otherwise the RDMA READ is still in flight; the done will follow.
-    return;
-  }
   if (cts_sent_) {
     post_ctrl(cts_);
-    if (res_.retries != nullptr) ++res_.retries->cts_resent;
+    ++res_.retries->cts_resent;
     trace_event("fault_cts_resent");
   }
 }
@@ -1288,7 +1179,7 @@ void RndvRecv::on_chunk_fin(const netsim::WireMessage& m) {
     // is still in the pipeline, the pending ack will cover it.
     if (drained_chunk_[idx]) {
       resend_ack(idx);
-    } else if (res_.retries != nullptr) {
+    } else {
       ++res_.retries->duplicates_dropped;
     }
     return;
@@ -1303,7 +1194,6 @@ void RndvRecv::on_chunk_fin(const netsim::WireMessage& m) {
   chunks_[idx].arrived = true;
   chunks_[idx].ecn = m.ecn;  // remember the mark until the ack echoes it
   chunks_[idx].slot = m.header[2];
-  ++arrived_count_;
   advance();
 }
 
@@ -1327,7 +1217,7 @@ void RndvRecv::ack_chunk(std::size_t chunk_idx) {
   acks_[chunk_idx] = ack;
   ++drained_acks_;
   note_progress();  // local drain progress keeps the watchdog quiet
-  if (res_.sched != nullptr && res_.sched->coalescing()) {
+  if (res_.sched->coalescing()) {
     // Hand the ack to the coalescer: it goes out within the delivery
     // window, batched with whatever else this rank owes the same peer
     // (possibly acks of other transfers). Replays of a stored ack on a
@@ -1367,14 +1257,14 @@ void RndvRecv::ack_chunk(std::size_t chunk_idx) {
 
 void RndvRecv::resend_ack(std::size_t chunk_idx) {
   post_ctrl(acks_[chunk_idx]);
-  if (res_.retries != nullptr) ++res_.retries->acks_resent;
+  ++res_.retries->acks_resent;
   trace_event("fault_ack_resent");
 }
 
 void RndvRecv::on_send_done() {
   note_progress();
   if (send_done_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
   } else {
     send_done_ = true;
     res_.net->note_success(src_);  // failover health: full round trip closed
@@ -1383,7 +1273,7 @@ void RndvRecv::on_send_done() {
     // SEND_DONE also proves no ack of ours is still coalescing — the
     // sender saw them all.)
     for (auto& s : slots_) sched_release(res_, req_id_, s);
-    if (res_.sched != nullptr) res_.sched->unregister_transfer(req_id_);
+    res_.sched->unregister_transfer(req_id_);
   }
   if (direct_landing()) {
     // The sender retransmits its SEND_DONE until we confirm (our request
@@ -1401,7 +1291,7 @@ void RndvRecv::on_send_done() {
 void RndvRecv::on_send_abort() {
   note_progress();
   if (failed_ || send_done_) {
-    if (res_.retries != nullptr) ++res_.retries->duplicates_dropped;
+    ++res_.retries->duplicates_dropped;
     return;
   }
   if (completed_ == plan_.count) {
@@ -1414,23 +1304,9 @@ void RndvRecv::on_send_abort() {
        std::to_string(src_) + ": sender aborted the transfer");
 }
 
-bool RndvRecv::on_rdma_read_complete(std::uint64_t wr_id) {
-  if (path_ != Path::kHostRget || wr_id != rget_wr_ || done_sent_) {
-    return false;
-  }
-  note_progress();
-  completed_ = plan_.count;
-  done_msg_.kind = kRndvDone;
-  done_msg_.header[0] = sender_req_;
-  done_msg_.header[1] = req_id_;  // return address for the SEND_DONE
-  done_sent_ = true;
-  post_ctrl(done_msg_);
-  return true;
-}
-
 bool RndvRecv::request_complete() const {
   if (failed_) return false;
-  if (path_ == Path::kHostDirect || path_ == Path::kDeviceIpcDirect) {
+  if (stages_.landing == RecvStages::Landing::kUser) {
     // Direct landings go straight into the user buffer, which the
     // application owns again (or may have freed) the moment the request
     // completes. A duplicate write retransmitted because its CHUNK_ACK was
@@ -1438,8 +1314,8 @@ bool RndvRecv::request_complete() const {
     // put there — so completion additionally waits for the sender's
     // (reliable, acked) SEND_DONE, the proof that nothing can still drain.
     // The watchdog's force_drain bounds the wait if the sender died.
-    // (kDeviceIpcOffload is exempt: duplicates land in the protocol-owned
-    // rtbuf, which outlives the request.)
+    // (A device reassembly buffer is exempt: duplicates land in the
+    // protocol-owned rtbuf, which outlives the request.)
     return completed_ == plan_.count && send_done_;
   }
   return completed_ == plan_.count;
@@ -1452,187 +1328,111 @@ bool RndvRecv::drained() const {
 
 void RndvRecv::build_graph() {
   graph_.clear();
-  if (res_.trig != nullptr) ++res_.trig->graphs_built;
-  switch (path_) {
-    case Path::kHostRget:
-      return;  // driven entirely by on_rdma_read_complete; no chains
-    case Path::kHostDirect:
-    case Path::kDeviceIpcDirect: {
-      // The write already landed in the user buffer (RDMA into host memory
-      // or a peer D2D copy through the opened IPC mapping); ack each
-      // arrival. Arrivals are unordered, hence a sparse sweep, not a
-      // frontier.
-      const int ack = graph_.add_chain(TriggerGraph::ChainKind::kSparse);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(
-            ack,
-            [this, i] { return chunks_[i].arrived && !drained_chunk_[i]; },
-            [this, i] {
-              ack_chunk(i);
-              ++completed_;
-            });
-      }
-      return;
-    }
-    case Path::kDeviceIpcOffload: {
-      // Peer copies land packed chunks in the device rtbuf; each arrival
-      // feeds a D2D unpack kernel. No host staging, so the ack goes out as
-      // soon as the chunk is handed to the unpack stream. The rtbuf is
-      // deliberately NOT freed when the last unpack drains: a duplicate
-      // peer copy (retransmitted because its ack was lost) may still be
-      // queued against it, so it lives until the transfer object tears
-      // down (destructor) or is parked in the graveyard (fail()).
-      const int unpack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(unpack, [this, i] { return chunks_[i].arrived; },
-                        [this, i] {
-                          const std::size_t off = plan_.offset_of(i);
-                          chunks_[i].unpack_done = submit_device_unpack(
-                              *res_.cuda, res_.unpack_stream, msg_, off,
-                              plan_.bytes_of(i), rtbuf_ + off);
-                          chunks_[i].unpack_submitted = true;
-                          ack_chunk(i);
-                          ++next_unpack_;
-                        });
-      }
-      const int done = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(done,
-                        [this, i] {
-                          return chunks_[i].unpack_submitted &&
-                                 chunks_[i].unpack_done.query();
-                        },
-                        [this] { ++completed_; });
-      }
-      return;
-    }
-    case Path::kHostUnpack: {
-      // CPU unpack straight from the landing slot, in chunk order (each
-      // unpack charges host time, so the frontier drains sequentially).
-      const int unpack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(unpack, [this, i] { return chunks_[i].arrived; },
-                        [this, i] {
-                          const std::size_t off = plan_.offset_of(i);
-                          const std::size_t bytes = plan_.bytes_of(i);
-                          res_.engine->delay(res_.tun->host_pack_time(
-                              bytes, chunk_segments(msg_, cursors_.get(), i,
-                                                    off, bytes)));
-                          if (cursors_ && i < cursors_->count &&
-                              off == i * cursors_->chunk) {
-                            msg_.dtype.unpack_bytes_from(
-                                cursors_->cursors[i],
-                                slots_[chunks_[i].slot].ptr, msg_.count,
-                                bytes, msg_.base);
-                          } else {
-                            msg_.dtype.unpack_bytes(
-                                slots_[chunks_[i].slot].ptr, msg_.count, off,
-                                bytes, msg_.base);
-                          }
-                          ack_chunk(i);
-                          ++completed_;
-                        });
-      }
-      return;
-    }
-    case Path::kDeviceContig:
-    case Path::kDevicePcie: {
-      // H2D frontier feeds the copy engine in order; the ack frontier
-      // trails it, firing as each copy's event drains.
-      const int h2d = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(h2d, [this, i] { return chunks_[i].arrived; },
-                        [this, i] {
-                          const std::size_t off = plan_.offset_of(i);
-                          const std::size_t bytes = plan_.bytes_of(i);
-                          const std::byte* slot_ptr =
-                              slots_[chunks_[i].slot].ptr;
-                          if (path_ == Path::kDeviceContig) {
-                            res_.cuda->memcpy_async(
-                                static_cast<std::byte*>(msg_.base) + off,
-                                slot_ptr, bytes,
-                                cusim::MemcpyKind::kHostToDevice,
-                                res_.h2d_stream);
-                            chunks_[i].h2d_done =
-                                res_.cuda->record_event(res_.h2d_stream);
-                          } else {
-                            chunks_[i].h2d_done = submit_pcie_unpack_from_host(
-                                *res_.cuda, res_.h2d_stream, msg_, off, bytes,
-                                slot_ptr);
-                          }
-                          chunks_[i].h2d_submitted = true;
-                          ++next_h2d_;
-                        });
-      }
-      const int ack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(ack,
-                        [this, i] {
-                          return chunks_[i].h2d_submitted &&
-                                 chunks_[i].h2d_done.query();
-                        },
-                        [this, i] {
-                          ack_chunk(i);
-                          ++completed_;
-                        });
-      }
-      return;
-    }
-    case Path::kDeviceOffload: {
-      // The full three-stage landing pipeline: H2D into the rtbuf, D2D
-      // unpack kernel (the host slot drains — ack — as soon as its bytes
-      // are in the rtbuf), completion as each unpack's event drains.
-      const int h2d = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(h2d, [this, i] { return chunks_[i].arrived; },
-                        [this, i] {
-                          const std::size_t off = plan_.offset_of(i);
-                          res_.cuda->memcpy_async(
-                              rtbuf_ + off, slots_[chunks_[i].slot].ptr,
-                              plan_.bytes_of(i),
-                              cusim::MemcpyKind::kHostToDevice,
-                              res_.h2d_stream);
-                          chunks_[i].h2d_done =
-                              res_.cuda->record_event(res_.h2d_stream);
-                          chunks_[i].h2d_submitted = true;
-                          ++next_h2d_;
-                        });
-      }
-      const int unpack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(unpack,
-                        [this, i] {
-                          return chunks_[i].h2d_submitted &&
-                                 chunks_[i].h2d_done.query();
-                        },
-                        [this, i] {
-                          const std::size_t off = plan_.offset_of(i);
-                          chunks_[i].unpack_done = submit_device_unpack(
-                              *res_.cuda, res_.unpack_stream, msg_, off,
-                              plan_.bytes_of(i), rtbuf_ + off);
-                          chunks_[i].unpack_submitted = true;
-                          ack_chunk(i);
-                          ++next_unpack_;
-                        });
-      }
-      const int done = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-      for (std::size_t i = 0; i < plan_.count; ++i) {
-        graph_.add_node(done,
-                        [this, i] {
-                          return chunks_[i].unpack_submitted &&
-                                 chunks_[i].unpack_done.query();
-                        },
-                        [this] { ++completed_; });
-      }
-      graph_.set_epilogue(done, [this] {
-        if (completed_ == plan_.count && rtbuf_ != nullptr) {
-          res_.cuda->free(rtbuf_);
-          rtbuf_ = nullptr;
-        }
-      });
-      return;
+  ++res_.trig->graphs_built;
+  // H2D frontier: feeds the copy engine in chunk order as chunks land.
+  if (stages_.h2d != RecvStages::H2D::kNone) {
+    const int h2d = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
+    for (std::size_t i = 0; i < plan_.count; ++i) {
+      graph_.add_node(h2d, [this, i] { return chunks_[i].arrived; },
+                      [this, i] { submit_h2d(i); });
     }
   }
+  // Drain chain: the unpack (if any) frees the landing and acks the chunk.
+  // Staged drains run in chunk order (each one is queued behind the last
+  // on its engine); a bare direct landing has nothing to order — chunks
+  // land unordered and are acked as they arrive, hence a sparse sweep.
+  const bool bare = stages_.h2d == RecvStages::H2D::kNone &&
+                    stages_.unpack == RecvStages::Unpack::kNone;
+  const int drain = graph_.add_chain(bare ? TriggerGraph::ChainKind::kSparse
+                                          : TriggerGraph::ChainKind::kFrontier);
+  for (std::size_t i = 0; i < plan_.count; ++i) {
+    graph_.add_node(drain, [this, i] { return staged_in(i); },
+                    [this, i] { drain_chunk(i); });
+  }
+  if (stages_.unpack != RecvStages::Unpack::kDeviceKernel) return;
+  // Device unpacks complete as each kernel's event drains.
+  const int done = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
+  for (std::size_t i = 0; i < plan_.count; ++i) {
+    graph_.add_node(done,
+                    [this, i] {
+                      return chunks_[i].unpack_submitted &&
+                             chunks_[i].unpack_done.query();
+                    },
+                    [this] { ++completed_; });
+  }
+  // A staged landing's rtbuf is private: free it once the last unpack
+  // drained. A device landing buffer is deliberately NOT freed here: a
+  // duplicate peer copy (retransmitted because its ack was lost) may still
+  // be queued against it, so it lives until the transfer object tears down
+  // (destructor) or is parked in the graveyard (fail()).
+  if (stages_.landing == RecvStages::Landing::kSlots) {
+    graph_.set_epilogue(done, [this] {
+      if (completed_ == plan_.count && rtbuf_ != nullptr) {
+        res_.cuda->free(rtbuf_);
+        rtbuf_ = nullptr;
+      }
+    });
+  }
+}
+
+bool RndvRecv::staged_in(std::size_t i) const {
+  const ChunkState& c = chunks_[i];
+  if (stages_.h2d == RecvStages::H2D::kNone) return c.arrived;
+  return c.h2d_submitted && c.h2d_done.query();
+}
+
+void RndvRecv::submit_h2d(std::size_t i) {
+  const std::size_t off = plan_.offset_of(i);
+  const std::size_t bytes = plan_.bytes_of(i);
+  const std::byte* slot = slots_[chunks_[i].slot].ptr;
+  ChunkState& c = chunks_[i];
+  if (stages_.h2d == RecvStages::H2D::kPcieStrided) {
+    c.h2d_done = submit_pcie_unpack_from_host(*res_.cuda, res_.h2d_stream,
+                                              msg_, off, bytes, slot);
+  } else {
+    // Into the device unpack's rtbuf, or straight into a contiguous user
+    // buffer.
+    std::byte* dst = stages_.unpack == RecvStages::Unpack::kDeviceKernel
+                         ? rtbuf_
+                         : static_cast<std::byte*>(msg_.base);
+    res_.cuda->memcpy_async(dst + off, slot, bytes,
+                            cusim::MemcpyKind::kHostToDevice, res_.h2d_stream);
+    c.h2d_done = res_.cuda->record_event(res_.h2d_stream);
+  }
+  c.h2d_submitted = true;
+}
+
+void RndvRecv::drain_chunk(std::size_t i) {
+  const std::size_t off = plan_.offset_of(i);
+  const std::size_t bytes = plan_.bytes_of(i);
+  switch (stages_.unpack) {
+    case RecvStages::Unpack::kDeviceKernel:
+      // D2D c2nc out of the rtbuf. The landing (host slot or device
+      // buffer) drains — ack — as soon as the kernel is queued; the chunk
+      // completes when it ran (the done chain).
+      chunks_[i].unpack_done = submit_device_unpack(
+          *res_.cuda, res_.unpack_stream, msg_, off, bytes, rtbuf_ + off);
+      chunks_[i].unpack_submitted = true;
+      ack_chunk(i);
+      return;
+    case RecvStages::Unpack::kCpu: {
+      // CPU unpack straight from the landing slot; it charges host time.
+      const std::byte* slot = slots_[chunks_[i].slot].ptr;
+      res_.engine->delay(res_.tun->host_pack_time(
+          bytes, chunk_segments(msg_, cursors_.get(), i, off, bytes)));
+      if (cursors_ && i < cursors_->count && off == i * cursors_->chunk) {
+        msg_.dtype.unpack_bytes_from(cursors_->cursors[i], slot, msg_.count,
+                                     bytes, msg_.base);
+      } else {
+        msg_.dtype.unpack_bytes(slot, msg_.count, off, bytes, msg_.base);
+      }
+      break;
+    }
+    case RecvStages::Unpack::kNone:
+      break;  // the bytes already sit in the user buffer
+  }
+  ack_chunk(i);
+  ++completed_;
 }
 
 void RndvRecv::advance() {

@@ -12,16 +12,27 @@
 //                                             H2D c2c  slot -> device rtbuf
 //                                             D2D c2nc rtbuf -> user buffer
 //
-// The same machinery degrades gracefully for every buffer combination the
-// MPI layer can present:
-//   * device contiguous        -> stages 1/5 drop out (3-stage pipeline,
-//                                 the prior-work MVAPICH2-GPU design [3])
-//   * device strided, offload
-//     disabled                 -> stage 1 merges into stage 2 as a strided
-//                                 PCIe copy (D2H nc2c), the paper's
-//                                 non-offloaded alternative
-//   * host strided             -> pack/unpack run on the CPU into vbufs
-//   * host contiguous          -> zero staging; single direct RDMA write
+// Every buffer combination the MPI layer can present is this pipeline with
+// some stages dropped. Each side derives one stage descriptor per transfer
+// (SendStages / RecvStages) from residency, contiguity, the device-direct
+// route and the offload choice; the trigger graphs are built from it:
+//
+//   buffers            sender                  receiver
+//                      pack  to host      wire  landing  H2D       unpack
+//   device strided     tbuf  D2H copy     slot  slots    copy      kernel
+//   device strided,
+//     offload off      -     strided PCIe slot  slots    str. PCIe -
+//   device contiguous  -     D2H copy     slot  slots    copy      -
+//   host strided       -     CPU pack     slot  slots    -         CPU
+//   host contiguous    -     -            user  user     -         -
+//   IPC strided        tbuf  -            tbuf  device   -         kernel
+//   IPC contiguous     -     -            user  user     -         -
+//
+// Device contiguous is the 3-stage prior-work MVAPICH2-GPU design [3];
+// offload off is the paper's non-offloaded nc2c alternative. The IPC rows
+// are the intra-node collapsed pipeline (docs/SIMULATION.md): the peer
+// copy reads and writes device memory directly, so the host staging
+// stages and their vbuf slots drop out entirely.
 //
 // Flow control follows the paper: the CTS advertises a window of landing
 // vbufs; each slot is re-advertised as the receiver drains it, piggybacked
@@ -74,7 +85,6 @@ struct RetryStats {
   std::uint64_t error_retransmits = 0;   // chunk writes resent after kError
   std::uint64_t cts_resent = 0;          // stored CTS replayed on dup RTS
   std::uint64_t acks_resent = 0;         // stored ack replayed on dup fin
-  std::uint64_t done_resent = 0;         // RGET done replayed on dup RTS
   std::uint64_t send_done_retransmits = 0;  // direct-mode SEND_DONE resent
   std::uint64_t timeouts = 0;            // deadline expiries counted as retry
   std::uint64_t stall_fallbacks = 0;     // vbuf-starvation watchdog firings
@@ -85,7 +95,7 @@ struct RetryStats {
 
   std::uint64_t total_retransmits() const {
     return rts_retransmits + chunk_retransmits + error_retransmits +
-           cts_resent + acks_resent + done_resent + send_done_retransmits;
+           cts_resent + acks_resent + send_done_retransmits;
   }
 };
 
@@ -115,7 +125,9 @@ StagingSlot pinned_slot(cusim::CudaContext& cuda, std::size_t bytes);
 
 /// Per-rank resources shared by all transfers of that rank. The four CUDA
 /// streams mirror the concurrency structure of Figure 3: packing, D2H
-/// staging, H2D staging and unpacking progress independently.
+/// staging, H2D staging and unpacking progress independently. Every
+/// pointer is required: the owning RankComm sets all of them before any
+/// transfer exists.
 struct RankResources {
   sim::Engine* engine = nullptr;
   cusim::CudaContext* cuda = nullptr;
@@ -129,7 +141,7 @@ struct RankResources {
   cusim::Stream h2d_stream;
   cusim::Stream unpack_stream;
 
-  // -- reliability plumbing (all optional; null disables the feature) ----
+  // -- reliability plumbing ----------------------------------------------
   /// Woken by retransmission deadline expiry so the rank's progress loop
   /// runs; the timer callback itself never retransmits.
   sim::Notifier* notifier = nullptr;
@@ -145,11 +157,9 @@ struct RankResources {
   std::vector<detail::StagingSlot>* slot_graveyard = nullptr;
   /// Multi-transfer progress scheduler (docs/CONCURRENCY.md): vbuf QoS and
   /// fairness gating, adaptive pipeline depth, ack/credit coalescing and
-  /// the control-message census. Null disables all of it (legacy behavior,
-  /// identical to sched_policy=fifo with coalescing off).
+  /// the control-message census.
   TransferScheduler* sched = nullptr;
   /// Trigger-graph / stream-op observability counters (docs/STREAMS.md).
-  /// Null disables counting.
   TriggerStats* trig = nullptr;
 };
 
@@ -171,7 +181,40 @@ struct ChunkPlan {
   static ChunkPlan make(std::size_t total, std::size_t chunk);
 };
 
-/// Persistent-request plan cache (docs/STREAMS.md): the path decision,
+/// The sender's stages of one transfer (the left column of Figure 3).
+struct SendStages {
+  /// How a chunk reaches its host staging slot.
+  enum class ToHost : std::uint8_t {
+    kNone,         // no host slot: the wire reads device or user memory
+    kD2HCopy,      // contiguous D2H copy (from the tbuf, or the user buffer)
+    kPcieStrided,  // strided PCIe copy out of the user buffer (D2H nc2c)
+    kCpuPack,      // CPU pack of a host user buffer
+  };
+  /// Where the wire (RDMA write or IPC peer copy) reads a chunk from.
+  enum class Wire : std::uint8_t { kSlot, kTbuf, kUser };
+
+  bool device_pack = false;  // D2D nc2c pack of the user buffer into tbuf
+  ToHost to_host = ToHost::kNone;
+  Wire wire = Wire::kUser;
+};
+
+/// The receiver's stages of one transfer (the right column of Figure 3).
+struct RecvStages {
+  /// Where the sender's chunks land.
+  enum class Landing : std::uint8_t {
+    kSlots,         // advertised host vbuf window, recycled by credits
+    kUser,          // straight into the contiguous user buffer
+    kDeviceBuffer,  // a device reassembly buffer (rtbuf) peers copy into
+  };
+  enum class H2D : std::uint8_t { kNone, kCopy, kPcieStrided };
+  enum class Unpack : std::uint8_t { kNone, kDeviceKernel, kCpu };
+
+  Landing landing = Landing::kUser;
+  H2D h2d = H2D::kNone;
+  Unpack unpack = Unpack::kNone;
+};
+
+/// Persistent-request plan cache (docs/STREAMS.md): the stage descriptor,
 /// chunk geometry and pack cursors a transfer derived once, stored so the
 /// next start() of the same frozen argument list re-fires them without
 /// plan lookup or cost-model calls. The cache is validated against the
@@ -183,22 +226,21 @@ struct RndvCache {
   // Sender side.
   bool send_valid = false;
   bool send_ipc = false;  // device_direct(dst) held when the entry was filled
-  int send_path = 0;
+  SendStages send_stages;
   ChunkPlan send_plan;
   std::shared_ptr<const PackPlan::ChunkCursors> send_cursors;
   // Receiver side.
   bool recv_valid = false;
   bool recv_ipc = false;
-  bool recv_rget = false;
-  int recv_path = 0;
+  RecvStages recv_stages;
   std::size_t recv_chunk = 0;  // sender chunk the cursors were cut for
   std::shared_ptr<const PackPlan::ChunkCursors> recv_cursors;
 };
 
 /// Sender-side state machine. Drive with on_*() from the progress engine
 /// and call advance() after every event; done() flips once every chunk has
-/// been acknowledged by the receiver (or the RGET done arrived), failed()
-/// once the retry budget is exhausted.
+/// been acknowledged by the receiver, failed() once the retry budget is
+/// exhausted.
 ///
 /// Internally the stage transitions (pack-done -> D2H -> vbuf acquire ->
 /// RDMA -> ack) form a TriggerGraph: each advance() is one firing pass over
@@ -220,9 +262,9 @@ class RndvSend {
   /// read before the gate fires. Call before start().
   void set_data_gate(cusim::Event gate) { data_gate_ = std::move(gate); }
 
-  /// Send the RTS and (device path) start packing immediately — packing
-  /// overlaps the handshake, as in Figure 3. Arms the retransmission
-  /// deadline.
+  /// Send the RTS and (with a device pack stage) start packing immediately
+  /// — packing overlaps the handshake, as in Figure 3. Arms the
+  /// retransmission deadline.
   void start(std::uint64_t tag_word);
 
   void on_cts(const netsim::WireMessage& msg);
@@ -243,9 +285,6 @@ class RndvSend {
   /// chunk, bounded per chunk by rndv_max_retries. Returns true when the
   /// wr_id belonged to this transfer.
   bool on_rdma_error(std::uint64_t wr_id);
-  /// RGET: the receiver pulled the data and sent kRndvDone (h1 carries the
-  /// receiver's request id so the SEND_DONE can be addressed back).
-  void on_rget_done(const netsim::WireMessage& msg);
   void advance();
 
   bool done() const { return complete_; }
@@ -270,17 +309,10 @@ class RndvSend {
   void cancel(const std::string& reason);
 
  private:
-  // kDeviceIpc* are the intra-node collapsed pipeline (docs/SIMULATION.md):
-  // the peer copy reads device memory directly, so the D2H staging stage
-  // (and its vbuf slots) drop out entirely.
-  enum class Path { kDeviceOffload, kDevicePcie, kDeviceContig, kHostPack,
-                    kHostContig, kDeviceIpcOffload, kDeviceIpcContig };
-
-  /// False for the paths whose chunks leave straight from device (or user)
-  /// memory and therefore never hold a host staging slot.
+  /// False when chunks leave straight from device (or user) memory and
+  /// therefore never hold a host staging slot.
   bool uses_staging() const {
-    return path_ != Path::kHostContig && path_ != Path::kDeviceIpcOffload &&
-           path_ != Path::kDeviceIpcContig;
+    return stages_.to_host != SendStages::ToHost::kNone;
   }
 
   /// Declare the trigger chains (pack gate -> stage frontier -> RDMA
@@ -291,12 +323,14 @@ class RndvSend {
   /// that historically lived in the advance() loop body).
   bool stage_gate(std::size_t i);
   /// Dependency gate of RDMA node i: chunk staged, D2H drained, data gate
-  /// (zero-staging paths), landing address available.
+  /// (wire reading the user buffer), landing address available.
   bool rdma_gate(std::size_t i);
   /// True once the stream data gate (if any) has fired.
   bool data_ready() const {
     return !data_gate_.valid() || data_gate_.query();
   }
+  /// Allocate the tbuf and queue every chunk's device pack into it.
+  void submit_packs();
   void submit_stage(std::size_t i);
   void post_chunk_rdma(std::size_t i, bool retransmit);
   /// Stamp, census-count, piggyback pending credits for dst_, then post.
@@ -318,9 +352,9 @@ class RndvSend {
   MsgView msg_;
   int dst_;
   std::uint64_t req_id_;
-  Path path_;
+  SendStages stages_;
   ChunkPlan plan_;
-  /// Precomputed per-chunk resumable cursors (kHostPack); shared with the
+  /// Precomputed per-chunk resumable cursors (CPU pack); shared with the
   /// plan cache, so retransmissions and repeated sends reuse them verbatim.
   std::shared_ptr<const PackPlan::ChunkCursors> cursors_;
   /// Stream data gate (invalid unless set_data_gate was called).
@@ -329,7 +363,7 @@ class RndvSend {
   /// advance().
   TriggerGraph graph_;
 
-  std::byte* tbuf_ = nullptr;  // device pack buffer (kDeviceOffload)
+  std::byte* tbuf_ = nullptr;  // device pack buffer (device_pack)
   std::vector<cusim::Event> pack_events_;
   std::vector<cusim::Event> stage_events_;
   std::vector<detail::StagingSlot> slots_;
@@ -344,7 +378,6 @@ class RndvSend {
 
   std::size_t next_stage_ = 0;
   std::size_t next_rdma_ = 0;
-  std::size_t rdma_done_ = 0;  // local write completions (diagnostic)
   std::unordered_map<std::uint64_t, std::size_t> wr_to_chunk_;
 
   // -- reliability state -------------------------------------------------
@@ -366,7 +399,6 @@ class RndvSend {
   std::vector<std::uint64_t> remote_slot_idx_;  // landing slot per chunk
   std::vector<void*> remote_addr_;              // landing address per chunk
   bool force_pinned_ = false;          // stall watchdog verdict
-  bool rget_done_ = false;
   bool complete_ = false;
   bool failed_ = false;
   std::string error_;
@@ -383,12 +415,10 @@ class RndvSend {
 /// waiting out the engine's deadlock detector.
 class RndvRecv {
  public:
-  /// `rget_src` is the sender's advertised source address (from the RTS)
-  /// when the sender is RGET-eligible, or nullptr.
   RndvRecv(RankResources& res, MsgView msg, int src_node,
            std::uint64_t sender_req, std::uint64_t my_req_id,
            std::size_t incoming_bytes, std::size_t sender_chunk,
-           const std::byte* rget_src = nullptr, RndvCache* cache = nullptr);
+           RndvCache* cache = nullptr);
   ~RndvRecv();
   RndvRecv(const RndvRecv&) = delete;
   RndvRecv& operator=(const RndvRecv&) = delete;
@@ -397,13 +427,11 @@ class RndvRecv {
   void start();
 
   void on_chunk_fin(const netsim::WireMessage& msg);
-  /// Returns true when the read completion belonged to this transfer.
-  bool on_rdma_read_complete(std::uint64_t wr_id);
-  /// The sender saw every ack (or the RGET done): release retained landing
-  /// slots and, in direct mode, complete the request.
+  /// The sender saw every ack: release retained landing slots and, in
+  /// direct mode, complete the request.
   void on_send_done();
   /// A retransmitted RTS for this transfer arrived: replay the stored CTS
-  /// (or the RGET done) so a lost handshake message is recovered.
+  /// so a lost handshake message is recovered.
   void on_duplicate_rts();
   /// Best-effort notice that the sender failed the transfer permanently:
   /// fail the receive now rather than waiting out the watchdog.
@@ -436,24 +464,21 @@ class RndvRecv {
   std::size_t incoming_bytes() const { return plan_.total; }
 
  private:
-  // kDeviceIpcDirect: a co-located sender peer-copies straight into the
-  // contiguous user buffer. kDeviceIpcOffload: it peer-copies into a device
-  // landing buffer (rtbuf_) that a D2D c2nc unpack scatters from — the
-  // intra-node collapsed pipeline; no host staging slot ever exists.
-  enum class Path { kDeviceOffload, kDevicePcie, kDeviceContig, kHostUnpack,
-                    kHostDirect, kHostRget, kDeviceIpcOffload,
-                    kDeviceIpcDirect };
-
   /// Landings where the sender writes a buffer this side advertised whole
   /// (no per-chunk slots, no credits; SEND_DONE is answered reliably).
   bool direct_landing() const {
-    return path_ == Path::kHostDirect || path_ == Path::kDeviceIpcDirect ||
-           path_ == Path::kDeviceIpcOffload;
+    return stages_.landing != RecvStages::Landing::kSlots;
   }
 
-  /// Declare the landing pipeline of path_ (arrival -> H2D -> unpack ->
+  /// Declare the landing pipeline of stages_ (arrival -> H2D -> unpack ->
   /// ack) as trigger chains; advance() then only fires the graph.
   void build_graph();
+  /// Chunk i's bytes sit where its drain stage reads them: landed, and
+  /// copied to the device when the transfer has an H2D stage.
+  bool staged_in(std::size_t i) const;
+  void submit_h2d(std::size_t i);
+  /// The stage that frees chunk i's landing (unpack, or none) and acks it.
+  void drain_chunk(std::size_t i);
   void ack_chunk(std::size_t chunk_idx);
   void resend_ack(std::size_t chunk_idx);
   void post_ctrl(netsim::WireMessage msg);
@@ -474,16 +499,14 @@ class RndvRecv {
   int src_;
   std::uint64_t sender_req_;
   std::uint64_t req_id_;
-  Path path_;
+  RecvStages stages_;
   ChunkPlan plan_;
-  /// Per-chunk resumable cursors for kHostUnpack (see RndvSend::cursors_).
+  /// Per-chunk resumable cursors for the CPU unpack (see RndvSend::cursors_).
   std::shared_ptr<const PackPlan::ChunkCursors> cursors_;
   /// The landing dependency graph (see RndvSend::graph_).
   TriggerGraph graph_;
-  const std::byte* rget_src_ = nullptr;
-  std::uint64_t rget_wr_ = 0;
 
-  std::byte* rtbuf_ = nullptr;  // device landing buffer (kDeviceOffload)
+  std::byte* rtbuf_ = nullptr;  // device buffer the device unpack reads
   std::vector<detail::StagingSlot> slots_;  // landing slots (staged modes)
   std::size_t slots_advertised_ = 0;
 
@@ -497,16 +520,11 @@ class RndvRecv {
     bool unpack_submitted = false;
   };
   std::vector<ChunkState> chunks_;
-  std::size_t arrived_count_ = 0;
-  std::size_t next_h2d_ = 0;
-  std::size_t next_unpack_ = 0;
   std::size_t completed_ = 0;
 
   // -- reliability state -------------------------------------------------
   netsim::WireMessage cts_;            // stored for replay on dup RTS
   bool cts_sent_ = false;
-  netsim::WireMessage done_msg_;       // RGET done, stored for replay
-  bool done_sent_ = false;
   std::vector<netsim::WireMessage> acks_;  // stored per chunk once drained
   std::vector<bool> drained_chunk_;
   std::size_t drained_acks_ = 0;  // chunks acked at least once

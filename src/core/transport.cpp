@@ -24,12 +24,6 @@ std::uint64_t FabricTransport::post_rdma_write(
   return endpoint_.post_rdma_write(dst, local, remote, bytes, std::move(imm));
 }
 
-std::uint64_t FabricTransport::post_rdma_read(int src, void* local,
-                                              const void* remote,
-                                              std::size_t bytes) {
-  return endpoint_.post_rdma_read(src, local, remote, bytes);
-}
-
 bool FabricTransport::poll(netsim::Completion& out) {
   return endpoint_.poll(out);
 }
@@ -43,7 +37,6 @@ TransportStats FabricTransport::stats() const {
   s.messages_sent = endpoint_.messages_sent();
   s.bytes_sent = endpoint_.bytes_sent();
   s.rdma_writes = endpoint_.rdma_writes();
-  s.rdma_reads = endpoint_.rdma_reads();
   s.busy_time = endpoint_.tx_busy_time();
   return s;
 }
@@ -64,12 +57,6 @@ std::uint64_t IpcTransport::post_rdma_write(
   return port_.post_rdma_write(dst, local, remote, bytes, std::move(imm));
 }
 
-std::uint64_t IpcTransport::post_rdma_read(int src, void* local,
-                                           const void* remote,
-                                           std::size_t bytes) {
-  return port_.post_rdma_read(src, local, remote, bytes);
-}
-
 bool IpcTransport::poll(netsim::Completion& out) { return port_.poll(out); }
 
 void IpcTransport::set_wakeup(sim::Notifier* n) { port_.set_wakeup(n); }
@@ -79,7 +66,6 @@ TransportStats IpcTransport::stats() const {
   s.messages_sent = port_.messages_sent();
   s.bytes_sent = port_.bytes_sent();
   s.rdma_writes = port_.rdma_writes();
-  s.rdma_reads = port_.rdma_reads();
   s.busy_time = port_.tx_busy_time();
   return s;
 }

@@ -4,8 +4,8 @@
 // advance() — the CPU-polled structure of the paper's Fig. 4(b). The graph
 // factors every stage transition (pack-done -> D2H -> vbuf acquire -> RDMA
 // -> ack -> unpack) into *trigger nodes* with declared dependencies, so
-// advance() becomes graph firing and each transfer path is a graph shape
-// (docs/STREAMS.md).
+// advance() becomes graph firing and each transfer's stage descriptor maps
+// to a graph shape (docs/STREAMS.md).
 //
 // The design constraint is byte-identical scheduling with the legacy loops:
 //

@@ -114,13 +114,6 @@ ChunkSelect parse_chunk_select(const std::string& v) {
       "tunables: chunk_select must be 'model' or 'fixed', got: " + v);
 }
 
-SchemeSelect parse_scheme_select(const std::string& v) {
-  if (v == "model") return SchemeSelect::kModel;
-  if (v == "tunable") return SchemeSelect::kTunable;
-  throw std::invalid_argument(
-      "tunables: scheme_select must be 'model' or 'tunable', got: " + v);
-}
-
 TransportSelect parse_transport_select(const std::string& v) {
   if (v == "auto") return TransportSelect::kAuto;
   if (v == "fabric") return TransportSelect::kFabric;
@@ -247,9 +240,7 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "recv_window") t.recv_window = std::stoull(value);
       else if (key == "gpu_offload") t.gpu_offload = parse_bool(value, key);
       else if (key == "chunk_select") t.chunk_select = parse_chunk_select(value);
-      else if (key == "scheme_select") t.scheme_select = parse_scheme_select(value);
       else if (key == "pipelining") t.pipelining = parse_bool(value, key);
-      else if (key == "rget") t.rget = parse_bool(value, key);
       else if (key == "sched_policy") t.sched_policy = parse_sched_policy(value);
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
@@ -309,10 +300,7 @@ std::string Tunables::to_config_string() const {
      << "gpu_offload = " << (gpu_offload ? "true" : "false") << "\n"
      << "chunk_select = "
      << (chunk_select == ChunkSelect::kModel ? "model" : "fixed") << "\n"
-     << "scheme_select = "
-     << (scheme_select == SchemeSelect::kModel ? "model" : "tunable") << "\n"
      << "pipelining = " << (pipelining ? "true" : "false") << "\n"
-     << "rget = " << (rget ? "true" : "false") << "\n"
      << "sched_policy = " << sched_policy_name(sched_policy) << "\n"
      << "ranks_per_node = " << ranks_per_node << "\n"
      << "transport_select = "

@@ -21,12 +21,6 @@ enum class ChunkSelect {
   kFixed,  // always use chunk_bytes (the paper's configured 64 KB)
 };
 
-/// How the GPU pack scheme (nc2c vs nc2c2c) is chosen per message.
-enum class SchemeSelect {
-  kModel,    // compare modeled PCIe-2D vs device-pack+contiguous-D2H cost
-  kTunable,  // follow the gpu_offload flag unconditionally
-};
-
 /// How the wire path to each peer is chosen (see docs/SIMULATION.md,
 /// "Node topology and transport selection").
 enum class TransportSelect {
@@ -37,7 +31,8 @@ enum class TransportSelect {
 /// How collective algorithms are chosen per call (see docs/COLLECTIVES.md).
 enum class CollSelect {
   kAuto,  // two-level when the topology co-locates ranks and the cost model
-          // favors the intra-node leg (mirrors scheme_select = model)
+          // favors the intra-node leg (as the GPU cost model picks the pack
+          // scheme)
   kFlat,  // force single-level algorithms (the one-process-per-node paper era)
   kHier,  // force the two-level path wherever a comm spans >1 rank on a node
 };
@@ -98,10 +93,10 @@ struct Tunables {
   std::size_t recv_window = 8;
 
   /// Ablation lever: offload datatype pack/unpack to the GPU (D2D2H
-  /// nc2c2c). When false, strided data crosses PCIe with cudaMemcpy2D
-  /// directly (D2H nc2c), the paper's non-offloaded alternative.
-  /// Consulted when scheme_select == kTunable, and as the preference when
-  /// the model considers both schemes equivalent.
+  /// nc2c2c). When true, the GPU cost model picks the scheme per message
+  /// (modeled PCIe-2D vs device pack + contiguous D2H); when false,
+  /// strided data always crosses PCIe with cudaMemcpy2D directly (D2H
+  /// nc2c), the paper's non-offloaded alternative.
   bool gpu_offload = true;
 
   /// Per-message pipeline chunk-size policy. kModel picks the chunk that
@@ -109,9 +104,6 @@ struct Tunables {
   /// chunk_bytes. The detected-per-cluster config file of §IV-B maps to
   /// kFixed with a measured chunk_bytes.
   ChunkSelect chunk_select = ChunkSelect::kModel;
-
-  /// Per-message pack-scheme policy (see SchemeSelect).
-  SchemeSelect scheme_select = SchemeSelect::kModel;
 
   /// Ablation lever: overlap the transfer stages. When false the message
   /// moves as a single block (n = 1 in the paper's (n+2) model).
@@ -140,12 +132,6 @@ struct Tunables {
   /// early by any outgoing control message to the same peer). 0 sends
   /// every ack individually (legacy).
   sim::SimTime ack_coalesce_window_ns = 0;
-
-  /// Receiver-driven rendezvous (RGET): for host-contiguous send buffers,
-  /// the RTS advertises the source address and a host-contiguous receiver
-  /// RDMA-READs the data directly, skipping the CTS leg. Mirrors
-  /// MVAPICH2's RPUT/RGET protocol selection. Off by default (RPUT).
-  bool rget = false;
 
   // -- node topology / transport selection -------------------------------
   /// Processes per simulated node. Ranks r with the same r / ranks_per_node

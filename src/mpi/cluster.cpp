@@ -104,7 +104,7 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   }
   // Feed each rank's collectives engine the cost facts coll_select = auto
   // weighs: the fabric's wire parameters against the node-local channel's
-  // (mirroring how scheme_select = model reads the GPU cost model).
+  // (as the rendezvous reads the GPU cost model to pick a pack scheme).
   {
     const netsim::IpcCostModel ipc =
         netsim::IpcCostModel::from_gpu(config_.gpu_cost);
@@ -271,7 +271,7 @@ RankStats Cluster::rank_stats(int rank) {
   for (std::size_t i = 1; i < transports.size(); ++i) {
     const core::TransportStats ts = transports[i]->stats();
     s.ipc_messages_sent += ts.messages_sent;
-    s.ipc_copies += ts.rdma_writes + ts.rdma_reads;
+    s.ipc_copies += ts.rdma_writes;
     s.ipc_bytes_sent += ts.bytes_sent;
     s.ipc_busy += ts.busy_time;
   }
@@ -424,8 +424,7 @@ void Cluster::print_stats(std::ostream& os) {
         std::snprintf(line, sizeof(line),
                       "%4d  %-9s %7llu %8llu %10.2f %7.2fms\n", r, t->name(),
                       static_cast<unsigned long long>(ts.messages_sent),
-                      static_cast<unsigned long long>(ts.rdma_writes +
-                                                      ts.rdma_reads),
+                      static_cast<unsigned long long>(ts.rdma_writes),
                       static_cast<double>(ts.bytes_sent) / 1e6,
                       sim::to_ms(ts.busy_time));
         os << line;
@@ -644,7 +643,7 @@ void Cluster::print_stats(std::ostream& os) {
       os << "\n";
     }
     // Outgoing control-message census by wire kind.
-    os << "rank   rts    cts    fin    ack   ackb   done  sdone  other  "
+    os << "rank   rts    cts    fin    ack   ackb  sdone  other  "
           "ctrl-total\n";
     for (int r = 0; r < config_.ranks; ++r) {
       const core::SchedStats& ss = sched_stats(r);
@@ -652,18 +651,17 @@ void Cluster::print_stats(std::ostream& os) {
           ss.ctrl_by_kind[core::kRts] + ss.ctrl_by_kind[core::kCts] +
           ss.ctrl_by_kind[core::kChunkFin] + ss.ctrl_by_kind[core::kChunkAck] +
           ss.ctrl_by_kind[core::kChunkAckBatch] +
-          ss.ctrl_by_kind[core::kRndvDone] + ss.ctrl_by_kind[core::kSendDone];
+          ss.ctrl_by_kind[core::kSendDone];
       char line[224];
       std::snprintf(
           line, sizeof(line),
-          "%4d %5llu %6llu %6llu %6llu %6llu %6llu %6llu %6llu %11llu\n", r,
+          "%4d %5llu %6llu %6llu %6llu %6llu %6llu %6llu %11llu\n", r,
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kRts]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kCts]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kChunkFin]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kChunkAck]),
           static_cast<unsigned long long>(
               ss.ctrl_by_kind[core::kChunkAckBatch]),
-          static_cast<unsigned long long>(ss.ctrl_by_kind[core::kRndvDone]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kSendDone]),
           static_cast<unsigned long long>(ss.ctrl_total() - named),
           static_cast<unsigned long long>(ss.ctrl_total()));

@@ -4,82 +4,9 @@
 #include <cmath>
 #include <numeric>
 
+#include "mpi/coll_common.hpp"
+
 namespace mv2gnc::mpisim::detail {
-
-namespace {
-
-// Internal (negative) tags used by collectives; wildcard receives never
-// match them. The first block keeps its historical values so the flat
-// barrier/bcast/gather/scatter paths stay byte-identical to the
-// pre-engine implementations. Families that offset by a per-step or
-// per-block index get 2^16-wide ranges so offsets can never run into the
-// next base.
-constexpr int kTagBarrier = -100;   // flat dissemination: - round
-constexpr int kTagBcast = -200;     // flat binomial bcast
-constexpr int kTagReduce = -300;    // hier intra-node reduce leg
-constexpr int kTagGather = -400;
-constexpr int kTagScatter = -500;
-constexpr int kTagAlltoall = -600;  // self-delivery of the diagonal block
-
-constexpr int kTagSpan = 1 << 16;
-constexpr int kTagAlltoallStep = -1 * kTagSpan;   // - pairwise step
-constexpr int kTagAllreduceRd = -2 * kTagSpan;    // - butterfly round
-constexpr int kTagAllreducePair = -3 * kTagSpan;  // -0 fold-in, -1 fold-out
-constexpr int kTagAgBlock = -4 * kTagSpan;        // - block owner comm rank
-constexpr int kTagBarrierFan = -5 * kTagSpan;     // -0 fan-in, -1 fan-out
-constexpr int kTagBarrierLeader = -6 * kTagSpan;  // - round
-constexpr int kTagReduceBcast = -7 * kTagSpan;    // hier result bcast
-constexpr int kTagBcastLeader = -8 * kTagSpan;    // hier leader binomial
-constexpr int kTagBcastIntra = -9 * kTagSpan;     // hier intra binomial
-constexpr int kTagAllreduceRs = -10 * kTagSpan;   // intra reduce-scatter: -step
-constexpr int kTagAllreduceAg = -11 * kTagSpan;   // intra slice allgather: -step
-// Tag spans -12 .. -18 belong to the device-buffer sliced pipelines; see
-// src/mpi/coll_device.cpp.
-
-Datatype committed_byte() {
-  Datatype t = Datatype::byte();
-  t.commit();
-  return t;
-}
-
-Datatype committed_double() {
-  Datatype t = Datatype::float64();
-  t.commit();
-  return t;
-}
-
-int index_of(const std::vector<int>& v, int value) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == value) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-std::vector<int> identity_ranks(int p) {
-  std::vector<int> r(static_cast<std::size_t>(p));
-  std::iota(r.begin(), r.end(), 0);
-  return r;
-}
-
-// Common member count when every node hosts the same number of the
-// group's ranks, else 0. The striped two-level schemes pair member j of
-// each node with its counterparts, so they need a rectangular topology;
-// ragged groups (e.g. after an uneven split) take the leader-based path.
-int uniform_node_size(const std::vector<std::vector<int>>& members) {
-  const std::size_t n = members.front().size();
-  for (const std::vector<int>& m : members) {
-    if (m.size() != n) return 0;
-  }
-  return static_cast<int>(n);
-}
-
-void reduce_into(double* acc, const double* in, int count, bool take_max) {
-  for (int i = 0; i < count; ++i) {
-    acc[i] = take_max ? std::max(acc[i], in[i]) : acc[i] + in[i];
-  }
-}
-
-}  // namespace
 
 Request CollEngine::isend_counted(CollOpStats& op, const void* buf, int count,
                                   const Datatype& dtype, int dst_world,

@@ -68,8 +68,8 @@ struct CollStats {
 };
 
 /// Cost facts CollSelect::kAuto consults, derived by the Cluster from its
-/// fabric and IPC cost models (mirroring how scheme_select = model reads
-/// the GPU cost model). Defaults match the stock QDR-IB + C2050 testbed so
+/// fabric and IPC cost models (as the rendezvous reads the GPU cost model
+/// to pick a pack scheme). Defaults match the stock QDR-IB + C2050 testbed so
 /// a bare RankComm still selects sensibly in unit tests.
 struct CollCostHints {
   double fabric_bw = 3.2;                // GB/s across the HCA

@@ -41,65 +41,18 @@
 #include <numeric>
 
 #include "mpi/coll.hpp"
+#include "mpi/coll_common.hpp"
 
 namespace mv2gnc::mpisim::detail {
 
 namespace {
 
-// Tag families of the device pipelines, below the host families (which end
-// at -11 * span; see coll.cpp). Per-slice offsets are slice * kDevStride +
-// round, so pick_slice_bytes caps the slice count at kMaxDevSlices to keep
-// every offset inside one span.
-constexpr int kTagSpan = 1 << 16;
+// Per-slice tag offsets are slice * kDevStride + round (coll_common.hpp),
+// so pick_slice_bytes caps the slice count at kMaxDevSlices to keep every
+// offset inside one tag span.
 constexpr int kDevStride = 64;
 constexpr int kMaxDevSlices = 512;
-constexpr int kTagDevArRd = -12 * kTagSpan;    // - (slice*stride + round)
-constexpr int kTagDevArPair = -13 * kTagSpan;  // - (slice*2 + phase)
-constexpr int kTagDevBcast = -14 * kTagSpan;        // flat binomial: - slice
-constexpr int kTagDevBcastLeader = -15 * kTagSpan;  // leader leg: - slice
-constexpr int kTagDevBcastIntra = -16 * kTagSpan;   // intra leg: - slice
-constexpr int kTagDevArRs = -17 * kTagSpan;  // device reduce-scatter: - step
-constexpr int kTagDevArAg = -18 * kTagSpan;  // device slice allgather: - step
-constexpr int kTagDevAgBlock = -19 * kTagSpan;  // mirror ring: - block owner
-
-Datatype committed_byte() {
-  Datatype t = Datatype::byte();
-  t.commit();
-  return t;
-}
-
-Datatype committed_double() {
-  Datatype t = Datatype::float64();
-  t.commit();
-  return t;
-}
-
-int index_of(const std::vector<int>& v, int value) {
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (v[i] == value) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-std::vector<int> identity_ranks(int p) {
-  std::vector<int> r(static_cast<std::size_t>(p));
-  std::iota(r.begin(), r.end(), 0);
-  return r;
-}
-
-int uniform_node_size(const std::vector<std::vector<int>>& members) {
-  const std::size_t n = members.front().size();
-  for (const std::vector<int>& m : members) {
-    if (m.size() != n) return 0;
-  }
-  return static_cast<int>(n);
-}
-
-void reduce_into(double* acc, const double* in, int count, bool take_max) {
-  for (int i = 0; i < count; ++i) {
-    acc[i] = take_max ? std::max(acc[i], in[i]) : acc[i] + in[i];
-  }
-}
+static_assert(kMaxDevSlices * kDevStride <= kTagSpan);
 
 }  // namespace
 

@@ -192,7 +192,7 @@ Request RankComm::irecv(void* buf, int count, const Datatype& dtype, int src,
     unexpected_.erase(it);
     if (m.is_rts) {
       begin_rndv_recv(state, m.src, m.tag, m.bytes, m.sender_req,
-                      m.sender_chunk, m.rget_src);
+                      m.sender_chunk);
     } else {
       deliver_eager(*state, m.src, m.tag, m.payload);
     }
@@ -506,12 +506,6 @@ void RankComm::dispatch(const netsim::Completion& c) {
       }
       return;
     }
-    case netsim::CqType::kRdmaReadComplete: {
-      for (auto& [id, state] : active_recvs_) {
-        if (state->rndv_recv->on_rdma_read_complete(c.wr_id)) return;
-      }
-      return;
-    }
     case netsim::CqType::kRecv:
       break;
   }
@@ -589,15 +583,6 @@ void RankComm::dispatch(const netsim::Completion& c) {
       } else {
         ++retry_stats_.duplicates_dropped;
       }
-      return;
-    }
-    case core::kRndvDone: {
-      auto it = active_sends_.find(m.header[0]);
-      if (it == active_sends_.end()) {
-        ++retry_stats_.duplicates_dropped;
-        return;
-      }
-      it->second->rndv_send->on_rget_done(m);
       return;
     }
     case core::kRtsAck: {
@@ -703,7 +688,7 @@ void RankComm::handle_eager(const netsim::WireMessage& m) {
 void RankComm::handle_rts(const netsim::WireMessage& m) {
   // Idempotent receipt: a retransmitted RTS for a transfer we already
   // track must not spawn a second receiver. The index answers with the
-  // stored CTS (or RGET done), recovering a lost handshake leg.
+  // stored CTS, recovering a lost handshake leg.
   const auto key = std::make_pair(m.src_node, m.header[2]);
   if (auto it = rts_index_.find(key); it != rts_index_.end()) {
     it->second->on_duplicate_rts();
@@ -724,14 +709,9 @@ void RankComm::handle_rts(const netsim::WireMessage& m) {
   }
   const int tag = decode_tag(m.header[0]);
   const int context = decode_context(m.header[0]);
-  const std::byte* rget_src =
-      (m.header[4] != 0)
-          ? reinterpret_cast<const std::byte*>(
-                static_cast<std::uintptr_t>(m.header[5]))
-          : nullptr;
   if (auto r = match_posted(m.src_node, tag, context)) {
     begin_rndv_recv(r, m.src_node, tag, m.header[1], m.header[2],
-                    m.header[3], rget_src);
+                    m.header[3]);
     return;
   }
   UnexpectedMsg u;
@@ -742,7 +722,6 @@ void RankComm::handle_rts(const netsim::WireMessage& m) {
   u.bytes = m.header[1];
   u.sender_req = m.header[2];
   u.sender_chunk = m.header[3];
-  u.rget_src = rget_src;
   unexpected_.push_back(std::move(u));
   // No matching receive yet — legal MPI may post it arbitrarily late. The
   // sender's retry budget is refreshed by the NIC-level delivery receipt
@@ -781,8 +760,7 @@ void RankComm::deliver_eager(ReqState& r, int src, int tag,
 void RankComm::begin_rndv_recv(const std::shared_ptr<ReqState>& r, int src,
                                int tag, std::size_t bytes,
                                std::uint64_t sender_req,
-                               std::size_t sender_chunk,
-                               const std::byte* rget_src) {
+                               std::size_t sender_chunk) {
   if (bytes > r->view.packed_bytes) {
     throw TruncationError("rendezvous message of " + std::to_string(bytes) +
                           " bytes truncates receive buffer of " +
@@ -790,7 +768,7 @@ void RankComm::begin_rndv_recv(const std::shared_ptr<ReqState>& r, int src,
   }
   r->status = Status{src, tag, bytes};
   r->rndv_recv = std::make_shared<core::RndvRecv>(
-      res_, r->view, src, sender_req, r->id, bytes, sender_chunk, rget_src,
+      res_, r->view, src, sender_req, r->id, bytes, sender_chunk,
       r->rndv_cache);
   active_recvs_.emplace(r->id, r);
   rts_index_.emplace(std::make_pair(src, sender_req), r->rndv_recv);
@@ -840,9 +818,9 @@ void RankComm::sweep_transfers() {
     it->second->rndv_recv.reset();
     active_recvs_.erase(it);
     // A resolved receiver may still owe protocol duties: retained landing
-    // slots wait for SEND_DONE, an RGET done must stay replayable. Park it
-    // in the draining map so control messages keep finding it; once nothing
-    // remains, shrink it to its finished_* record.
+    // slots wait for SEND_DONE, the stored CTS and acks must stay
+    // replayable. Park it in the draining map so control messages keep
+    // finding it; once nothing remains, shrink it to its finished_* record.
     if (!recv->drained()) draining_recvs_.emplace(id, std::move(recv));
     else retire_recv(id, *recv);
   }

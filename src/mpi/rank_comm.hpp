@@ -117,7 +117,6 @@ struct UnexpectedMsg {
   std::vector<std::byte> payload;   // eager payload
   std::uint64_t sender_req = 0;     // rendezvous
   std::size_t sender_chunk = 0;     // rendezvous
-  const std::byte* rget_src = nullptr;  // RGET-eligible source address
 };
 
 class RankComm {
@@ -329,7 +328,7 @@ class RankComm {
   // Start the rendezvous receiver for a matched RTS.
   void begin_rndv_recv(const std::shared_ptr<ReqState>& r, int src, int tag,
                        std::size_t bytes, std::uint64_t sender_req,
-                       std::size_t sender_chunk, const std::byte* rget_src);
+                       std::size_t sender_chunk);
   void sweep_transfers();
   // Drop a finished receiver from the live maps, keeping only the small
   // per-transfer record that keeps very late duplicates recognizable.
@@ -364,8 +363,8 @@ class RankComm {
   // -- reliability bookkeeping -------------------------------------------
   core::RetryStats retry_stats_;
   /// Receivers whose request completed but that still owe protocol duties
-  /// (waiting for SEND_DONE to release retained slots, or keeping the RGET
-  /// done replayable). Keyed by recv request id.
+  /// (waiting for SEND_DONE to release retained slots, replaying stored
+  /// acks). Keyed by recv request id.
   std::unordered_map<std::uint64_t, std::shared_ptr<core::RndvRecv>>
       draining_recvs_;
   /// Live rendezvous receivers keyed by (source node, sender request id):

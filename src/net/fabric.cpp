@@ -188,42 +188,6 @@ std::uint64_t Endpoint::post_rdma_write(int dst, const void* local,
   return wr;
 }
 
-std::uint64_t Endpoint::post_rdma_read(int src, void* local,
-                                       const void* remote,
-                                       std::size_t bytes) {
-  if (src < 0 || src >= fabric_.nodes()) {
-    throw std::out_of_range("post_rdma_read: bad source node " +
-                            std::to_string(src));
-  }
-  if ((local == nullptr || remote == nullptr) && bytes > 0) {
-    throw std::invalid_argument("post_rdma_read: null buffer");
-  }
-  const NetCostModel& c = fabric_.cost();
-  engine_.delay(c.post_overhead_ns);
-  const std::uint64_t wr = next_wr_++;
-  ++rdma_reads_;
-  Endpoint* target = &fabric_.endpoint(src);
-  // The read request crosses the wire, then the response data serializes
-  // on the target's transmit pipeline, then crosses back; the data lands
-  // locally exactly when the completion is delivered.
-  engine_.schedule_after(c.latency_ns, [this, target, local, remote, bytes,
-                                        wr, &c] {
-    target->tx_.submit(
-        c.per_msg_overhead_ns + c.wire_time(bytes),
-        [this, target, local, remote, bytes, wr, &c] {
-          // The response data crosses the switch fabric target -> reader.
-          const sim::SimTime link_delay =
-              fabric_.traverse(target->node_, node_, bytes + 64);
-          engine_.schedule_after(c.latency_ns + link_delay,
-                                 [this, local, remote, bytes, wr] {
-            if (bytes > 0) std::memcpy(local, remote, bytes);
-            deliver(Completion{CqType::kRdmaReadComplete, wr, {}});
-          });
-        });
-  });
-  return wr;
-}
-
 Fabric::Fabric(sim::Engine& engine, int nodes, NetCostModel cost,
                FabricTopology topology)
     : engine_(engine), cost_(cost), topology_(topology) {

@@ -147,8 +147,8 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
   ctrl.drop_send = drop_send;
   ctrl.jitter_ns = jitter_ns;
   for (int kind : {core::kRts, core::kCts, core::kChunkAck,
-                   core::kChunkAckBatch, core::kRndvDone, core::kSendDone,
-                   core::kRtsAck, core::kSendDoneAck, core::kSendAbort}) {
+                   core::kChunkAckBatch, core::kSendDone, core::kRtsAck,
+                   core::kSendDoneAck, core::kSendAbort}) {
     fm.set_kind(kind, ctrl);
   }
   netsim::FaultSpec data;

@@ -155,24 +155,19 @@ TEST(Tunables, ReliabilityKnobsRoundTrip) {
 TEST(Tunables, SelectionPoliciesDefaultToModel) {
   Tunables t;
   EXPECT_EQ(t.chunk_select, mv2gnc::core::ChunkSelect::kModel);
-  EXPECT_EQ(t.scheme_select, mv2gnc::core::SchemeSelect::kModel);
 }
 
 TEST(Tunables, SelectionPoliciesRoundTrip) {
   Tunables t;
   t.chunk_select = mv2gnc::core::ChunkSelect::kFixed;
-  t.scheme_select = mv2gnc::core::SchemeSelect::kTunable;
   std::istringstream in(t.to_config_string());
   Tunables u = Tunables::from_stream(in);
   EXPECT_EQ(u.chunk_select, mv2gnc::core::ChunkSelect::kFixed);
-  EXPECT_EQ(u.scheme_select, mv2gnc::core::SchemeSelect::kTunable);
 }
 
 TEST(Tunables, ParserRejectsBadSelectionPolicy) {
   std::istringstream bad_chunk("chunk_select = auto\n");
   EXPECT_THROW(Tunables::from_stream(bad_chunk), std::invalid_argument);
-  std::istringstream bad_scheme("scheme_select = always\n");
-  EXPECT_THROW(Tunables::from_stream(bad_scheme), std::invalid_argument);
 }
 
 TEST(Tunables, ConcurrencyKnobsDefaultToLegacyBehaviour) {

@@ -51,8 +51,8 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
-                   core::kSendDone, core::kRtsAck, core::kSendDoneAck}) {
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kSendDone,
+                   core::kRtsAck, core::kSendDoneAck}) {
     fm.set_kind(kind, ctrl);
   }
   netsim::FaultSpec data;

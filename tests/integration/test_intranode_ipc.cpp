@@ -147,7 +147,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // eager-sized, both residencies
         IpcShape{16, 1, 2, 1, true}, IpcShape{16, 1, 2, 1, false},
-        // rendezvous contiguous device: the kDeviceIpcDirect landing
+        // rendezvous contiguous device: the direct user-buffer landing
         IpcShape{50000, 4, 4, 1, true},
         // rendezvous non-contiguous device: pack -> peer copy -> unpack,
         // single chunk and pipelined multi-chunk

@@ -116,8 +116,8 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
 void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
-                   core::kSendDone, core::kRtsAck, core::kSendDoneAck}) {
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kSendDone,
+                   core::kRtsAck, core::kSendDoneAck}) {
     fm.set_kind(kind, ctrl);
   }
 }

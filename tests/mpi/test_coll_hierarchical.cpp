@@ -35,9 +35,8 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm, double fail_write) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kRndvDone,
-                   core::kSendDone, core::kRtsAck, core::kSendDoneAck,
-                   core::kSendAbort}) {
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kSendDone,
+                   core::kRtsAck, core::kSendDoneAck, core::kSendAbort}) {
     fm.set_kind(kind, ctrl);
   }
   netsim::FaultSpec data;

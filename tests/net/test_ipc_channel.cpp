@@ -389,32 +389,3 @@ TEST(IpcFaults, PartialDropRateIsSeededDeterministic) {
   EXPECT_FALSE(a.empty());    // some got through
   EXPECT_NE(a, c);            // different seed, different pattern
 }
-
-TEST(IpcChannel, RdmaReadPullsBytes) {
-  sim::Engine eng;
-  gpu::MemoryRegistry reg;
-  netsim::IpcChannel ch(eng, reg, netsim::IpcCostModel{});
-  ch.add_rank(0);
-  ch.add_rank(1);
-  std::vector<std::byte> remote(512, std::byte{0x5A});
-  std::vector<std::byte> local(512, std::byte{0});
-  eng.spawn("reader", [&] {
-    sim::Notifier n(eng);
-    ch.port(0).set_wakeup(&n);
-    const std::uint64_t wr =
-        ch.port(0).post_rdma_read(1, local.data(), remote.data(), local.size());
-    netsim::Completion c;
-    for (;;) {
-      if (!ch.port(0).poll(c)) {
-        n.wait();
-        continue;
-      }
-      if (c.type == netsim::CqType::kRdmaReadComplete) {
-        EXPECT_EQ(c.wr_id, wr);
-        EXPECT_EQ(std::memcmp(local.data(), remote.data(), local.size()), 0);
-        return;
-      }
-    }
-  });
-  eng.run();
-}
