@@ -439,7 +439,7 @@ void RndvSend::arm_timer() {
   const sim::SimTime at =
       backoff_deadline(*res_.tun, retries_, res_.engine->now());
   sim::Notifier* n = res_.notifier;
-  // The callback runs on the scheduler thread: wake the progress loop and
+  // The callback runs in scheduler context: wake the progress loop and
   // nothing else. The retransmission itself happens in-process, in
   // handle_timeout(), driven from the next advance().
   timer_.arm(at, [n] { n->notify(); });

@@ -744,7 +744,7 @@ void Cluster::run(std::function<void(Context&)> body) {
         // MPI_Finalize analogue: the rank may still owe protocol work (a
         // draining receiver waiting on SEND_DONE, retransmissions,
         // coalesced acks). Keep servicing progress until it quiesces —
-        // once this thread exits, nobody pumps the recovery timers any
+        // once this process exits, nobody pumps the recovery timers any
         // more.
         comm->drain_pending();
       } catch (const detail::RankCrashed&) {

@@ -227,7 +227,7 @@ class RankComm {
   /// and coalesced acks whose delivery window has not expired. Without
   /// this, a control message lost after the application's last wait (e.g.
   /// the SEND_DONE that lets a pooled receiver release its retained slots)
-  /// strands its transfer forever: the rank's thread is gone, so the
+  /// strands its transfer forever: the rank's process is gone, so the
   /// recovery timers fire into a notifier nobody waits on. Every live
   /// obligation keeps a watchdog armed, so this loop always has a future
   /// wake-up and terminates (force_drain/fail bound the lost-peer case).

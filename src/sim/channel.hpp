@@ -24,19 +24,16 @@ class Channel {
 
   /// Deposit a message (usable from process or scheduler-action context).
   void send(T value) {
-    std::lock_guard<std::mutex> lock(engine_.mu_);
     items_.push_back(std::move(value));
-    for (detail::Process* p : waiters_) engine_.make_ready_locked(p);
+    for (detail::Process* p : waiters_) engine_.make_ready(p);
     waiters_.clear();
   }
 
   /// Block until a message is available, then return it.
   T recv() {
-    std::unique_lock<std::mutex> lock(engine_.mu_);
     while (items_.empty()) {
-      detail::Process* self = engine_.current_locked();
-      waiters_.push_back(self);
-      engine_.block_current_locked(lock, "Channel(" + name_ + ")::recv");
+      waiters_.push_back(engine_.current());
+      engine_.block_current("Channel(" + name_ + ")::recv");
     }
     T value = std::move(items_.front());
     items_.pop_front();
@@ -45,7 +42,6 @@ class Channel {
 
   /// Non-blocking receive; returns false if the channel is empty.
   bool try_recv(T& out) {
-    std::lock_guard<std::mutex> lock(engine_.mu_);
     if (items_.empty()) return false;
     out = std::move(items_.front());
     items_.pop_front();
@@ -53,10 +49,7 @@ class Channel {
   }
 
   /// Number of queued messages.
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(engine_.mu_);
-    return items_.size();
-  }
+  std::size_t size() const { return items_.size(); }
 
   /// True if no messages are queued.
   bool empty() const { return size() == 0; }

@@ -1,41 +1,37 @@
 // Deterministic discrete-event engine with cooperative processes.
 //
-// A simulated process is an OS thread that runs *exclusively*: the engine
-// hands a single run token to exactly one process at a time, and a process
-// gives the token back whenever it blocks on virtual time (delay) or on a
-// condition (EventFlag / Notifier / Channel). Between process slices the
-// engine pops the earliest pending event and advances the virtual clock.
+// A simulated process is a fiber: a stackful coroutine with its own 8 MiB
+// stack that runs on the thread that called Engine::run(). Exactly one
+// process runs at a time, and a process gives control back whenever it
+// blocks on virtual time (delay) or on a condition (EventFlag / Notifier /
+// Channel). Between process slices the engine pops the earliest pending
+// event and advances the virtual clock.
 //
-// Scheduling is dispatch-inline: there is no separate scheduler thread.
-// Whichever thread gives the token back (a blocking process, a finishing
-// process, or run() itself at the start) runs the dispatch loop in place —
-// executing due events and handing the token straight to the next ready
-// process. That halves the OS context switches per process slice compared
-// to bouncing through a dedicated scheduler thread, which is what makes
-// many-hundred-rank clusters tractable on the virtual clock (see
-// docs/SIMULATION.md). The dispatch order (ready FIFO first, then the
-// earliest event, seq-ordered within a timestamp) is exactly the order the
-// former scheduler-thread loop used, so virtual timings are unchanged.
+// Scheduling is dispatch-inline: there is no scheduler fiber. Whichever
+// context gives control back (a blocking process, a finishing process, or
+// run() itself at the start) runs the dispatch loop in place — executing
+// due events and switching straight to the next ready process. A process
+// whose own wake-up is the next thing due keeps running without any
+// switch at all. The dispatch order (ready FIFO first, then the earliest
+// event, seq-ordered within a timestamp) is the only scheduling rule, so
+// virtual timings do not depend on how contexts are switched (see
+// docs/SIMULATION.md).
 //
 // The payoff is that code written against the simulated CUDA/MPI APIs looks
 // like ordinary blocking code, while the whole run is bit-deterministic:
 // same inputs => same event order => same virtual timings.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
-
 #include <unordered_set>
+#include <vector>
 
 #include "sim/rng.hpp"
 #include "sim/small_fn.hpp"
@@ -57,24 +53,17 @@ class DeadlockError : public std::runtime_error {
   explicit DeadlockError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// Thrown inside process threads when the engine is tearing down early
-/// (e.g. after a deadlock or a sibling process threw). User code should not
-/// catch it; the process trampoline swallows it after unwinding.
+/// Thrown inside a blocked process when the engine tears down early (after
+/// a deadlock, after a sibling process threw, or when an Engine with live
+/// processes is destroyed): the process resumes with this exception so its
+/// stack unwinds and its destructors run. User code should not catch it;
+/// the process trampoline swallows it after unwinding.
 class ProcessAborted {};
 
 namespace detail {
 
-enum class ProcState { kReady, kRunning, kBlocked, kFinished };
-
-struct Process {
-  std::string name;
-  ProcState state = ProcState::kReady;
-  bool resume_token = false;
-  std::string wait_reason;
-  std::condition_variable cv;
-  std::thread thread;
-  std::function<void()> body;
-};
+struct Context;  // a switchable execution context (engine.cpp)
+struct Process;  // a simulated process: its fiber and scheduling state
 
 struct ScheduledEvent {
   SimTime at;
@@ -152,19 +141,20 @@ class Engine {
   Engine& operator=(const Engine&) = delete;
 
   /// Current virtual time. Callable from anywhere.
-  SimTime now() const;
+  SimTime now() const { return now_; }
 
   /// Create a process. Its body starts running once run() is called (or at
   /// the next scheduling point if spawned from a running process).
   void spawn(std::string name, std::function<void()> body);
 
   /// Run until all processes finish. Throws DeadlockError if the system
-  /// wedges, or rethrows the first exception escaping a process body.
+  /// wedges, or rethrows the first exception escaping a process body or a
+  /// scheduled action. Every process runs on the calling thread.
   void run();
 
   /// Schedule `action` at absolute virtual time `at` (must be >= now()).
-  /// Actions run in scheduler context (no process holds the run token while
-  /// one executes); they must be short and must not block.
+  /// Actions run in scheduler context (no process is running while one
+  /// executes); they must be short and must not block.
   void schedule_at(SimTime at, SmallFn action);
 
   /// Schedule `action` after a relative delay.
@@ -228,33 +218,47 @@ class Engine {
   template <typename T>
   friend class Channel;
 
-  detail::Process* current_locked() const;
-  void make_ready_locked(detail::Process* p);
+  // The running process; throws std::logic_error when called from outside
+  // a process (run()'s caller or a scheduled action).
+  detail::Process* current() const;
+  void make_ready(detail::Process* p);
   // Blocks the calling process; `reason` shows up in deadlock reports.
-  void block_current_locked(std::unique_lock<std::mutex>& lock,
-                            const std::string& reason);
-  // The dispatch loop: run due events and hand the token to the next ready
-  // process, or declare the simulation stopped (quiescent). Called by
-  // whichever thread just released the token; `self` is the calling
-  // process (nullptr from run() or a finished process) so a self-handoff
-  // can skip the condition-variable round trip.
-  void dispatch_locked(std::unique_lock<std::mutex>& lock,
-                       detail::Process* self);
-  void trampoline(detail::Process* p);
-  void abort_all_locked(std::unique_lock<std::mutex>& lock);
-  void join_all();
+  void block_current(const std::string& reason);
+  // The dispatch loop: run due events and switch to the next ready
+  // process, or declare the simulation stopped (quiescent) and switch back
+  // to run(). Called by whichever context just gave control up: `self` is
+  // the blocking process (so a self-handoff needs no switch), the finished
+  // process whose fiber will never resume, or nullptr from run() itself.
+  void dispatch(detail::Process* self);
+  // Saves the running context into `from` and resumes `to`. Returns once
+  // some later switch resumes `from`; never returns when `from` belongs to
+  // a finished process.
+  void switch_context(detail::Context& from, detail::Context& to,
+                      bool from_finished);
+  // Bookkeeping on entry to a context, right after a switch lands in it.
+  void on_context_entered(void* fake_stack);
+  // Fiber entry point; never returns.
+  static void fiber_main(unsigned engine_hi, unsigned engine_lo);
+  // Unwinds every started, unfinished process with ProcessAborted and
+  // marks the never-started ones finished. Runs on run()'s stack (or the
+  // destructor's).
+  void abort_all();
+  // Unmaps the stacks of finished processes. Runs on run()'s stack, so no
+  // stack being freed is the one in use.
+  void release_finished_stacks();
 
-  mutable std::mutex mu_;
-  std::condition_variable main_cv_;  // run()/abort wait here for progress
   std::vector<std::unique_ptr<detail::Process>> processes_;
   std::deque<detail::Process*> ready_;
   std::priority_queue<detail::ScheduledEvent, std::vector<detail::ScheduledEvent>,
                       detail::EventOrder>
       queue_;
   detail::Process* running_ = nullptr;
-  // Written only in dispatch (under mu_); read lock-free by now() from the
-  // token-holding process, so ordinary loads suffice.
-  std::atomic<SimTime> now_{0};
+  // run()'s own context, which the fibers switch back to when the
+  // simulation stops or tears down.
+  std::unique_ptr<detail::Context> main_ctx_;
+  // The context the latest switch left (sanitizer bookkeeping).
+  detail::Context* switched_from_ = nullptr;
+  SimTime now_ = 0;
   std::uint64_t seq_ = 0;
   TimerId next_timer_id_ = 1;
   std::unordered_set<TimerId> pending_timers_;

@@ -3,9 +3,9 @@
 // Thin RAII wrapper over Engine::schedule_timer/cancel_timer for protocol
 // retransmission deadlines: arm() replaces any previous deadline, cancel()
 // guarantees the callback will never run, and destruction cancels. The
-// callback executes on the scheduler thread, so it must only do wake-up
-// work (typically Notifier::notify) — never blocking calls, and never the
-// retransmission itself.
+// callback executes in scheduler context (no process is running), so it
+// must only do wake-up work (typically Notifier::notify) — never blocking
+// calls, and never the retransmission itself.
 #pragma once
 
 #include <functional>

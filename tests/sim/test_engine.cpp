@@ -1,10 +1,16 @@
 // Unit tests for the discrete-event engine: clock advance, determinism,
-// event ordering, flags/notifiers, deadlock detection, error propagation.
+// event ordering, flags/notifiers, deadlock detection, error propagation,
+// and the fiber processes themselves (thread, stack depth, exception state,
+// teardown).
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <cstdint>
+#include <exception>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace sim = mv2gnc::sim;
@@ -337,4 +343,125 @@ TEST(Engine, CancelledTimerNeverFiresNorAdvancesClock) {
   // The orphaned timer event is discarded without dragging the clock out to
   // its deadline.
   EXPECT_EQ(eng.now(), 100);
+}
+
+TEST(Engine, BlockingPrimitiveInScheduledActionThrows) {
+  sim::Engine eng;
+  eng.spawn("p", [&] { eng.delay(100); });
+  eng.schedule_at(10, [&] { eng.delay(1); });
+  EXPECT_THROW(eng.run(), std::logic_error);
+}
+
+TEST(Engine, ProcessesRunOnTheThreadThatCallsRun) {
+  sim::Engine eng;
+  std::vector<std::thread::id> seen;
+  for (int i = 0; i < 3; ++i) {
+    eng.spawn("p" + std::to_string(i), [&] {
+      seen.push_back(std::this_thread::get_id());
+      eng.delay(10);
+      seen.push_back(std::this_thread::get_id());
+    });
+  }
+  eng.run();
+  ASSERT_EQ(seen.size(), 6u);
+  for (const std::thread::id id : seen) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
+}
+
+TEST(Engine, EachProcessKeepsItsOwnCaughtException) {
+  // Both processes block inside a catch handler while the other throws and
+  // catches. The exception being handled is per process: each still reads
+  // its own, and a bare rethrow rethrows its own.
+  sim::Engine eng;
+  std::vector<std::string> read_after_wait;
+  std::vector<std::string> rethrown;
+  for (int i = 0; i < 2; ++i) {
+    eng.spawn("p" + std::to_string(i), [&, i] {
+      eng.delay(i);  // p0 enters its handler first, p1 one tick later
+      try {
+        throw std::runtime_error("exception of p" + std::to_string(i));
+      } catch (const std::runtime_error& e) {
+        eng.delay(10);
+        read_after_wait.emplace_back(e.what());
+        EXPECT_EQ(std::uncaught_exceptions(), 0);
+        try {
+          throw;
+        } catch (const std::runtime_error& again) {
+          rethrown.emplace_back(again.what());
+        }
+      }
+    });
+  }
+  eng.run();
+  const std::vector<std::string> expected{"exception of p0",
+                                          "exception of p1"};
+  EXPECT_EQ(read_after_wait, expected);
+  EXPECT_EQ(rethrown, expected);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+namespace {
+
+// Sets a flag when destroyed: proves a blocked process's stack unwound.
+struct UnwindGuard {
+  bool* unwound;
+  ~UnwindGuard() { *unwound = true; }
+};
+
+// Recurses through `depth` frames of 4 KiB each. Every frame's bytes feed
+// the result, so the frames cannot be optimized away.
+std::uint64_t recurse_with_frames(int depth) {
+  volatile unsigned char frame[4096];
+  frame[0] = static_cast<unsigned char>(depth);
+  frame[sizeof(frame) - 1] = static_cast<unsigned char>(depth >> 8);
+  if (depth == 0) return frame[0];
+  return recurse_with_frames(depth - 1) + frame[0] + frame[sizeof(frame) - 1];
+}
+
+}  // namespace
+
+TEST(Engine, BlockedProcessUnwindsWhenRunDeadlocks) {
+  sim::Engine eng;
+  sim::EventFlag never(eng);
+  bool unwound = false;
+  eng.spawn("stuck", [&] {
+    UnwindGuard guard{&unwound};
+    never.wait("never triggered");
+  });
+  EXPECT_THROW(eng.run(), sim::DeadlockError);
+  EXPECT_TRUE(unwound);
+}
+
+TEST(Engine, BlockedProcessUnwindsWhenSiblingThrows) {
+  sim::Engine eng;
+  sim::EventFlag never(eng);
+  bool unwound = false;
+  eng.spawn("blocked", [&] {
+    UnwindGuard guard{&unwound};
+    never.wait("never triggered");
+  });
+  eng.spawn("thrower", [&] {
+    eng.delay(5);
+    throw std::runtime_error("boom");
+  });
+  EXPECT_THROW(eng.run(), std::runtime_error);
+  EXPECT_TRUE(unwound);
+}
+
+TEST(Engine, ProcessStackHoldsTwoMebibytesOfFrames) {
+  constexpr int kDepth = 512;  // 512 frames x 4 KiB
+  sim::Engine eng;
+  std::uint64_t result = 0;
+  eng.spawn("deep", [&] {
+    eng.delay(1);
+    result = recurse_with_frames(kDepth);
+  });
+  eng.run();
+  std::uint64_t expected = 0;
+  for (int d = kDepth; d > 0; --d) {
+    expected += static_cast<unsigned char>(d) +
+                static_cast<unsigned char>(d >> 8);
+  }
+  EXPECT_EQ(result, expected);
 }
