@@ -274,7 +274,7 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
   write_errors_.assign(plan_.count, 0);
   remote_slot_idx_.assign(plan_.count, kNoSlot);
   remote_addr_.assign(plan_.count, nullptr);
-  res_.sched->register_transfer(req_id_, plan_.total);
+  res_.sched->register_transfer(req_id_);
 }
 
 RndvSend::~RndvSend() {
@@ -956,7 +956,7 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
   chunks_.resize(plan_.count);
   acks_.resize(plan_.count);
   drained_chunk_.assign(plan_.count, false);
-  res_.sched->register_transfer(req_id_, plan_.total);
+  res_.sched->register_transfer(req_id_);
 }
 
 RndvRecv::~RndvRecv() {

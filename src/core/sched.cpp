@@ -34,10 +34,8 @@ TransferScheduler::TransferScheduler(sim::Engine& engine, VbufPool& pool,
 // Transfer registry
 // ===========================================================================
 
-void TransferScheduler::register_transfer(std::uint64_t id,
-                                          std::size_t total_bytes) {
+void TransferScheduler::register_transfer(std::uint64_t id) {
   Xfer& x = xfers_[id];
-  x.total_bytes = total_bytes;
   x.last_ask = ask_clock_;
   stats_.active_high_water = std::max(stats_.active_high_water, xfers_.size());
 }
@@ -99,23 +97,6 @@ void TransferScheduler::prune_waiting() {
       ++it;
     }
   }
-}
-
-std::uint64_t TransferScheduler::overflow_head() const {
-  if (tun_.sched_policy == SchedPolicy::kBytesWeighted) {
-    std::uint64_t best = waiting_.front();
-    std::size_t best_bytes = 0;
-    for (const std::uint64_t id : waiting_) {
-      const auto it = xfers_.find(id);
-      const std::size_t b = (it != xfers_.end()) ? it->second.total_bytes : 0;
-      if (b > best_bytes) {
-        best = id;
-        best_bytes = b;
-      }
-    }
-    return best;
-  }
-  return waiting_.front();  // kFair: strict round-robin turn order
 }
 
 void TransferScheduler::grant(std::uint64_t id, Xfer& x, bool from_reserve) {
@@ -187,7 +168,8 @@ bool TransferScheduler::may_acquire(std::uint64_t id) {
     return true;
   }
   // Overflow region: never dip into slots other transfers' unmet reserves
-  // are entitled to, and hand out scarce spare slots in policy order.
+  // are entitled to, and hand out scarce spare slots in round-robin turn
+  // order.
   const std::size_t unmet = unmet_reserve_excluding(id);
   if (avail <= unmet) {
     deny(id, x, /*pool_contended=*/true);
@@ -195,7 +177,7 @@ bool TransferScheduler::may_acquire(std::uint64_t id) {
   }
   const std::size_t spare = avail - unmet;
   prune_waiting();
-  if (!waiting_.empty() && spare <= waiting_.size() && overflow_head() != id) {
+  if (!waiting_.empty() && spare <= waiting_.size() && waiting_.front() != id) {
     deny(id, x, /*pool_contended=*/false);
     return false;
   }

@@ -14,8 +14,7 @@
 //     of pooled staging slots (vbuf_reserve_per_transfer, shrinking
 //     automatically when transfers outnumber capacity/reserve); the rest
 //     of the pool is a shared overflow region handed out in round-robin
-//     turns (SchedPolicy::kFair) or by remaining-bytes weight
-//     (SchedPolicy::kBytesWeighted).
+//     turns (SchedPolicy::kFair).
 //   * adaptive pipeline depth — a per-transfer cap on staged-but-unacked
 //     chunks that shrinks while the pool is contended and grows back while
 //     it is idle, bounded by recv_window.
@@ -107,18 +106,18 @@ class TransferScheduler {
 
   // -- transfer registry --------------------------------------------------
   /// A transfer (sender or receiver side) that stages through the vbuf
-  /// pool became active. `total_bytes` feeds the bytes-weighted policy.
-  void register_transfer(std::uint64_t id, std::size_t total_bytes);
+  /// pool became active.
+  void register_transfer(std::uint64_t id);
   /// Idempotent; forgets QoS accounting (held slots return via the pool).
   void unregister_transfer(std::uint64_t id);
   std::size_t active_transfers() const { return xfers_.size(); }
 
   // -- vbuf QoS + fair acquisition ---------------------------------------
   /// May transfer `id` take one more pooled staging buffer now? Always
-  /// true under kFifo (the pool itself is the only limit — legacy). Fair
-  /// policies guarantee each active transfer its reserve, protect other
-  /// transfers' unmet reserves from overflow claims, and hand scarce
-  /// overflow out in policy order.
+  /// true under kFifo (the pool itself is the only limit — legacy). kFair
+  /// guarantees each active transfer its reserve, protects other
+  /// transfers' unmet reserves from overflow claims, and hands scarce
+  /// overflow out in round-robin turn order.
   bool may_acquire(std::uint64_t id);
   /// Bookkeeping for a pool buffer actually taken / returned by `id`.
   void note_acquired(std::uint64_t id);
@@ -187,7 +186,6 @@ class TransferScheduler {
  private:
   struct Xfer {
     std::size_t held = 0;  // pooled slots currently held
-    std::size_t total_bytes = 0;
     std::uint64_t last_ask = 0;  // ask-clock stamp of the latest attempt
     std::uint64_t ecn_marks = 0;  // congestion-marked acks for this transfer
     bool waiting = false;
@@ -213,8 +211,6 @@ class TransferScheduler {
   /// Drop waiting entries whose transfer unregistered or stopped asking
   /// (its frontier moved on); a stale head must not gate live claimants.
   void prune_waiting();
-  /// Which waiting transfer owns the next scarce overflow slot.
-  std::uint64_t overflow_head() const;
 
   struct PendingAck {
     int peer = -1;

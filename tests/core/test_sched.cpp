@@ -295,16 +295,6 @@ TEST(Sched, FairShrinksCompletionSpreadUnderPoolContention) {
             f.sender_retries.stall_fallbacks + f.receiver_retries.stall_fallbacks);
 }
 
-TEST(Sched, BytesWeightedPolicyCompletesByteExact) {
-  ClusterConfig cfg = fair_config();
-  cfg.tunables.sched_policy = core::SchedPolicy::kBytesWeighted;
-  cfg.tunables.vbuf_count = 8;
-  cfg.tunables.recv_window = 4;
-  const ConcResult res = run_concurrent(cfg, 4, 1 << 16);
-  EXPECT_EQ(res.mismatches, 0u);
-  EXPECT_EQ(res.sender_retries.transfer_failures, 0u);
-}
-
 // One contiguous device-to-device transfer of `bytes` (the D2H staging
 // path, no pack kernels — so the scheduler's in-flight cap, not the pack
 // engine, is what limits the stage frontier). Returns the run's elapsed
@@ -424,7 +414,7 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   tun.ecn_restore_chunks = 4;
   core::TransferScheduler sched(eng, pool, tun, router);
   ASSERT_TRUE(sched.ecn_enabled());
-  sched.register_transfer(7, 1 << 20);
+  sched.register_transfer(7);
   const std::size_t open = sched.inflight_cap();
   EXPECT_GT(open, 1u);
   sched.note_chunk_ack(7, /*congested=*/true);
@@ -455,7 +445,7 @@ TEST(Sched, EcnDisabledIgnoresMarkedAcks) {
   core::Tunables tun;  // ecn_backlog_ns = 0: feedback off
   core::TransferScheduler sched(eng, pool, tun, router);
   ASSERT_FALSE(sched.ecn_enabled());
-  sched.register_transfer(3, 1 << 20);
+  sched.register_transfer(3);
   const std::size_t cap = sched.inflight_cap();
   sched.note_chunk_ack(3, /*congested=*/true);
   EXPECT_EQ(sched.inflight_cap(), cap);
