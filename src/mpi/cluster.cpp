@@ -475,11 +475,9 @@ void Cluster::print_stats(std::ostream& os) {
       }
     }
   }
-  // Device-collective table: the device-buffer paths (coll_device tunable,
-  // docs/COLLECTIVES.md) only differ from the host engine when the knob is
-  // moved off its staged default, so the gate keeps default-mode output
-  // byte-identical.
-  if (config_.tunables.coll_device != core::CollDevice::kStaged) {
+  // Device-collective table (docs/COLLECTIVES.md): shown whenever some
+  // collective ran on device-resident buffers.
+  {
     detail::CollStats agg;
     auto add_dev = [](detail::CollOpStats& a, const detail::CollOpStats& b) {
       a.device_calls += b.device_calls;
@@ -498,36 +496,31 @@ void Cluster::print_stats(std::ostream& os) {
       add_dev(agg.allgather, cs.allgather);
       add_dev(agg.alltoall, cs.alltoall);
     }
-    const detail::CollOpStats* devs[] = {&agg.bcast, &agg.allreduce,
-                                         &agg.allgather, &agg.alltoall};
-    bool any_device = false;
-    for (const detail::CollOpStats* op : devs) {
-      if (op->device_calls > 0) any_device = true;
-    }
-    if (any_device) {
-      os << "device-coll  calls  pipelined  slices  MB-staged  MB-peer  "
-            "reduce-k  overlap\n";
-      const std::pair<const char*, const detail::CollOpStats*> rows[] = {
-          {"bcast", &agg.bcast},
-          {"allreduce", &agg.allreduce},
-          {"allgather", &agg.allgather},
-          {"alltoall", &agg.alltoall},
-      };
-      for (const auto& [name, op] : rows) {
-        if (op->device_calls == 0) continue;
-        char line[160];
-        std::snprintf(line, sizeof(line),
-                      "%-10s %7llu %8llu %9llu %10.2f %8.2f %9llu %8.2f\n",
-                      name,
-                      static_cast<unsigned long long>(op->device_calls),
-                      static_cast<unsigned long long>(op->device_pipelined),
-                      static_cast<unsigned long long>(op->device_slices),
-                      static_cast<double>(op->bytes_staged) / 1e6,
-                      static_cast<double>(op->bytes_peer) / 1e6,
-                      static_cast<unsigned long long>(op->reduce_kernels),
-                      op->overlap_ratio());
-        os << line;
+    const std::pair<const char*, const detail::CollOpStats*> rows[] = {
+        {"bcast", &agg.bcast},
+        {"allreduce", &agg.allreduce},
+        {"allgather", &agg.allgather},
+        {"alltoall", &agg.alltoall},
+    };
+    bool header = false;
+    for (const auto& [name, op] : rows) {
+      if (op->device_calls == 0) continue;
+      if (!header) {
+        os << "device-coll  calls  pipelined  slices  MB-staged  MB-peer  "
+              "reduce-k  overlap\n";
+        header = true;
       }
+      char line[160];
+      std::snprintf(line, sizeof(line),
+                    "%-10s %7llu %8llu %9llu %10.2f %8.2f %9llu %8.2f\n",
+                    name, static_cast<unsigned long long>(op->device_calls),
+                    static_cast<unsigned long long>(op->device_pipelined),
+                    static_cast<unsigned long long>(op->device_slices),
+                    static_cast<double>(op->bytes_staged) / 1e6,
+                    static_cast<double>(op->bytes_peer) / 1e6,
+                    static_cast<unsigned long long>(op->reduce_kernels),
+                    op->overlap_ratio());
+      os << line;
     }
   }
   bool any_faults = false;

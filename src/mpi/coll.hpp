@@ -16,6 +16,11 @@
 // leader-based variants. Selection is per call via the coll_select
 // tunable; kAuto consults the topology and the cost hints the Cluster
 // derives from its fabric and IPC models. See docs/COLLECTIVES.md.
+//
+// Allreduce, allgather and bcast on device-resident buffers run the paths
+// of coll_device.cpp: a sliced D2H / wire / device-fold / H2D pipeline when
+// the same cost hints say it beats one synchronous staged copy, the staged
+// copy otherwise. No tunable chooses between them.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +43,7 @@ struct CollOpStats {
   std::uint64_t intra_phases = 0;   // node-local phases this rank executed
   std::uint64_t leader_phases = 0;  // cluster-wide / leader phases executed
 
-  // -- device-buffer path (coll_device, docs/COLLECTIVES.md) -------------
+  // -- device-buffer path (coll_device.cpp, docs/COLLECTIVES.md) ---------
   std::uint64_t device_calls = 0;      // calls with device-resident buffers
   std::uint64_t device_pipelined = 0;  // of which took the sliced pipeline
   std::uint64_t device_slices = 0;     // pipeline slices this rank processed
@@ -67,10 +72,11 @@ struct CollStats {
   }
 };
 
-/// Cost facts CollSelect::kAuto consults, derived by the Cluster from its
-/// fabric and IPC cost models (as the rendezvous reads the GPU cost model
-/// to pick a pack scheme). Defaults match the stock QDR-IB + C2050 testbed so
-/// a bare RankComm still selects sensibly in unit tests.
+/// Cost facts CollSelect::kAuto and the device-collective schedule choice
+/// consult, derived by the Cluster from its fabric, IPC and GPU cost models
+/// (as the rendezvous reads the GPU cost model to pick a pack scheme).
+/// Defaults match the stock QDR-IB + C2050 testbed so a bare RankComm still
+/// selects sensibly in unit tests.
 struct CollCostHints {
   double fabric_bw = 3.2;                // GB/s across the HCA
   sim::SimTime fabric_latency_ns = 1500;
@@ -85,7 +91,7 @@ struct CollCostHints {
     return bytes >= ipc_cma_threshold ? ipc_cma_bw : ipc_shm_bw;
   }
 
-  // -- device-buffer extension (coll_device; defaults = Tesla C2050) -----
+  // -- device-buffer extension (coll_device.cpp; defaults = Tesla C2050) -
   double d2h_bw = 5.5;          // GB/s device-to-host across PCIe
   double h2d_bw = 5.7;          // GB/s host-to-device across PCIe
   double reduce_bw = 26.0;      // GB/s of the elementwise fold kernel
@@ -189,13 +195,18 @@ class CollEngine {
   // -- device-buffer collectives (src/mpi/coll_device.cpp) ----------------
   /// True when `p` lies inside a registered device allocation.
   bool device_buffer(const void* p) const;
-  /// Pure selection sketch behind coll_device = auto: does the sliced
-  /// pipeline beat one synchronous full-size stage for `bytes` over `p`
-  /// ranks? Rank-invariant (bytes, hints and tunables only).
+  /// The schedule choice of every device collective: the sliced pipeline
+  /// runs when both buffers are device-resident, gpu_offload is on and
+  /// device_pipeline_wins(bytes, p); otherwise the staged schedule.
+  bool use_device_pipeline(const void* sendbuf, const void* recvbuf,
+                           std::size_t bytes, int p) const;
+  /// Pure cost sketch: does the sliced pipeline beat one synchronous
+  /// full-size stage for `bytes` over `p` ranks? Rank-invariant (bytes and
+  /// hints only).
   bool device_pipeline_wins(std::size_t bytes, int p) const;
-  /// Slice size of the pipeline: the coll_slice_bytes knob, or the model
-  /// pick minimizing (slices + 2) * max-stage-time; capped so the per-slice
-  /// tag offsets stay inside one tag span.
+  /// Slice size of the pipeline: the power-of-two model pick minimizing
+  /// slices * wire-leg + fill/drain, capped so the per-slice tag offsets
+  /// stay inside one tag span.
   std::size_t pick_slice_bytes(std::size_t total, int p) const;
   /// Lazily create the collective-owned d2h / h2d / reduce streams.
   void ensure_coll_streams();

@@ -2,19 +2,23 @@
 // buffers"): the CollEngine paths that engage when allreduce / allgather /
 // bcast arguments live in registered device memory.
 //
-// Two schedules per operation, selected by the coll_device tunable:
+// Two schedules per operation; one predicate (use_device_pipeline) picks
+// between them per call from the arguments alone:
 //
 //   staged     synchronous full-size D2H, the host wire algorithm on a
 //              staged copy, synchronous full-size H2D. Zero overlap — the
 //              baseline the paper improves on — but it prices the PCIe legs
-//              the legacy host-only engine silently skipped.
-//   pipelined  the vector is cut into slices; slice k's D2H (coll_d2h_
-//              stream) overlaps slice k-1's wire leg, whose folds run as
-//              device reduction kernels (coll_red_), while slice k-2's
-//              write-back drains on coll_h2d_. Sequencing uses the stream
-//              primitives: record_event data gates let the RTS of a slice's
-//              first send leave while its D2H is still in flight
-//              (trigger_mode = stream), stream_wait_flag holds the
+//              the legacy host-only engine silently skipped. Taken for
+//              messages the cost sketch says are too small to pipeline,
+//              for mixed host/device residency, and when gpu_offload is
+//              off (the PCIe ablation).
+//   pipelined  the vector is cut into model-sized slices; slice k's D2H
+//              (coll_d2h_ stream) overlaps slice k-1's wire leg, whose
+//              folds run as device reduction kernels (coll_red_), while
+//              slice k-2's write-back drains on coll_h2d_. Sequencing uses
+//              the stream primitives: record_event data gates let the RTS
+//              of a slice's first send leave while its D2H is still in
+//              flight (trigger_mode = stream), stream_wait_flag holds the
 //              pre-enqueued write-back until the wire leg lands, and a
 //              launch_host_trigger marks the drain of the pipeline. Under
 //              trigger_mode = polled the same schedule synchronizes
@@ -120,45 +124,45 @@ void CollEngine::device_fold(CollOpStats& op, double* acc, const double* in,
   ++op.reduce_kernels;
 }
 
+namespace {
+
+// Model time of the sliced pipeline moving `total` bytes over `p` ranks in
+// `slice`-byte slices. The wire legs serialize on the calling fiber, so
+// they sum; the PCIe legs hide behind them except the first D2H and last
+// H2D. A slice's Rabenseifner leg moves 2(1-1/p) wire bytes and folds
+// (1-1/p), but each of its 2 log2 p exchanges also pays the rendezvous
+// protocol (handshake round trips plus staging launches) — the term that
+// pushes the pick toward few large slices on a high-latency fabric.
+double pipeline_ns(const CollCostHints& h, std::size_t total,
+                   std::size_t slice, int p) {
+  const double pd = std::max(static_cast<double>(p), 2.0);
+  const double rounds = std::ceil(std::log2(pd));
+  const double frac = 1.0 - 1.0 / pd;
+  const double launch = static_cast<double>(h.copy_launch_ns);
+  const double proto =
+      4.0 * static_cast<double>(h.fabric_latency_ns) + 2.0 * launch;
+  const double sd = static_cast<double>(slice);
+  const double slices = std::ceil(static_cast<double>(total) / sd);
+  const double wire =
+      2.0 * rounds * proto + 2.0 * frac * sd / h.fabric_bw +
+      rounds * static_cast<double>(h.kernel_launch_ns) +
+      frac * sd / h.reduce_bw;
+  return slices * wire + 2.0 * (launch + sd / h.pcie_bw());
+}
+
+}  // namespace
+
 std::size_t CollEngine::pick_slice_bytes(std::size_t total, int p) const {
-  std::size_t s = comm_.tunables().coll_slice_bytes;
-  if (s == 0) {
-    // Model pick: minimize slices * wire-leg + fill/drain over power-of-two
-    // candidates. The wire legs serialize on the calling fiber, so they sum;
-    // the PCIe legs hide behind them except the first D2H and last H2D. A
-    // slice's Rabenseifner leg moves 2(1-1/p) wire bytes and folds (1-1/p),
-    // but each of its 2 log2 p exchanges also pays the rendezvous protocol
-    // (handshake round trips plus staging launches) — the term that pushes
-    // the pick toward few large slices on a high-latency fabric.
-    const double pcie = hints_.pcie_bw();
-    const double pd = std::max(static_cast<double>(p), 2.0);
-    const double rounds = std::ceil(std::log2(pd));
-    const double frac = 1.0 - 1.0 / pd;
-    const double proto =
-        4.0 * static_cast<double>(hints_.fabric_latency_ns) +
-        2.0 * static_cast<double>(hints_.copy_launch_ns);
-    double best = std::numeric_limits<double>::infinity();
-    std::size_t pick = 64 * 1024;
-    for (std::size_t c = 16 * 1024; c <= (std::size_t{4} << 20); c <<= 1) {
-      const double cd = static_cast<double>(c);
-      const double slices =
-          std::ceil(static_cast<double>(total) / cd);
-      const double copy = static_cast<double>(hints_.copy_launch_ns) +
-                          cd / pcie;
-      const double wire =
-          2.0 * rounds * proto + 2.0 * frac * cd / hints_.fabric_bw +
-          rounds * static_cast<double>(hints_.kernel_launch_ns) +
-          frac * cd / hints_.reduce_bw;
-      const double cost = slices * wire + 2.0 * copy;
-      if (cost < best) {
-        best = cost;
-        pick = c;
-      }
+  // The power-of-two candidate with the least model time.
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t s = 64 * 1024;
+  for (std::size_t c = 16 * 1024; c <= (std::size_t{4} << 20); c <<= 1) {
+    const double cost = pipeline_ns(hints_, total, c, p);
+    if (cost < best) {
+      best = cost;
+      s = c;
     }
-    s = pick;
   }
-  if (s < sizeof(double)) s = sizeof(double);
-  s = (s + 7) & ~std::size_t{7};
   // Per-slice tag offsets must stay inside one tag span.
   while ((total + s - 1) / s > static_cast<std::size_t>(kMaxDevSlices)) {
     s <<= 1;
@@ -168,28 +172,25 @@ std::size_t CollEngine::pick_slice_bytes(std::size_t total, int p) const {
 
 bool CollEngine::device_pipeline_wins(std::size_t bytes, int p) const {
   if (p <= 1) return false;
-  const double pcie = hints_.pcie_bw();
-  const double launch = static_cast<double>(hints_.copy_launch_ns);
-  const double rounds = std::ceil(std::log2(static_cast<double>(p)));
-  const double frac = 1.0 - 1.0 / static_cast<double>(p);
-  const double proto = 4.0 * static_cast<double>(hints_.fabric_latency_ns) +
-                       2.0 * launch;
   // Staged rides the host butterfly (log2 p full-size exchanges, free host
   // folds) behind two exposed full-size PCIe copies; the pipeline's slices
   // ride Rabenseifner legs with on-device folds, PCIe hidden except at the
-  // pipeline's ends. Same sketch as pick_slice_bytes, rank-invariant.
+  // pipeline's ends. Rank-invariant.
+  const double launch = static_cast<double>(hints_.copy_launch_ns);
+  const double rounds = std::ceil(std::log2(static_cast<double>(p)));
+  const double proto = 4.0 * static_cast<double>(hints_.fabric_latency_ns) +
+                       2.0 * launch;
   const double bd = static_cast<double>(bytes);
-  const double staged =
-      2.0 * (launch + bd / pcie) + rounds * (proto + bd / hints_.fabric_bw);
-  const std::size_t sb = pick_slice_bytes(bytes, p);
-  const double sd = static_cast<double>(sb);
-  const double slices = std::ceil(bd / sd);
-  const double wire =
-      2.0 * rounds * proto + 2.0 * frac * sd / hints_.fabric_bw +
-      rounds * static_cast<double>(hints_.kernel_launch_ns) +
-      frac * sd / hints_.reduce_bw;
-  const double pipe = slices * wire + 2.0 * (launch + sd / pcie);
-  return pipe < staged;
+  const double staged = 2.0 * (launch + bd / hints_.pcie_bw()) +
+                        rounds * (proto + bd / hints_.fabric_bw);
+  return pipeline_ns(hints_, bytes, pick_slice_bytes(bytes, p), p) < staged;
+}
+
+bool CollEngine::use_device_pipeline(const void* sendbuf,
+                                     const void* recvbuf, std::size_t bytes,
+                                     int p) const {
+  return device_buffer(sendbuf) && device_buffer(recvbuf) &&
+         comm_.tunables().gpu_offload && device_pipeline_wins(bytes, p);
 }
 
 // ---------------------------------------------------------------------------
@@ -458,22 +459,10 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
                                   double* recvbuf, int count, bool take_max,
                                   const CommGroup& g) {
   cusim::CudaContext& ctx = comm_.cuda();
-  const core::Tunables& tun = comm_.tunables();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
   const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
   ++op.device_calls;
-
-  const bool both_dev = device_buffer(sendbuf) && device_buffer(recvbuf);
-  bool pipelined = false;
-  switch (tun.coll_device) {
-    case core::CollDevice::kStaged: break;
-    case core::CollDevice::kPipelined: pipelined = both_dev; break;
-    case core::CollDevice::kAuto:
-      pipelined =
-          both_dev && tun.gpu_offload && device_pipeline_wins(bytes, g.size());
-      break;
-  }
 
   if (g.size() == 1 || count == 0) {
     if (count > 0 && sendbuf != recvbuf) ctx.memcpy(recvbuf, sendbuf, bytes);
@@ -483,9 +472,9 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
     return;
   }
 
-  if (!pipelined) {
-    // Legacy staged schedule: full-size D2H, host butterfly, full-size H2D,
-    // fully serialized (this is the baseline bench_coll_device beats).
+  if (!use_device_pipeline(sendbuf, recvbuf, bytes, g.size())) {
+    // Staged schedule: full-size D2H, host butterfly, full-size H2D, fully
+    // serialized.
     double* host = scratch<double>(static_cast<std::size_t>(count));
     if (device_buffer(sendbuf)) {
       ctx.memcpy(host, sendbuf, bytes);
@@ -608,7 +597,6 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
                               const Datatype& dtype, int root,
                               const CommGroup& g) {
   cusim::CudaContext& ctx = comm_.cuda();
-  const core::Tunables& tun = comm_.tunables();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
   ++op.device_calls;
@@ -619,17 +607,9 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
     op.device_elapsed_ns += dt;
     return;
   }
-  bool pipelined = false;
-  switch (tun.coll_device) {
-    case core::CollDevice::kStaged: break;
-    case core::CollDevice::kPipelined: pipelined = true; break;
-    case core::CollDevice::kAuto:
-      pipelined = tun.gpu_offload && device_pipeline_wins(bytes, g.size());
-      break;
-  }
   auto* dev = static_cast<std::byte*>(buf);
 
-  if (!pipelined) {
+  if (!use_device_pipeline(buf, buf, bytes, g.size())) {
     std::byte* host = scratch<std::byte>(bytes);
     if (g.my_rank == root) {
       ctx.memcpy(host, dev, bytes);
@@ -786,7 +766,6 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
                                   int count, const Datatype& dtype,
                                   void* recvbuf, const CommGroup& g) {
   cusim::CudaContext& ctx = comm_.cuda();
-  const core::Tunables& tun = comm_.tunables();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
   ++op.device_calls;
@@ -805,18 +784,7 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
   }
 
   const std::size_t total = block * static_cast<std::size_t>(p);
-  const bool both_dev = device_buffer(sendbuf) && device_buffer(recvbuf);
-  bool pipelined = false;
-  switch (tun.coll_device) {
-    case core::CollDevice::kStaged: break;
-    case core::CollDevice::kPipelined: pipelined = both_dev; break;
-    case core::CollDevice::kAuto:
-      pipelined =
-          both_dev && tun.gpu_offload && device_pipeline_wins(total, p);
-      break;
-  }
-
-  if (!pipelined) {
+  if (!use_device_pipeline(sendbuf, recvbuf, total, p)) {
     std::byte* hin = scratch<std::byte>(block);
     std::byte* hout = scratch<std::byte>(total);
     if (device_buffer(sendbuf)) {

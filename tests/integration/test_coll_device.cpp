@@ -2,10 +2,15 @@
 // buffers"): the staged and sliced-pipeline schedules must be byte-exact
 // with the host path across the placement / algorithm / trigger matrix,
 // survive the lossy fault matrix, return every staging slot, and stay
-// hang-free when a rank crash-stops mid-pipeline.
+// hang-free when a rank crash-stops mid-pipeline. No tunable picks the
+// schedule; each test reaches it through its inputs (message size,
+// buffer residency, gpu_offload) and asserts which one ran.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,24 +25,29 @@ using mpisim::Cluster;
 using mpisim::ClusterConfig;
 using mpisim::Context;
 using mpisim::Datatype;
+using mpisim::detail::CollOpStats;
 
 namespace {
 
-// A count with a remainder against every node size and slice cut in the
-// matrix, so the ragged-edge paths run too.
-constexpr int kCount = 24'001;
+// Large enough that the cost model pipelines every device collective below
+// and cuts at least 3 slices per call on every placement (the flat group
+// and the two-level stripe alike), with a remainder against every node
+// size and slice cut so the ragged-edge paths run too.
+constexpr int kCount = 300'007;       // doubles per allreduce (2.4 MB)
+constexpr int kBcastCount = 600'011;  // int32 per bcast (2.4 MB)
+constexpr int kBlock = 300'007;       // bytes per allgather block
+constexpr std::uint64_t kMinSlices = 3;
 
+// `gpu_offload = false` is the staged baseline (the PCIe ablation); with
+// the default `true` the cost model picks the pipeline at these sizes.
 ClusterConfig matrix_config(int ranks, int rpn, core::CollSelect sel,
-                            core::CollDevice dev, core::TriggerMode trig) {
+                            bool gpu_offload, core::TriggerMode trig) {
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
   cfg.tunables.coll_select = sel;
-  cfg.tunables.coll_device = dev;
+  cfg.tunables.gpu_offload = gpu_offload;
   cfg.tunables.trigger_mode = trig;
-  // Force several slices per call so the per-slice tag machinery, the
-  // prefetch window and the write-back stream all see real traffic.
-  cfg.tunables.coll_slice_bytes = 32'768;
   return cfg;
 }
 
@@ -58,73 +68,109 @@ void expect_pools_quiesced(Cluster& cluster) {
   }
 }
 
-// One allreduce_sum over the given config; device = true stages the
-// operands through registered device memory. Returns every rank's result.
-std::vector<std::vector<double>> run_allreduce(const ClusterConfig& cfg,
-                                               bool device,
-                                               bool audit_pools = true) {
-  std::vector<std::vector<double>> out(
-      static_cast<std::size_t>(cfg.ranks),
-      std::vector<double>(static_cast<std::size_t>(kCount)));
+// Every rank's result plus the schedule census of the one collective call.
+template <typename T>
+struct Run {
+  std::vector<std::vector<T>> out;
+  std::uint64_t device_calls = 0;  // summed over ranks
+  std::uint64_t pipelined = 0;     // summed over ranks
+  std::uint64_t min_slices = 0;    // fewest slices any rank cut
+};
+
+template <typename T>
+void census(Run<T>& run, Cluster& cluster,
+            const CollOpStats mpisim::detail::CollStats::*op) {
+  run.min_slices = std::numeric_limits<std::uint64_t>::max();
+  for (int r = 0; r < cluster.config().ranks; ++r) {
+    const CollOpStats& s = cluster.coll_stats(r).*op;
+    run.device_calls += s.device_calls;
+    run.pipelined += s.device_pipelined;
+    run.min_slices = std::min(run.min_slices, s.device_slices);
+  }
+}
+
+// The census of a run every rank took on the staged schedule ...
+template <typename T>
+void expect_staged(const Run<T>& run, int ranks, const std::string& what) {
+  EXPECT_EQ(run.device_calls, static_cast<std::uint64_t>(ranks)) << what;
+  EXPECT_EQ(run.pipelined, 0u) << what;
+}
+
+// ... and of one every rank took on the pipeline, `slices` or more per call.
+template <typename T>
+void expect_pipelined(const Run<T>& run, int ranks, const std::string& what,
+                      std::uint64_t slices = kMinSlices) {
+  EXPECT_EQ(run.device_calls, static_cast<std::uint64_t>(ranks)) << what;
+  EXPECT_EQ(run.pipelined, static_cast<std::uint64_t>(ranks)) << what;
+  EXPECT_GE(run.min_slices, slices) << what;
+}
+
+// One allreduce_sum of `count` doubles over the given config; device = true
+// stages the operands through registered device memory.
+Run<double> run_allreduce(const ClusterConfig& cfg, bool device,
+                          int count = kCount) {
+  Run<double> run;
+  run.out.assign(static_cast<std::size_t>(cfg.ranks),
+                 std::vector<double>(static_cast<std::size_t>(count)));
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
-    const std::vector<double> in = seed_vector(ctx.rank, kCount);
-    std::vector<double>& res = out[static_cast<std::size_t>(ctx.rank)];
-    const std::size_t bytes = sizeof(double) * kCount;
+    const std::vector<double> in = seed_vector(ctx.rank, count);
+    std::vector<double>& res = run.out[static_cast<std::size_t>(ctx.rank)];
+    const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
     if (device) {
       auto* din = static_cast<double*>(ctx.cuda->malloc(bytes));
       auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(din, in.data(), bytes);
-      ctx.comm.allreduce_sum(din, dout, kCount);
+      ctx.comm.allreduce_sum(din, dout, count);
       ctx.cuda->memcpy(res.data(), dout, bytes);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
     } else {
-      ctx.comm.allreduce_sum(in.data(), res.data(), kCount);
+      ctx.comm.allreduce_sum(in.data(), res.data(), count);
     }
   });
-  if (audit_pools) expect_pools_quiesced(cluster);
-  return out;
+  expect_pools_quiesced(cluster);
+  census(run, cluster, &mpisim::detail::CollStats::allreduce);
+  return run;
 }
 
-std::vector<std::vector<std::int32_t>> run_bcast(const ClusterConfig& cfg,
-                                                 bool device, int root) {
-  constexpr int kN = 30'011;
-  std::vector<std::vector<std::int32_t>> out(
-      static_cast<std::size_t>(cfg.ranks),
-      std::vector<std::int32_t>(static_cast<std::size_t>(kN)));
+Run<std::int32_t> run_bcast(const ClusterConfig& cfg, bool device, int root) {
+  Run<std::int32_t> run;
+  run.out.assign(static_cast<std::size_t>(cfg.ranks),
+                 std::vector<std::int32_t>(
+                     static_cast<std::size_t>(kBcastCount)));
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
-    std::vector<std::int32_t>& buf = out[static_cast<std::size_t>(ctx.rank)];
+    std::vector<std::int32_t>& buf = run.out[static_cast<std::size_t>(ctx.rank)];
     if (ctx.rank == root) {
-      for (int i = 0; i < kN; ++i) {
+      for (int i = 0; i < kBcastCount; ++i) {
         buf[static_cast<std::size_t>(i)] = i * 7 - 3;
       }
     }
     auto dt = Datatype::int32();
     dt.commit();
-    const std::size_t bytes = sizeof(std::int32_t) * kN;
+    const std::size_t bytes = sizeof(std::int32_t) * kBcastCount;
     if (device) {
       auto* dbuf = static_cast<std::int32_t*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(dbuf, buf.data(), bytes);
-      ctx.comm.bcast(dbuf, kN, dt, root);
+      ctx.comm.bcast(dbuf, kBcastCount, dt, root);
       ctx.cuda->memcpy(buf.data(), dbuf, bytes);
       ctx.cuda->free(dbuf);
     } else {
-      ctx.comm.bcast(buf.data(), kN, dt, root);
+      ctx.comm.bcast(buf.data(), kBcastCount, dt, root);
     }
   });
   expect_pools_quiesced(cluster);
-  return out;
+  census(run, cluster, &mpisim::detail::CollStats::bcast);
+  return run;
 }
 
-std::vector<std::vector<std::byte>> run_allgather(const ClusterConfig& cfg,
-                                                  bool device) {
-  constexpr int kBlock = 20'483;
+Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device) {
   const std::size_t total =
       static_cast<std::size_t>(kBlock) * static_cast<std::size_t>(cfg.ranks);
-  std::vector<std::vector<std::byte>> out(
-      static_cast<std::size_t>(cfg.ranks), std::vector<std::byte>(total));
+  Run<std::byte> run;
+  run.out.assign(static_cast<std::size_t>(cfg.ranks),
+                 std::vector<std::byte>(total));
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
     std::vector<std::byte> in(static_cast<std::size_t>(kBlock));
@@ -134,7 +180,7 @@ std::vector<std::vector<std::byte>> run_allgather(const ClusterConfig& cfg,
     }
     auto dt = Datatype::byte();
     dt.commit();
-    std::vector<std::byte>& res = out[static_cast<std::size_t>(ctx.rank)];
+    std::vector<std::byte>& res = run.out[static_cast<std::size_t>(ctx.rank)];
     if (device) {
       auto* din = static_cast<std::byte*>(ctx.cuda->malloc(in.size()));
       auto* dout = static_cast<std::byte*>(ctx.cuda->malloc(total));
@@ -148,7 +194,8 @@ std::vector<std::vector<std::byte>> run_allgather(const ClusterConfig& cfg,
     }
   });
   expect_pools_quiesced(cluster);
-  return out;
+  census(run, cluster, &mpisim::detail::CollStats::allgather);
+  return run;
 }
 
 }  // namespace
@@ -169,54 +216,53 @@ class CollDeviceMatrix : public ::testing::TestWithParam<MatrixCase> {};
 TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
   const auto host = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged, mc.trig),
-      /*device=*/false);
+      matrix_config(8, mc.rpn, mc.sel, true, mc.trig), /*device=*/false);
   const auto staged = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kStaged, mc.trig),
-      /*device=*/true);
+      matrix_config(8, mc.rpn, mc.sel, false, mc.trig), /*device=*/true);
   const auto piped = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kPipelined, mc.trig),
-      /*device=*/true);
-  const auto autod = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, core::CollDevice::kAuto, mc.trig),
-      /*device=*/true);
+      matrix_config(8, mc.rpn, mc.sel, true, mc.trig), /*device=*/true);
+  EXPECT_EQ(host.device_calls, 0u);
+  expect_staged(staged, 8, "gpu_offload = false");
+  expect_pipelined(piped, 8, "default tunables");
   for (int r = 0; r < 8; ++r) {
-    const auto& h = host[static_cast<std::size_t>(r)];
+    const auto& h = host.out[static_cast<std::size_t>(r)];
     EXPECT_EQ(0, std::memcmp(h.data(),
-                             staged[static_cast<std::size_t>(r)].data(),
+                             staged.out[static_cast<std::size_t>(r)].data(),
                              h.size() * sizeof(double)))
         << "staged diverges at rank " << r;
     EXPECT_EQ(0, std::memcmp(h.data(),
-                             piped[static_cast<std::size_t>(r)].data(),
+                             piped.out[static_cast<std::size_t>(r)].data(),
                              h.size() * sizeof(double)))
         << "pipelined diverges at rank " << r;
-    EXPECT_EQ(0, std::memcmp(h.data(),
-                             autod[static_cast<std::size_t>(r)].data(),
-                             h.size() * sizeof(double)))
-        << "auto diverges at rank " << r;
   }
 }
 
 TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
-  const auto mk = [&](core::CollDevice dev) {
-    return matrix_config(8, mc.rpn, mc.sel, dev, mc.trig);
+  const auto mk = [&](bool gpu_offload) {
+    return matrix_config(8, mc.rpn, mc.sel, gpu_offload, mc.trig);
   };
-  const auto bhost = run_bcast(mk(core::CollDevice::kStaged), false, 2);
-  const auto bstaged = run_bcast(mk(core::CollDevice::kStaged), true, 2);
-  const auto bpiped = run_bcast(mk(core::CollDevice::kPipelined), true, 2);
-  const auto ghost = run_allgather(mk(core::CollDevice::kStaged), false);
-  const auto gstaged = run_allgather(mk(core::CollDevice::kStaged), true);
-  const auto gpiped = run_allgather(mk(core::CollDevice::kPipelined), true);
+  const auto bhost = run_bcast(mk(true), false, 2);
+  const auto bstaged = run_bcast(mk(false), true, 2);
+  const auto bpiped = run_bcast(mk(true), true, 2);
+  const auto ghost = run_allgather(mk(true), false);
+  const auto gstaged = run_allgather(mk(false), true);
+  const auto gpiped = run_allgather(mk(true), true);
+  expect_staged(bstaged, 8, "bcast, gpu_offload = false");
+  expect_pipelined(bpiped, 8, "bcast, default tunables");
+  expect_staged(gstaged, 8, "allgather, gpu_offload = false");
+  // The allgather pipeline cuts no model slices (its two-level form rides
+  // the rendezvous' own chunking), so only the schedule is checked.
+  expect_pipelined(gpiped, 8, "allgather, default tunables", 0);
   for (int r = 0; r < 8; ++r) {
     const std::size_t ri = static_cast<std::size_t>(r);
-    EXPECT_EQ(bhost[ri], bstaged[ri]) << "staged bcast, rank " << r;
-    EXPECT_EQ(bhost[ri], bpiped[ri]) << "pipelined bcast, rank " << r;
-    EXPECT_EQ(0, std::memcmp(ghost[ri].data(), gstaged[ri].data(),
-                             ghost[ri].size()))
+    EXPECT_EQ(bhost.out[ri], bstaged.out[ri]) << "staged bcast, rank " << r;
+    EXPECT_EQ(bhost.out[ri], bpiped.out[ri]) << "pipelined bcast, rank " << r;
+    EXPECT_EQ(0, std::memcmp(ghost.out[ri].data(), gstaged.out[ri].data(),
+                             ghost.out[ri].size()))
         << "staged allgather, rank " << r;
-    EXPECT_EQ(0, std::memcmp(ghost[ri].data(), gpiped[ri].data(),
-                             ghost[ri].size()))
+    EXPECT_EQ(0, std::memcmp(ghost.out[ri].data(), gpiped.out[ri].data(),
+                             ghost.out[ri].size()))
         << "pipelined allgather, rank " << r;
   }
 }
@@ -244,32 +290,46 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // A non-power-of-two group exercises the pre/post pairing of the sliced
-// wire leg on every schedule.
+// wire leg.
 TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
   for (core::TriggerMode trig :
        {core::TriggerMode::kPolled, core::TriggerMode::kStream}) {
     const auto host = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto, core::CollDevice::kStaged,
-                      trig),
-        false);
+        matrix_config(6, 2, core::CollSelect::kAuto, true, trig), false);
     const auto piped = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto,
-                      core::CollDevice::kPipelined, trig),
-        true);
+        matrix_config(6, 2, core::CollSelect::kAuto, true, trig), true);
+    expect_pipelined(piped, 6, "6 ranks");
     for (int r = 0; r < 6; ++r) {
-      EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
-                               piped[static_cast<std::size_t>(r)].data(),
+      EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
+                               piped.out[static_cast<std::size_t>(r)].data(),
                                sizeof(double) * kCount))
           << "rank " << r << " trig " << static_cast<int>(trig);
     }
   }
 }
 
+// The schedule follows the message size under default tunables: on 8
+// ranks a 1 MB device allreduce is pipelined, a 64 KB one is staged. Both
+// still agree with the host result.
+TEST(CollDevice, DefaultTunablesPickScheduleByMessageSize) {
+  ClusterConfig cfg;
+  cfg.ranks = 8;
+  constexpr int kMiB = (1 << 20) / static_cast<int>(sizeof(double));
+  constexpr int k64KiB = (64 << 10) / static_cast<int>(sizeof(double));
+  const auto big_host = run_allreduce(cfg, false, kMiB);
+  const auto big = run_allreduce(cfg, true, kMiB);
+  const auto small_host = run_allreduce(cfg, false, k64KiB);
+  const auto small = run_allreduce(cfg, true, k64KiB);
+  expect_pipelined(big, 8, "1 MB", 1);
+  expect_staged(small, 8, "64 KB");
+  EXPECT_EQ(big.out, big_host.out);
+  EXPECT_EQ(small.out, small_host.out);
+}
+
 // Mixed residency (device send buffer, host recv buffer) must still agree
 // with the host result — it rides the staged schedule's wire leg.
 TEST(CollDevice, MixedResidencyFallsBackToStaged) {
-  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kAuto,
-                                    core::CollDevice::kPipelined,
+  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kAuto, true,
                                     core::TriggerMode::kPolled);
   std::vector<std::vector<double>> out(
       4, std::vector<double>(static_cast<std::size_t>(kCount)));
@@ -283,17 +343,15 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
                            kCount);
     ctx.cuda->free(din);
   });
-  const auto host = run_allreduce(
-      matrix_config(4, 2, core::CollSelect::kAuto, core::CollDevice::kStaged,
-                    core::TriggerMode::kPolled),
-      false);
+  const auto host = run_allreduce(cfg, false);
   for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
+    EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
                              out[static_cast<std::size_t>(r)].data(),
                              sizeof(double) * kCount))
         << "rank " << r;
   }
-  // Pipelined never engaged: the recv side lives on the host.
+  // Pipelined never engaged although the size favors it: the recv side
+  // lives on the host.
   for (int r = 0; r < 4; ++r) {
     EXPECT_EQ(cluster.coll_stats(r).allreduce.device_pipelined, 0u)
         << "rank " << r;
@@ -307,11 +365,8 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, PipelinedCountersAndPeerBytes) {
-  ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kHier,
-                                    core::CollDevice::kPipelined,
+  ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kHier, true,
                                     core::TriggerMode::kPolled);
-  const auto piped = run_allreduce(cfg, true);
-  (void)piped;
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
     const std::vector<double> in = seed_vector(ctx.rank, kCount);
@@ -327,7 +382,7 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
     const auto& ar = cluster.coll_stats(r).allreduce;
     EXPECT_EQ(ar.device_calls, 1u) << "rank " << r;
     EXPECT_EQ(ar.device_pipelined, 1u) << "rank " << r;
-    EXPECT_GT(ar.device_slices, 1u) << "rank " << r;
+    EXPECT_GE(ar.device_slices, kMinSlices) << "rank " << r;
     EXPECT_GT(ar.reduce_kernels, 0u) << "rank " << r;
     // Hier at rpn 2: the intra rings exchanged device pointers over the
     // device-direct IPC peer path; the fabric stripe staged across PCIe.
@@ -342,25 +397,24 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
-  for (core::CollDevice dev :
-       {core::CollDevice::kStaged, core::CollDevice::kPipelined}) {
-    ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kAuto, dev,
+  ClusterConfig clean = matrix_config(8, 2, core::CollSelect::kAuto, true,
                                       core::TriggerMode::kPolled);
+  const auto host = run_allreduce(clean, false);
+  for (bool gpu_offload : {false, true}) {
+    ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kAuto,
+                                      gpu_offload, core::TriggerMode::kPolled);
     cfg.rng_seed = 23;
     netsim::FaultSpec drop;
     drop.drop_send = 0.02;
     cfg.faults.set_default(drop);
     cfg.ipc_faults.set_default(drop);
     const auto lossy = run_allreduce(cfg, true);
-    ClusterConfig clean = matrix_config(8, 2, core::CollSelect::kAuto,
-                                        core::CollDevice::kStaged,
-                                        core::TriggerMode::kPolled);
-    const auto host = run_allreduce(clean, false);
+    EXPECT_EQ(lossy.pipelined, gpu_offload ? 8u : 0u);
     for (int r = 0; r < 8; ++r) {
-      EXPECT_EQ(0, std::memcmp(host[static_cast<std::size_t>(r)].data(),
-                               lossy[static_cast<std::size_t>(r)].data(),
+      EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
+                               lossy.out[static_cast<std::size_t>(r)].data(),
                                sizeof(double) * kCount))
-          << "schedule " << static_cast<int>(dev) << ", rank " << r;
+          << "gpu_offload " << gpu_offload << ", rank " << r;
     }
   }
 }
@@ -371,8 +425,7 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
-  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kHier,
-                                    core::CollDevice::kPipelined,
+  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kHier, true,
                                     core::TriggerMode::kPolled);
   cfg.rng_seed = 11;
   cfg.tunables.rndv_timeout_ns = 200'000;
@@ -406,6 +459,8 @@ TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
   });
   for (int r = 0; r < 3; ++r) {
     const auto& o = outcome[static_cast<std::size_t>(r)];
+    EXPECT_GT(cluster.coll_stats(r).allreduce.device_pipelined, 0u)
+        << "rank " << r;
     EXPECT_TRUE(o.finished) << "rank " << r << " hung";
     EXPECT_NE(o.error.find("aborted"), std::string::npos)
         << "rank " << r << ": " << o.error;
