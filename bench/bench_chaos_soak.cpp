@@ -1,6 +1,9 @@
 // Seeded chaos soak: the fault matrix (lossy fabric + lossy IPC control
 // planes, rank stall/skew, optional crash-stop) crossed with rpn {1,2,4}
-// and the flat/hier/auto collective algorithms. Every cell asserts the
+// and two allreduce sizes: 64 KB, which the selection rule runs flat, and
+// 1 MB, which it runs two-level wherever a node holds two or more ranks
+// (both sizes ride the rendezvous protocol, whose control plane the faults
+// target). Every cell checks the shape that ran and asserts the
 // cluster's liveness contract — each surviving rank completes its workload
 // or raises a clean RequestError; nobody blocks forever — plus quiesced
 // vbuf pools and zero leaked CUDA-IPC mappings. Lossy-only cells (no
@@ -18,6 +21,7 @@
 #include "apps/reporting.hpp"
 #include "bench_util.hpp"
 #include "mpi/cluster.hpp"
+#include "mpi/coll.hpp"
 
 namespace bench = mv2gnc::bench;
 namespace apps = mv2gnc::apps;
@@ -29,14 +33,6 @@ namespace sim = mv2gnc::sim;
 namespace {
 
 constexpr int kRanks = 4;
-
-const char* select_name(core::CollSelect s) {
-  switch (s) {
-    case core::CollSelect::kFlat: return "flat";
-    case core::CollSelect::kHier: return "hier";
-    default: return "auto";
-  }
-}
 
 void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm) {
@@ -55,19 +51,24 @@ struct CellResult {
   bool alive = true;        // every surviving rank finished its body
   bool correct = true;      // lossy-only cells: reductions bit-correct
   bool quiesced = true;     // vbuf audit clean, no leaked IPC mappings
+  bool two_level = false;   // the allreduce ran the two-level shape
   int aborted_ranks = 0;    // survivors that raised a clean RequestError
   std::uint64_t faults = 0;
   std::uint64_t retransmits = 0;
   sim::SimTime elapsed = 0;
 };
 
-CellResult run_cell(std::size_t rpn, core::CollSelect select,
-                    std::uint64_t seed, bool crash) {
+// The two sizes (doubles per allreduce) and the calls per cell that keep
+// the workload running past the crash at 1.5 ms.
+constexpr int kFlatCount = 8'192;        // 64 KB
+constexpr int kTwoLevelCount = 131'072;  // 1 MB
+
+CellResult run_cell(std::size_t rpn, int count, std::uint64_t seed,
+                    bool crash) {
   mpisim::ClusterConfig cfg;
   cfg.ranks = kRanks;
   cfg.rng_seed = seed;
   cfg.tunables.ranks_per_node = rpn;
-  cfg.tunables.coll_select = select;
   cfg.tunables.rndv_timeout_ns = 200'000;
   // A crash cell wants a tight budget (fail fast, abort cleanly); a lossy
   // cell wants one deep enough that no transfer ever fails permanently.
@@ -79,7 +80,7 @@ CellResult run_cell(std::size_t rpn, core::CollSelect select,
   if (rpn > 1) fault_rendezvous_control(cfg.ipc_faults, 0.04, 0.02);
   if (crash) cfg.crash_at = {{kRanks - 1, sim::SimTime{1'500'000}}};
 
-  const int count = 16'384;
+  const int iters = count == kFlatCount ? 60 : 10;
   std::vector<std::vector<double>> in(kRanks), out(kRanks);
   for (int r = 0; r < kRanks; ++r) {
     auto& v = in[static_cast<std::size_t>(r)];
@@ -97,7 +98,7 @@ CellResult run_cell(std::size_t rpn, core::CollSelect select,
   cluster.run([&](mpisim::Context& ctx) {
     const auto rank = static_cast<std::size_t>(ctx.rank);
     try {
-      for (int it = 0; it < 10; ++it) {
+      for (int it = 0; it < iters; ++it) {
         ctx.comm.allreduce_sum(in[rank].data(), out[rank].data(), count);
       }
       ctx.comm.barrier();
@@ -108,6 +109,7 @@ CellResult run_cell(std::size_t rpn, core::CollSelect select,
     finished[rank] = 1;
   });
   res.elapsed = cluster.elapsed();
+  res.two_level = cluster.coll_stats(0).allreduce.hier_calls > 0;
   const int crashed = crash ? kRanks - 1 : -1;
   for (int r = 0; r < kRanks; ++r) {
     const auto rank = static_cast<std::size_t>(r);
@@ -146,34 +148,40 @@ CellResult run_cell(std::size_t rpn, core::CollSelect select,
 
 int main(int argc, char** argv) {
   const bool smoke = argc > 1 && std::strcmp(argv[1], "--smoke") == 0;
-  bench::banner("Chaos soak: fault matrix x rpn {1,2,4} x flat/hier/auto",
+  bench::banner("Chaos soak: fault matrix x rpn {1,2,4} x flat/two-level",
                 "liveness contract of the unified fault domain (no paper "
                 "figure)");
   bench::JsonReport report("chaos_soak");
-  apps::Table table("Chaos matrix", {"rpn", "coll", "seed", "mode", "result",
-                                     "aborts", "faults", "rexmits",
-                                     "virt (us)"});
+  apps::Table table("Chaos matrix",
+                    {"rpn", "size", "shape", "seed", "mode", "result",
+                     "aborts", "faults", "rexmits", "virt (us)"});
   const std::vector<std::uint64_t> seeds =
       smoke ? std::vector<std::uint64_t>{1} : std::vector<std::uint64_t>{1, 2, 3};
   int violations = 0;
   std::uint64_t total_faults = 0;
   for (std::size_t rpn : {1u, 2u, 4u}) {
-    for (core::CollSelect select :
-         {core::CollSelect::kFlat, core::CollSelect::kHier,
-          core::CollSelect::kAuto}) {
+    for (const int count : {kFlatCount, kTwoLevelCount}) {
+      const bool want_two_level = rpn > 1 && count == kTwoLevelCount;
       for (std::uint64_t seed : seeds) {
         for (bool crash : {false, true}) {
-          const CellResult res =
-              run_cell(rpn, select, 100 * rpn + 10 * seed + crash, crash);
-          const bool ok = res.alive && res.correct && res.quiesced;
+          const CellResult res = run_cell(
+              rpn, count,
+              100 * rpn + 10 * seed + 2 * (count == kTwoLevelCount) + crash,
+              crash);
+          const bool shape_ok = res.two_level == want_two_level;
+          const bool ok = res.alive && res.correct && res.quiesced && shape_ok;
           if (!ok) ++violations;
           total_faults += res.faults;
           std::string verdict = !res.alive      ? "HUNG"
                                 : !res.correct  ? "WRONG"
                                 : !res.quiesced ? "LEAKED"
+                                : !shape_ok     ? "WRONG-SHAPE"
                                 : crash         ? "clean-abort"
                                                 : "completed";
-          table.add_row({std::to_string(rpn), select_name(select),
+          table.add_row({std::to_string(rpn),
+                         apps::format_bytes(sizeof(double) *
+                                            static_cast<std::size_t>(count)),
+                         res.two_level ? "two-level" : "flat",
                          std::to_string(seed), crash ? "crash" : "lossy",
                          verdict, std::to_string(res.aborted_ranks),
                          std::to_string(res.faults),

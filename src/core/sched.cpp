@@ -9,6 +9,10 @@ namespace {
 // Consecutive uncontended grants before the adaptive depth grows a step.
 constexpr std::size_t kGrowStreak = 8;
 
+// ECN hysteresis: consecutive unmarked chunk acks before the depth grows
+// back one step, so a transient mark costs real smoke-clearing time.
+constexpr std::size_t kEcnRestoreChunks = 16;
+
 }  // namespace
 
 TransferScheduler::TransferScheduler(sim::Engine& engine, VbufPool& pool,
@@ -205,35 +209,20 @@ std::size_t TransferScheduler::depth_max() const {
   // is the larger of the window and the pool — an uncontended transfer may
   // fill the pool exactly as it would under kFifo; the shrink side takes
   // over when concurrency makes that hoarding.
-  std::size_t cap = std::max(tun_.recv_window, pool_.capacity());
-  if (tun_.max_inflight_chunks > 0) {
-    cap = std::min(cap, tun_.max_inflight_chunks);
-  }
-  return std::max<std::size_t>(1, cap);
+  return std::max<std::size_t>(
+      1, std::max(tun_.recv_window, pool_.capacity()));
 }
 
 std::size_t TransferScheduler::depth_init() const {
-  std::size_t cap = tun_.recv_window;
-  if (tun_.max_inflight_chunks > 0) {
-    cap = std::min(cap, tun_.max_inflight_chunks);
-  }
-  return std::max<std::size_t>(1, cap);
+  return std::max<std::size_t>(1, tun_.recv_window);
 }
 
 std::size_t TransferScheduler::inflight_cap() const {
   if (!fair()) {
-    if (ecn_enabled()) {
-      // ECN feedback drives the depth even under kFifo: fabric congestion
-      // must be able to throttle the pipeline no matter the vbuf policy.
-      std::size_t cap = tun_.max_inflight_chunks > 0
-                            ? tun_.max_inflight_chunks
-                            : std::numeric_limits<std::size_t>::max();
-      return std::min(depth_, cap);
-    }
-    // Legacy behavior unless the explicit cap is set; no adaptation.
-    return tun_.max_inflight_chunks > 0
-               ? tun_.max_inflight_chunks
-               : std::numeric_limits<std::size_t>::max();
+    // ECN feedback drives the depth even under kFifo: fabric congestion
+    // must be able to throttle the pipeline no matter the vbuf policy.
+    // Without it kFifo is unbounded (legacy); no adaptation.
+    return ecn_enabled() ? depth_ : std::numeric_limits<std::size_t>::max();
   }
   // A solo transfer runs at the optimistic ceiling (fifo parity). With
   // company, the static part of the cap drops to the receive window (or
@@ -275,10 +264,10 @@ void TransferScheduler::note_chunk_ack(std::uint64_t id, bool congested) {
       last_ecn_shrink_ack_ = ecn_ack_clock_;
     }
   } else {
-    // Hysteresis growth: a full ecn_restore_chunks run of clean acks earns
+    // Hysteresis growth: a full kEcnRestoreChunks run of clean acks earns
     // one step back (additive increase), so a transient mark costs real
     // smoke-clearing time before the pipeline re-opens.
-    if (++ecn_clean_streak_ >= tun_.ecn_restore_chunks) {
+    if (++ecn_clean_streak_ >= kEcnRestoreChunks) {
       ecn_clean_streak_ = 0;
       if (depth_ < depth_max()) {
         ++depth_;

@@ -133,10 +133,9 @@ class TransferScheduler {
 
   // -- adaptive pipeline depth -------------------------------------------
   /// Current cap on staged-but-unacknowledged chunks per sending
-  /// transfer. Unbounded under kFifo with max_inflight_chunks = 0 —
-  /// unless ECN feedback is enabled (ecn_backlog_ns > 0), which activates
-  /// the adaptive depth even under kFifo so fabric congestion can throttle
-  /// the pipeline.
+  /// transfer. Unbounded under kFifo — unless ECN feedback is enabled
+  /// (ecn_backlog_ns > 0), which activates the adaptive depth even under
+  /// kFifo so fabric congestion can throttle the pipeline.
   std::size_t inflight_cap() const;
 
   // -- ECN congestion feedback -------------------------------------------
@@ -146,8 +145,8 @@ class TransferScheduler {
   /// chunk queued past the fabric's backlog threshold. A marked ack halves
   /// the shared pipeline depth (floor 1, rate-limited to one halving per
   /// depth's worth of acks so one congested burst is one response, not a
-  /// collapse); ecn_restore_chunks consecutive clean acks grow it back one
-  /// step — TCP-style multiplicative decrease, hysteresis increase.
+  /// collapse); 16 consecutive clean acks grow it back one step —
+  /// TCP-style multiplicative decrease, hysteresis increase.
   void note_chunk_ack(std::uint64_t id, bool congested);
   /// Congestion marks echoed so far for one live transfer (0 when the
   /// transfer is unknown or already unregistered).
@@ -198,13 +197,12 @@ class TransferScheduler {
   /// RndvSend still guarantees progress then).
   std::size_t reserve_effective() const;
   std::size_t unmet_reserve_excluding(std::uint64_t id) const;
-  /// Optimistic grow ceiling: max(recv_window, pool capacity), clamped by
-  /// max_inflight_chunks. Staging past the receiver's window is prefetch
-  /// an uncontended transfer is welcome to.
+  /// Optimistic grow ceiling: max(recv_window, pool capacity). Staging
+  /// past the receiver's window is prefetch an uncontended transfer is
+  /// welcome to.
   std::size_t depth_max() const;
-  /// Opening depth: the receive window (clamped by max_inflight_chunks) —
-  /// conservative so a burst's first transfer cannot hoard the pool
-  /// before its siblings register.
+  /// Opening depth: the receive window — conservative so a burst's first
+  /// transfer cannot hoard the pool before its siblings register.
   std::size_t depth_init() const;
   void grant(std::uint64_t id, Xfer& x, bool from_reserve);
   void deny(std::uint64_t id, Xfer& x, bool pool_contended);

@@ -64,12 +64,6 @@ void Tunables::validate() const {
   if (ecn_backlog_ns < 0) {
     throw std::invalid_argument("tunables: ecn_backlog_ns must be >= 0");
   }
-  if (ecn_restore_chunks == 0) {
-    // Zero would mean "grow back immediately on any clean ack", defeating
-    // the hysteresis the knob exists to provide.
-    throw std::invalid_argument(
-        "tunables: ecn_restore_chunks must be >= 1");
-  }
   if (transport_restore_threshold == 0) {
     throw std::invalid_argument(
         "tunables: transport_restore_threshold must be >= 1");
@@ -107,23 +101,6 @@ TransportSelect parse_transport_select(const std::string& v) {
   if (v == "fabric") return TransportSelect::kFabric;
   throw std::invalid_argument(
       "tunables: transport_select must be 'auto' or 'fabric', got: " + v);
-}
-
-CollSelect parse_coll_select(const std::string& v) {
-  if (v == "auto") return CollSelect::kAuto;
-  if (v == "flat") return CollSelect::kFlat;
-  if (v == "hier") return CollSelect::kHier;
-  throw std::invalid_argument(
-      "tunables: coll_select must be 'auto', 'flat' or 'hier', got: " + v);
-}
-
-const char* coll_select_name(CollSelect s) {
-  switch (s) {
-    case CollSelect::kAuto: return "auto";
-    case CollSelect::kFlat: return "flat";
-    case CollSelect::kHier: return "hier";
-  }
-  return "auto";
 }
 
 SchedPolicy parse_sched_policy(const std::string& v) {
@@ -212,14 +189,11 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "sched_policy") t.sched_policy = parse_sched_policy(value);
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
-      else if (key == "coll_select") t.coll_select = parse_coll_select(value);
       else if (key == "route_select") t.route_select = parse_route_select(value);
       else if (key == "trigger_mode") t.trigger_mode = parse_trigger_mode(value);
       else if (key == "persistent_plan_cache") t.persistent_plan_cache = parse_bool(value, key);
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
-      else if (key == "ecn_restore_chunks") t.ecn_restore_chunks = std::stoull(value);
       else if (key == "vbuf_reserve_per_transfer") t.vbuf_reserve_per_transfer = std::stoull(value);
-      else if (key == "max_inflight_chunks") t.max_inflight_chunks = std::stoull(value);
       else if (key == "ack_coalesce_window_ns") t.ack_coalesce_window_ns = std::stoll(value);
       else if (key == "rndv_timeout_ns") t.rndv_timeout_ns = std::stoll(value);
       else if (key == "rndv_max_retries") t.rndv_max_retries = std::stoull(value);
@@ -272,15 +246,12 @@ std::string Tunables::to_config_string() const {
      << "transport_select = "
      << (transport_select == TransportSelect::kAuto ? "auto" : "fabric")
      << "\n"
-     << "coll_select = " << coll_select_name(coll_select) << "\n"
      << "route_select = " << route_select_name(route_select) << "\n"
      << "trigger_mode = " << trigger_mode_name(trigger_mode) << "\n"
      << "persistent_plan_cache = "
      << (persistent_plan_cache ? "true" : "false") << "\n"
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
-     << "ecn_restore_chunks = " << ecn_restore_chunks << "\n"
      << "vbuf_reserve_per_transfer = " << vbuf_reserve_per_transfer << "\n"
-     << "max_inflight_chunks = " << max_inflight_chunks << "\n"
      << "ack_coalesce_window_ns = " << ack_coalesce_window_ns << "\n"
      << "rndv_timeout_ns = " << rndv_timeout_ns << "\n"
      << "rndv_max_retries = " << rndv_max_retries << "\n"

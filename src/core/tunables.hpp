@@ -28,15 +28,6 @@ enum class TransportSelect {
   kFabric,  // force every peer over the HCA (ablation / debugging)
 };
 
-/// How collective algorithms are chosen per call (see docs/COLLECTIVES.md).
-enum class CollSelect {
-  kAuto,  // two-level when the topology co-locates ranks and the cost model
-          // favors the intra-node leg (as the GPU cost model picks the pack
-          // scheme)
-  kFlat,  // force single-level algorithms (the one-process-per-node paper era)
-  kHier,  // force the two-level path wherever a comm spans >1 rank on a node
-};
-
 /// How concurrent transfers of one rank share the vbuf pool and the wire
 /// (see docs/CONCURRENCY.md).
 enum class SchedPolicy {
@@ -111,12 +102,6 @@ struct Tunables {
   /// active transfers outnumber capacity / reserve).
   std::size_t vbuf_reserve_per_transfer = 2;
 
-  /// Upper bound on staged-but-unacknowledged chunks per sending transfer.
-  /// 0 defers to recv_window under kFair and means "unbounded" under
-  /// kFifo (legacy). kFair adapts the effective depth between 1 and this
-  /// bound as the pool fills and drains.
-  std::size_t max_inflight_chunks = 0;
-
   /// CHUNK_ACK/credit coalescing window: acks accumulated for this many
   /// virtual nanoseconds are batched into one control message (and flushed
   /// early by any outgoing control message to the same peer). 0 sends
@@ -135,12 +120,6 @@ struct Tunables {
   /// inter-node path everywhere, which isolates the transport's effect.
   TransportSelect transport_select = TransportSelect::kAuto;
 
-  /// Collective-algorithm policy: flat single-level algorithms vs MVAPICH2
-  /// style two-level (intra-node leg over the IPC transport, leader leg
-  /// over the fabric). kAuto consults the topology and the cost hints the
-  /// cluster derives from its GPU/IPC models (docs/COLLECTIVES.md).
-  CollSelect coll_select = CollSelect::kAuto;
-
   // -- congestion-adaptive routing + ECN feedback (docs/SIMULATION.md,
   //    docs/CONCURRENCY.md) ----------------------------------------------
   /// Link-selection policy on a multi-path fabric (fat tree: which spine;
@@ -156,10 +135,6 @@ struct Tunables {
   /// contention). 0 disables marking entirely — the byte-identical
   /// default.
   sim::SimTime ecn_backlog_ns = 0;
-
-  /// Hysteresis on the recovery side of ECN feedback: this many
-  /// consecutive unmarked chunk acks before the depth grows back one step.
-  std::size_t ecn_restore_chunks = 16;
 
   // -- stream-triggered communication (docs/STREAMS.md) ------------------
   /// How the *_on(stream, ...) entry points behave. kPolled keeps the CPU

@@ -102,25 +102,14 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
     }
     comms_[static_cast<std::size_t>(rank)]->set_crash_time(when);
   }
-  // Feed each rank's collectives engine the cost facts coll_select = auto
-  // weighs: the fabric's wire parameters against the node-local channel's
-  // (as the rendezvous reads the GPU cost model to pick a pack scheme).
+  // Feed each rank's collectives engine the cost models its shape rule and
+  // device schedule choice price messages with: the very ones the fabric,
+  // the IPC channels and the GPUs run.
   {
-    const netsim::IpcCostModel ipc =
-        netsim::IpcCostModel::from_gpu(config_.gpu_cost);
     detail::CollCostHints hints;
-    hints.fabric_bw = config_.net_cost.bw;
-    hints.fabric_latency_ns = config_.net_cost.latency_ns;
-    hints.ipc_shm_bw = ipc.shm_host_bw;
-    hints.ipc_cma_bw = ipc.cma_host_bw;
-    hints.ipc_cma_threshold = ipc.shm_cma_threshold;
-    hints.ipc_latency_ns = ipc.latency_ns;
-    hints.d2h_bw = config_.gpu_cost.d2h_bw;
-    hints.h2d_bw = config_.gpu_cost.h2d_bw;
-    hints.reduce_bw = config_.gpu_cost.reduce_bw;
-    hints.ipc_peer_bw = config_.gpu_cost.peer_d2d_bw;
-    hints.copy_launch_ns = config_.gpu_cost.copy_launch_ns;
-    hints.kernel_launch_ns = config_.gpu_cost.kernel_launch_ns;
+    hints.fabric = config_.net_cost;
+    hints.gpu = config_.gpu_cost;
+    hints.ipc = netsim::IpcCostModel::from_gpu(config_.gpu_cost);
     for (auto& comm : comms_) comm->coll().set_cost_hints(hints);
   }
 }

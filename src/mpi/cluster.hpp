@@ -161,8 +161,8 @@ class Cluster {
   /// Per-collective counters of one rank (calls, two-level calls, bytes,
   /// intra/leader phases; valid after run()).
   const detail::CollStats& coll_stats(int rank) const;
-  /// Cost facts the rank's coll_select = auto consults (derived from the
-  /// fabric and IPC cost models at construction).
+  /// Cost models the rank's collective shape rule and device schedule
+  /// choice read (copied from the fabric, IPC and GPU models).
   const detail::CollCostHints& coll_cost_hints(int rank) const;
   /// VbufPool::audit() of one rank: "" when the pool accounting is
   /// consistent, else a description of the first violation.

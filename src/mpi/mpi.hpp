@@ -60,6 +60,7 @@ namespace detail {
 struct ReqState;
 struct CommGroup;
 class RankComm;
+struct CollAccess;
 }  // namespace detail
 
 /// Per-rank MPI API call counters (productivity accounting, paper Table I).
@@ -213,8 +214,8 @@ class Communicator {
   // live in GPU device memory (GPU-aware collectives — the "more
   // applications" direction of the paper's future work). When the topology
   // co-locates ranks, two-level (intra-node + leader) variants run the
-  // node-local phase over the IPC transport; see docs/COLLECTIVES.md and
-  // the coll_select tunable.
+  // node-local phase over the IPC transport where a fixed rule says they
+  // pay off; see docs/COLLECTIVES.md, "Selection".
 
   /// MPI_Barrier (dissemination algorithm).
   void barrier();
@@ -252,6 +253,8 @@ class Communicator {
  private:
   friend class Cluster;
   friend class PersistentRequest;
+  // Test access to the collective engine's shaped entry points.
+  friend struct detail::CollAccess;
   explicit Communicator(detail::RankComm* impl);
   Communicator(detail::RankComm* impl,
                std::shared_ptr<const detail::CommGroup> group);

@@ -334,19 +334,6 @@ sim::SimTime run_contig(const ClusterConfig& cfg, int bytes) {
   return cluster.elapsed();
 }
 
-TEST(Sched, InflightCapOneSerializesThePipeline) {
-  // max_inflight_chunks = 1 degenerates the pipeline to chunk-at-a-time
-  // (each chunk waits for the previous chunk's ack — the paper's n = 1
-  // non-pipelined shape): still byte-exact, strictly slower than the
-  // windowed pipeline.
-  ClusterConfig windowed = fair_config();
-  ClusterConfig capped = fair_config();
-  capped.tunables.max_inflight_chunks = 1;
-  const sim::SimTime fast = run_contig(windowed, 1 << 20);
-  const sim::SimTime slow = run_contig(capped, 1 << 20);
-  EXPECT_GT(slow, fast);
-}
-
 TEST(Sched, AdaptiveDepthShrinksUnderContentionAndGrowsBackWhenCalm) {
   // Phase 1: four contiguous 512 KB transfers fight over an 8-slot pool —
   // pool-contended denials halve the sender's pipeline depth. Phase 2
@@ -402,8 +389,8 @@ TEST(Sched, AdaptiveDepthShrinksUnderContentionAndGrowsBackWhenCalm) {
 TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   // Unit-level: drive the scheduler's ECN control loop directly. Under
   // kFifo with marking armed the depth opens at the ceiling, one marked
-  // ack halves it, marks within the same episode are absorbed, and
-  // ecn_restore_chunks clean acks earn one step back.
+  // ack halves it, marks within the same episode are absorbed, and 16
+  // clean acks earn one step back.
   sim::Engine eng;
   netsim::Fabric fab(eng, 2, netsim::NetCostModel::qdr_ib());
   core::FabricTransport ft(fab.endpoint(0));
@@ -411,7 +398,6 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   core::VbufPool pool(32, 64 * 1024);
   core::Tunables tun;
   tun.ecn_backlog_ns = 1000;
-  tun.ecn_restore_chunks = 4;
   core::TransferScheduler sched(eng, pool, tun, router);
   ASSERT_TRUE(sched.ecn_enabled());
   sched.register_transfer(7);
@@ -428,8 +414,8 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   EXPECT_EQ(sched.inflight_cap(), open / 2);
   EXPECT_EQ(sched.stats().ecn_marks, 2u);
   EXPECT_EQ(sched.stats().depth_shrinks_ecn, 1u);
-  // Hysteresis growth: exactly ecn_restore_chunks clean acks per step.
-  for (int i = 0; i < 3; ++i) sched.note_chunk_ack(7, false);
+  // Hysteresis growth: exactly 16 clean acks per step.
+  for (int i = 0; i < 15; ++i) sched.note_chunk_ack(7, false);
   EXPECT_EQ(sched.inflight_cap(), open / 2);
   sched.note_chunk_ack(7, false);
   EXPECT_EQ(sched.inflight_cap(), open / 2 + 1);
@@ -463,7 +449,6 @@ TEST(Sched, EcnFeedbackThrottlesFunneledIncastEndToEnd) {
   cfg.topology = netsim::FabricTopology::fat_tree(2, 2.0);  // 1 uplink/leaf
   cfg.tunables.chunk_select = core::ChunkSelect::kFixed;
   cfg.tunables.ecn_backlog_ns = 10'000;
-  cfg.tunables.ecn_restore_chunks = 4;
   Cluster cluster(cfg);
   std::size_t mismatches = 0;
   cluster.run([&](Context& ctx) {

@@ -175,7 +175,6 @@ TEST(Tunables, ConcurrencyKnobsDefaultToLegacyBehaviour) {
   // pipeline exactly; that is the ablation baseline.
   Tunables t;
   EXPECT_EQ(t.sched_policy, mv2gnc::core::SchedPolicy::kFifo);
-  EXPECT_EQ(t.max_inflight_chunks, 0u);
   EXPECT_EQ(t.ack_coalesce_window_ns, 0);
 }
 
@@ -183,13 +182,11 @@ TEST(Tunables, ConcurrencyKnobsRoundTrip) {
   Tunables t;
   t.sched_policy = mv2gnc::core::SchedPolicy::kFair;
   t.vbuf_reserve_per_transfer = 3;
-  t.max_inflight_chunks = 6;
   t.ack_coalesce_window_ns = 40'000;
   std::istringstream in(t.to_config_string());
   Tunables u = Tunables::from_stream(in);
   EXPECT_EQ(u.sched_policy, mv2gnc::core::SchedPolicy::kFair);
   EXPECT_EQ(u.vbuf_reserve_per_transfer, 3u);
-  EXPECT_EQ(u.max_inflight_chunks, 6u);
   EXPECT_EQ(u.ack_coalesce_window_ns, 40'000);
 }
 
@@ -275,7 +272,6 @@ TEST(Tunables, RoutingAndEcnKnobsDefaultOff) {
   Tunables t;
   EXPECT_EQ(t.route_select, mv2gnc::core::RouteSelect::kDmodK);
   EXPECT_EQ(t.ecn_backlog_ns, 0);
-  EXPECT_EQ(t.ecn_restore_chunks, 16u);
 }
 
 TEST(Tunables, RoutingAndEcnKnobsRoundTrip) {
@@ -286,7 +282,6 @@ TEST(Tunables, RoutingAndEcnKnobsRoundTrip) {
     Tunables t;
     t.route_select = route;
     t.ecn_backlog_ns = 25'000;
-    t.ecn_restore_chunks = 8;
     const std::string rendered = t.to_config_string();
     EXPECT_NE(rendered.find(std::string("route_select = ") + name),
               std::string::npos);
@@ -294,7 +289,6 @@ TEST(Tunables, RoutingAndEcnKnobsRoundTrip) {
     Tunables u = Tunables::from_stream(in);
     EXPECT_EQ(u.route_select, route);
     EXPECT_EQ(u.ecn_backlog_ns, 25'000);
-    EXPECT_EQ(u.ecn_restore_chunks, 8u);
   }
 }
 
@@ -307,9 +301,24 @@ TEST(Tunables, ValidationCatchesBadEcnKnobs) {
   Tunables t;
   t.ecn_backlog_ns = -1;
   EXPECT_THROW(t.validate(), std::invalid_argument);
-  t = Tunables{};
-  t.ecn_restore_chunks = 0;  // would grow back on every clean ack
-  EXPECT_THROW(t.validate(), std::invalid_argument);
+}
+
+TEST(Tunables, ParserRejectsDeletedSelectionAndDepthKnobs) {
+  // Collectives pick flat or two-level by a fixed rule, the scheduler's
+  // depth has no per-transfer cap and ECN regrows after a fixed 16 clean
+  // acks: none of these is a config key any more, whatever its value.
+  for (const char* line :
+       {"coll_select = auto\n", "coll_select = flat\n",
+        "coll_select = hier\n", "max_inflight_chunks = 0\n",
+        "max_inflight_chunks = 4\n", "ecn_restore_chunks = 16\n"}) {
+    std::istringstream bad(line);
+    EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument) << line;
+  }
+  const std::string cfg = Tunables{}.to_config_string();
+  for (const char* key :
+       {"coll_select", "max_inflight_chunks", "ecn_restore_chunks"}) {
+    EXPECT_EQ(cfg.find(key), std::string::npos) << key;
+  }
 }
 
 TEST(Tunables, ParserRejectsDeletedDeviceCollectiveKnobs) {

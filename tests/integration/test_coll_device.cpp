@@ -16,6 +16,7 @@
 
 #include "mpi/cluster.hpp"
 #include "mpi/coll.hpp"
+#include "support/coll_access.hpp"
 
 namespace core = mv2gnc::core;
 namespace netsim = mv2gnc::netsim;
@@ -25,7 +26,9 @@ using mpisim::Cluster;
 using mpisim::ClusterConfig;
 using mpisim::Context;
 using mpisim::Datatype;
+using mpisim::detail::CollAccess;
 using mpisim::detail::CollOpStats;
+using mpisim::detail::CollShape;
 
 namespace {
 
@@ -40,12 +43,11 @@ constexpr std::uint64_t kMinSlices = 3;
 
 // `gpu_offload = false` is the staged baseline (the PCIe ablation); with
 // the default `true` the cost model picks the pipeline at these sizes.
-ClusterConfig matrix_config(int ranks, int rpn, core::CollSelect sel,
-                            bool gpu_offload, core::TriggerMode trig) {
+ClusterConfig matrix_config(int ranks, int rpn, bool gpu_offload,
+                            core::TriggerMode trig) {
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
-  cfg.tunables.coll_select = sel;
   cfg.tunables.gpu_offload = gpu_offload;
   cfg.tunables.trigger_mode = trig;
   return cfg;
@@ -68,12 +70,23 @@ void expect_pools_quiesced(Cluster& cluster) {
   }
 }
 
+// How a run picks the flat-vs-two-level shape: forced through the
+// engine's shaped entry points, or by the public operation's rule.
+enum class Sel { kFlat, kHier, kAuto };
+
+const CollShape* forced(Sel sel) {
+  static constexpr CollShape kFlat = CollShape::kFlat;
+  static constexpr CollShape kTwoLevel = CollShape::kTwoLevel;
+  return sel == Sel::kFlat ? &kFlat : sel == Sel::kHier ? &kTwoLevel : nullptr;
+}
+
 // Every rank's result plus the schedule census of the one collective call.
 template <typename T>
 struct Run {
   std::vector<std::vector<T>> out;
   std::uint64_t device_calls = 0;  // summed over ranks
   std::uint64_t pipelined = 0;     // summed over ranks
+  std::uint64_t hier_calls = 0;    // summed over ranks
   std::uint64_t min_slices = 0;    // fewest slices any rank cut
 };
 
@@ -85,6 +98,7 @@ void census(Run<T>& run, Cluster& cluster,
     const CollOpStats& s = cluster.coll_stats(r).*op;
     run.device_calls += s.device_calls;
     run.pipelined += s.device_pipelined;
+    run.hier_calls += s.hier_calls;
     run.min_slices = std::min(run.min_slices, s.device_slices);
   }
 }
@@ -108,7 +122,7 @@ void expect_pipelined(const Run<T>& run, int ranks, const std::string& what,
 // One allreduce_sum of `count` doubles over the given config; device = true
 // stages the operands through registered device memory.
 Run<double> run_allreduce(const ClusterConfig& cfg, bool device,
-                          int count = kCount) {
+                          int count = kCount, Sel sel = Sel::kAuto) {
   Run<double> run;
   run.out.assign(static_cast<std::size_t>(cfg.ranks),
                  std::vector<double>(static_cast<std::size_t>(count)));
@@ -117,16 +131,22 @@ Run<double> run_allreduce(const ClusterConfig& cfg, bool device,
     const std::vector<double> in = seed_vector(ctx.rank, count);
     std::vector<double>& res = run.out[static_cast<std::size_t>(ctx.rank)];
     const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
+    auto allreduce = [&](const double* a, double* b) {
+      const CollShape* shape = forced(sel);
+      shape ? CollAccess::engine(ctx.comm).allreduce_doubles(
+                  a, b, count, false, CollAccess::group(ctx.comm), *shape)
+            : ctx.comm.allreduce_sum(a, b, count);
+    };
     if (device) {
       auto* din = static_cast<double*>(ctx.cuda->malloc(bytes));
       auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(din, in.data(), bytes);
-      ctx.comm.allreduce_sum(din, dout, count);
+      allreduce(din, dout);
       ctx.cuda->memcpy(res.data(), dout, bytes);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
     } else {
-      ctx.comm.allreduce_sum(in.data(), res.data(), count);
+      allreduce(in.data(), res.data());
     }
   });
   expect_pools_quiesced(cluster);
@@ -134,7 +154,8 @@ Run<double> run_allreduce(const ClusterConfig& cfg, bool device,
   return run;
 }
 
-Run<std::int32_t> run_bcast(const ClusterConfig& cfg, bool device, int root) {
+Run<std::int32_t> run_bcast(const ClusterConfig& cfg, bool device, int root,
+                            Sel sel = Sel::kAuto) {
   Run<std::int32_t> run;
   run.out.assign(static_cast<std::size_t>(cfg.ranks),
                  std::vector<std::int32_t>(
@@ -150,14 +171,21 @@ Run<std::int32_t> run_bcast(const ClusterConfig& cfg, bool device, int root) {
     auto dt = Datatype::int32();
     dt.commit();
     const std::size_t bytes = sizeof(std::int32_t) * kBcastCount;
+    auto bcast = [&](std::int32_t* b) {
+      const CollShape* shape = forced(sel);
+      shape ? CollAccess::engine(ctx.comm).bcast(
+                  b, kBcastCount, dt, root, CollAccess::group(ctx.comm),
+                  *shape)
+            : ctx.comm.bcast(b, kBcastCount, dt, root);
+    };
     if (device) {
       auto* dbuf = static_cast<std::int32_t*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(dbuf, buf.data(), bytes);
-      ctx.comm.bcast(dbuf, kBcastCount, dt, root);
+      bcast(dbuf);
       ctx.cuda->memcpy(buf.data(), dbuf, bytes);
       ctx.cuda->free(dbuf);
     } else {
-      ctx.comm.bcast(buf.data(), kBcastCount, dt, root);
+      bcast(buf.data());
     }
   });
   expect_pools_quiesced(cluster);
@@ -165,7 +193,8 @@ Run<std::int32_t> run_bcast(const ClusterConfig& cfg, bool device, int root) {
   return run;
 }
 
-Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device) {
+Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device,
+                             Sel sel = Sel::kAuto) {
   const std::size_t total =
       static_cast<std::size_t>(kBlock) * static_cast<std::size_t>(cfg.ranks);
   Run<std::byte> run;
@@ -181,16 +210,22 @@ Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device) {
     auto dt = Datatype::byte();
     dt.commit();
     std::vector<std::byte>& res = run.out[static_cast<std::size_t>(ctx.rank)];
+    auto allgather = [&](const std::byte* a, std::byte* b) {
+      const CollShape* shape = forced(sel);
+      shape ? CollAccess::engine(ctx.comm).allgather(
+                  a, kBlock, dt, b, CollAccess::group(ctx.comm), *shape)
+            : ctx.comm.allgather(a, kBlock, dt, b);
+    };
     if (device) {
       auto* din = static_cast<std::byte*>(ctx.cuda->malloc(in.size()));
       auto* dout = static_cast<std::byte*>(ctx.cuda->malloc(total));
       ctx.cuda->memcpy(din, in.data(), in.size());
-      ctx.comm.allgather(din, kBlock, dt, dout);
+      allgather(din, dout);
       ctx.cuda->memcpy(res.data(), dout, total);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
     } else {
-      ctx.comm.allgather(in.data(), kBlock, dt, res.data());
+      allgather(in.data(), res.data());
     }
   });
   expect_pools_quiesced(cluster);
@@ -202,28 +237,43 @@ Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device) {
 
 // ---------------------------------------------------------------------------
 // Byte-compare matrix: host == device-staged == device-pipelined across
-// rpn x coll_select x trigger_mode.
+// rpn x shape (forced flat, forced two-level, the rule) x trigger_mode.
 // ---------------------------------------------------------------------------
 
 struct MatrixCase {
   int rpn;
-  core::CollSelect sel;
+  Sel sel;
   core::TriggerMode trig;
 };
+
+// The forced shapes must actually run: two-level wherever a node holds
+// two or more ranks, flat everywhere else.
+template <typename T>
+void expect_shape(const Run<T>& run, const MatrixCase& mc,
+                  const std::string& what) {
+  if (mc.sel == Sel::kFlat || mc.rpn == 1) {
+    EXPECT_EQ(run.hier_calls, 0u) << what;
+  } else if (mc.sel == Sel::kHier) {
+    EXPECT_EQ(run.hier_calls, 8u) << what;
+  }
+}
 
 class CollDeviceMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
-  const auto host = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, true, mc.trig), /*device=*/false);
-  const auto staged = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, false, mc.trig), /*device=*/true);
-  const auto piped = run_allreduce(
-      matrix_config(8, mc.rpn, mc.sel, true, mc.trig), /*device=*/true);
+  const auto host = run_allreduce(matrix_config(8, mc.rpn, true, mc.trig),
+                                  /*device=*/false, kCount, mc.sel);
+  const auto staged = run_allreduce(matrix_config(8, mc.rpn, false, mc.trig),
+                                    /*device=*/true, kCount, mc.sel);
+  const auto piped = run_allreduce(matrix_config(8, mc.rpn, true, mc.trig),
+                                   /*device=*/true, kCount, mc.sel);
   EXPECT_EQ(host.device_calls, 0u);
   expect_staged(staged, 8, "gpu_offload = false");
   expect_pipelined(piped, 8, "default tunables");
+  expect_shape(host, mc, "host");
+  expect_shape(staged, mc, "staged");
+  expect_shape(piped, mc, "pipelined");
   for (int r = 0; r < 8; ++r) {
     const auto& h = host.out[static_cast<std::size_t>(r)];
     EXPECT_EQ(0, std::memcmp(h.data(),
@@ -240,14 +290,20 @@ TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
 TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
   const auto mk = [&](bool gpu_offload) {
-    return matrix_config(8, mc.rpn, mc.sel, gpu_offload, mc.trig);
+    return matrix_config(8, mc.rpn, gpu_offload, mc.trig);
   };
-  const auto bhost = run_bcast(mk(true), false, 2);
-  const auto bstaged = run_bcast(mk(false), true, 2);
-  const auto bpiped = run_bcast(mk(true), true, 2);
-  const auto ghost = run_allgather(mk(true), false);
-  const auto gstaged = run_allgather(mk(false), true);
-  const auto gpiped = run_allgather(mk(true), true);
+  const auto bhost = run_bcast(mk(true), false, 2, mc.sel);
+  const auto bstaged = run_bcast(mk(false), true, 2, mc.sel);
+  const auto bpiped = run_bcast(mk(true), true, 2, mc.sel);
+  const auto ghost = run_allgather(mk(true), false, mc.sel);
+  const auto gstaged = run_allgather(mk(false), true, mc.sel);
+  const auto gpiped = run_allgather(mk(true), true, mc.sel);
+  for (const auto* r : {&bhost, &bstaged, &bpiped}) {
+    expect_shape(*r, mc, "bcast");
+  }
+  for (const auto* r : {&ghost, &gstaged, &gpiped}) {
+    expect_shape(*r, mc, "allgather");
+  }
   expect_staged(bstaged, 8, "bcast, gpu_offload = false");
   expect_pipelined(bpiped, 8, "bcast, default tunables");
   expect_staged(gstaged, 8, "allgather, gpu_offload = false");
@@ -270,21 +326,21 @@ TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
 INSTANTIATE_TEST_SUITE_P(
     Placements, CollDeviceMatrix,
     ::testing::Values(
-        MatrixCase{1, core::CollSelect::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{1, core::CollSelect::kAuto, core::TriggerMode::kStream},
-        MatrixCase{2, core::CollSelect::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{2, core::CollSelect::kHier, core::TriggerMode::kPolled},
-        MatrixCase{2, core::CollSelect::kHier, core::TriggerMode::kStream},
-        MatrixCase{2, core::CollSelect::kAuto, core::TriggerMode::kPolled},
-        MatrixCase{4, core::CollSelect::kFlat, core::TriggerMode::kStream},
-        MatrixCase{4, core::CollSelect::kHier, core::TriggerMode::kPolled},
-        MatrixCase{4, core::CollSelect::kAuto, core::TriggerMode::kStream}),
+        MatrixCase{1, Sel::kFlat, core::TriggerMode::kPolled},
+        MatrixCase{1, Sel::kAuto, core::TriggerMode::kStream},
+        MatrixCase{2, Sel::kFlat, core::TriggerMode::kPolled},
+        MatrixCase{2, Sel::kHier, core::TriggerMode::kPolled},
+        MatrixCase{2, Sel::kHier, core::TriggerMode::kStream},
+        MatrixCase{2, Sel::kAuto, core::TriggerMode::kPolled},
+        MatrixCase{4, Sel::kFlat, core::TriggerMode::kStream},
+        MatrixCase{4, Sel::kHier, core::TriggerMode::kPolled},
+        MatrixCase{4, Sel::kAuto, core::TriggerMode::kStream}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
       const MatrixCase& mc = info.param;
       std::string name = "rpn" + std::to_string(mc.rpn);
-      name += mc.sel == core::CollSelect::kFlat    ? "_flat"
-              : mc.sel == core::CollSelect::kHier ? "_hier"
-                                                  : "_auto";
+      name += mc.sel == Sel::kFlat    ? "_flat"
+              : mc.sel == Sel::kHier ? "_hier"
+                                     : "_auto";
       name += mc.trig == core::TriggerMode::kStream ? "_stream" : "_polled";
       return name;
     });
@@ -295,9 +351,9 @@ TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
   for (core::TriggerMode trig :
        {core::TriggerMode::kPolled, core::TriggerMode::kStream}) {
     const auto host = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto, true, trig), false);
+        matrix_config(6, 2, true, trig), false);
     const auto piped = run_allreduce(
-        matrix_config(6, 2, core::CollSelect::kAuto, true, trig), true);
+        matrix_config(6, 2, true, trig), true);
     expect_pipelined(piped, 6, "6 ranks");
     for (int r = 0; r < 6; ++r) {
       EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
@@ -326,11 +382,25 @@ TEST(CollDevice, DefaultTunablesPickScheduleByMessageSize) {
   EXPECT_EQ(small.out, small_host.out);
 }
 
+// The cost model prices the short last slice (and its PCIe legs) at its
+// own size, so 256 KB + 8 B on 8 ranks at 2 per node pipelines as 256 KB
+// does.
+TEST(CollDevice, DefaultPipelinesJustPastSliceMultiple) {
+  constexpr int kCount256K = (256 << 10) / static_cast<int>(sizeof(double));
+  const ClusterConfig cfg =
+      matrix_config(8, 2, true, core::TriggerMode::kPolled);
+  const auto host = run_allreduce(cfg, false, kCount256K + 1);
+  const auto at = run_allreduce(cfg, true, kCount256K);
+  const auto past = run_allreduce(cfg, true, kCount256K + 1);
+  expect_pipelined(at, 8, "256 KB", 1);
+  expect_pipelined(past, 8, "256 KB + 8 B", 1);
+  EXPECT_EQ(past.out, host.out);
+}
+
 // Mixed residency (device send buffer, host recv buffer) must still agree
 // with the host result — it rides the staged schedule's wire leg.
 TEST(CollDevice, MixedResidencyFallsBackToStaged) {
-  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kAuto, true,
-                                    core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(4, 2, true, core::TriggerMode::kPolled);
   std::vector<std::vector<double>> out(
       4, std::vector<double>(static_cast<std::size_t>(kCount)));
   Cluster cluster(cfg);
@@ -365,8 +435,7 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, PipelinedCountersAndPeerBytes) {
-  ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kHier, true,
-                                    core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(8, 2, true, core::TriggerMode::kPolled);
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
     const std::vector<double> in = seed_vector(ctx.rank, kCount);
@@ -382,9 +451,10 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
     const auto& ar = cluster.coll_stats(r).allreduce;
     EXPECT_EQ(ar.device_calls, 1u) << "rank " << r;
     EXPECT_EQ(ar.device_pipelined, 1u) << "rank " << r;
+    EXPECT_EQ(ar.hier_calls, 1u) << "rank " << r;
     EXPECT_GE(ar.device_slices, kMinSlices) << "rank " << r;
     EXPECT_GT(ar.reduce_kernels, 0u) << "rank " << r;
-    // Hier at rpn 2: the intra rings exchanged device pointers over the
+    // Two-level at rpn 2: the intra rings exchanged device pointers over the
     // device-direct IPC peer path; the fabric stripe staged across PCIe.
     EXPECT_GT(ar.bytes_peer, 0u) << "rank " << r;
     EXPECT_GT(ar.bytes_staged, 0u) << "rank " << r;
@@ -397,12 +467,11 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
-  ClusterConfig clean = matrix_config(8, 2, core::CollSelect::kAuto, true,
-                                      core::TriggerMode::kPolled);
+  ClusterConfig clean = matrix_config(8, 2, true, core::TriggerMode::kPolled);
   const auto host = run_allreduce(clean, false);
   for (bool gpu_offload : {false, true}) {
-    ClusterConfig cfg = matrix_config(8, 2, core::CollSelect::kAuto,
-                                      gpu_offload, core::TriggerMode::kPolled);
+    ClusterConfig cfg =
+        matrix_config(8, 2, gpu_offload, core::TriggerMode::kPolled);
     cfg.rng_seed = 23;
     netsim::FaultSpec drop;
     drop.drop_send = 0.02;
@@ -425,8 +494,7 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
-  ClusterConfig cfg = matrix_config(4, 2, core::CollSelect::kHier, true,
-                                    core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(4, 2, true, core::TriggerMode::kPolled);
   cfg.rng_seed = 11;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.tunables.rndv_max_retries = 3;
@@ -461,6 +529,7 @@ TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
     const auto& o = outcome[static_cast<std::size_t>(r)];
     EXPECT_GT(cluster.coll_stats(r).allreduce.device_pipelined, 0u)
         << "rank " << r;
+    EXPECT_GT(cluster.coll_stats(r).allreduce.hier_calls, 0u) << "rank " << r;
     EXPECT_TRUE(o.finished) << "rank " << r << " hung";
     EXPECT_NE(o.error.find("aborted"), std::string::npos)
         << "rank " << r << ": " << o.error;
