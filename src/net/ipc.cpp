@@ -206,8 +206,7 @@ double IpcChannel::copy_bw(const void* src, const void* dst,
   const bool dst_dev = registry_.is_device_pointer(dst);
   if (src_dev && dst_dev) return cost_.peer_d2d_bw;
   if (src_dev || dst_dev) return cost_.pcie_bw;
-  return bytes >= cost_.shm_cma_threshold ? cost_.cma_host_bw
-                                          : cost_.shm_host_bw;
+  return cost_.host_copy_bw(bytes);
 }
 
 }  // namespace mv2gnc::netsim

@@ -58,6 +58,12 @@ struct IpcCostModel {
   double cma_host_bw = 11.0;
   std::size_t shm_cma_threshold = 64 * 1024;
 
+  /// Rate of a host<->host payload copy of `bytes`: shm below the
+  /// threshold, CMA at or above it.
+  double host_copy_bw(std::size_t bytes) const {
+    return bytes >= shm_cma_threshold ? cma_host_bw : shm_host_bw;
+  }
+
   sim::SimTime copy_time(std::size_t bytes, double bw) const {
     return static_cast<sim::SimTime>(static_cast<double>(bytes) / bw);
   }
