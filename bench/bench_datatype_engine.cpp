@@ -103,7 +103,7 @@ void BM_TypeCommitVector(benchmark::State& state) {
   for (auto _ : state) {
     auto t = Datatype::vector(rows, 1, 4, Datatype::float32());
     t.commit();
-    benchmark::DoNotOptimize(t.segments().data());
+    benchmark::DoNotOptimize(t.blocks().data());
   }
 }
 BENCHMARK(BM_TypeCommitVector)->Range(256, 1 << 16);

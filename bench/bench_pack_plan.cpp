@@ -3,8 +3,10 @@
 // Three claims, in order:
 //   1. The plan cache removes per-send planning overhead: a warm
 //      PlanCache::get is >= 10x cheaper than rebuilding the plan (the
-//      flatten + decompose work every send paid before the cache).
-//      This section measures real wall-clock time, not simulated time.
+//      decompose work every send paid before the cache). A regular type
+//      costs O(blocks), not O(rows), to commit and plan cold: fig5's 4 MB
+//      vector(n, 1, 2, float) is one strided block. This section measures
+//      real wall-clock time, not simulated time.
 //   2. Sub-pattern decomposition pays on the wire: a decomposable
 //      hindexed layout (batched cudaMemcpy2DAsync pack) beats a
 //      degenerate layout of identical packed size and run count that
@@ -47,7 +49,9 @@ double wall_ns_per_call(int iters, Fn&& fn) {
   return std::chrono::duration<double, std::nano>(t1 - t0).count() / iters;
 }
 
-// 4096-run hindexed type: big enough that flatten + decompose dominate.
+// 4096-run hindexed type. Commit flattens it (hindexed has no canonical
+// form) and groups its evenly spaced runs into one block, so its plan
+// build is O(blocks).
 Datatype planning_workload() {
   std::vector<int> lens(4096, 64);
   std::vector<std::int64_t> displs(4096);
@@ -152,6 +156,20 @@ int main() {
   json.add("plan_cold_build_ns", cold_ns);
   json.add("plan_warm_get_ns", warm_ns);
   json.add("plan_cache_speedup", speedup);
+
+  // A fresh handle each call, so nothing is cached: the set-up cost every
+  // rank pays before its first 4 MB vector send.
+  constexpr int kFig5Rows = (4 << 20) / 4;
+  constexpr int kCommitIters = 50;
+  const double commit_plan_ns = wall_ns_per_call(kCommitIters, [] {
+    Datatype t = Datatype::vector(kFig5Rows, 1, 2, Datatype::float32());
+    t.commit();
+    auto p = core::PackPlan::build(t, 1);
+    (void)p;
+  });
+  std::cout << "\nfig5 4 MB vector(n, 1, 2, float), cold (wall clock):\n"
+            << "  commit + PackPlan::build: " << commit_plan_ns << " ns\n";
+  json.add("fig5_4mb_vector_commit_plan_ns", commit_plan_ns);
 
   // -- 2. irregular layouts: batched 2-D vs generalized kernel -------------
   bench::banner("Irregular pipelined latency: batched 2-D vs generalized",

@@ -1,11 +1,17 @@
 // halo3d: 3-D halo exchange with subarray datatypes on GPU memory.
 //
 // Goes beyond the paper's vector types: each rank owns a 3-D brick in
-// device memory and exchanges six face halos described with
-// MPI_Type_create_subarray-style datatypes. The X faces are fully
-// contiguous planes, the Y and Z faces are strided — the Z face is a
-// uniform 2-D pattern (offloaded as a cudaMemcpy2D), while the Y face is
-// an irregular gather handled by the generalized device pack kernel.
+// device memory, and its face halos are described with
+// MPI_Type_create_subarray-style datatypes (this example exchanges the
+// Z faces). No face is contiguous, since every interior row skips the
+// halo cells. Their pack plans:
+//   * Z face (dim 0): 48 rows of 64 doubles, one uniform 2-D pattern
+//     (kSingleVector, 48 rows), packed by one cudaMemcpy2D;
+//   * Y face (dim 1): one row of 64 doubles in each of 32 planes, also
+//     kSingleVector (32 rows);
+//   * X face (dim 2): a column of 48 doubles in each of 32 planes, a 3-D
+//     block the plan splits into 32 sub-patterns of 48 rows
+//     (kSubPatterned), packed by one cudaMemcpy2D per plane.
 //
 // Build & run:  ./examples/halo3d
 #include <array>

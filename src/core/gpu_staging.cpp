@@ -3,48 +3,42 @@
 #include <algorithm>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace mv2gnc::core {
 
 namespace {
 
-using mpisim::VectorPattern;
-
-struct PatternSlice {
-  std::byte* first_block;  // address of the first block in the range
-  std::size_t rows;
-  std::size_t block;
-  std::size_t stride;
-};
-
-// Resolve packed range [offset, offset+bytes) of a patterned message to a
-// 2-D region. Requires block-aligned offset/bytes.
-PatternSlice slice_pattern(const MsgView& msg, std::size_t offset,
-                           std::size_t bytes) {
-  const VectorPattern& p = *msg.pattern;
-  if (p.stride_bytes <= 0 ||
-      static_cast<std::size_t>(p.stride_bytes) < p.block_bytes) {
-    throw std::logic_error("slice_pattern: degenerate stride");
-  }
-  if (offset % p.block_bytes != 0 || bytes % p.block_bytes != 0) {
-    throw std::logic_error("slice_pattern: range not block-aligned");
-  }
-  const std::size_t r0 = offset / p.block_bytes;
-  const std::size_t rows = bytes / p.block_bytes;
-  if (r0 + rows > p.count) {
-    throw std::out_of_range("slice_pattern: range beyond pattern");
-  }
-  std::byte* first =
-      static_cast<std::byte*>(msg.base) + msg.dtype.segments().front().offset +
-      static_cast<std::int64_t>(r0) * p.stride_bytes;
-  return PatternSlice{first, rows, p.block_bytes,
-                      static_cast<std::size_t>(p.stride_bytes)};
+// The plan's one sub-pattern when the whole message is a single uniform
+// 2-D pattern (kSingleVector), else null.
+const SubPattern* single_pattern(const MsgView& msg) {
+  return msg.plan->layout() == LayoutClass::kSingleVector
+             ? &msg.plan->subpatterns().front()
+             : nullptr;
 }
 
-bool patterned(const MsgView& msg) {
-  return msg.pattern.has_value() && msg.pattern->stride_bytes > 0 &&
-         static_cast<std::size_t>(msg.pattern->stride_bytes) >=
-             msg.pattern->block_bytes;
+std::byte* row_ptr(const MsgView& msg, const SubPattern& sp, std::size_t row) {
+  return static_cast<std::byte*>(msg.base) + sp.first_offset +
+         static_cast<std::int64_t>(row) * sp.stride;
+}
+
+// The single pattern a strided copy walks for packed range [offset,
+// offset+bytes), which must cover whole rows of it.
+const SubPattern& whole_rows(const MsgView& msg, std::size_t offset,
+                             std::size_t bytes, const char* api) {
+  const SubPattern* sp = single_pattern(msg);
+  if (sp == nullptr) {
+    throw std::logic_error(std::string(api) +
+                           ": strided copy requires a single-vector layout; "
+                           "use the pipeline path for other datatypes");
+  }
+  if (offset % sp->block != 0 || bytes % sp->block != 0) {
+    throw std::logic_error(std::string(api) + ": range not block-aligned");
+  }
+  if ((offset + bytes) / sp->block > sp->rows) {
+    throw std::out_of_range(std::string(api) + ": range beyond pattern");
+  }
+  return *sp;
 }
 
 // Generalized device pack/unpack kernel: a per-run gather/scatter over
@@ -57,18 +51,7 @@ cusim::Event submit_generalized(cusim::CudaContext& ctx, cusim::Stream& stream,
                                 std::size_t bytes, std::byte* dense,
                                 bool packing) {
   const auto& cost = ctx.device().cost();
-  std::size_t runs;
-  if (msg.plan && msg.plan->packed_bytes() > 0) {
-    runs = msg.plan->segments_in_range(offset, bytes);
-  } else {
-    const std::size_t total_segs = msg.dtype.total_segments(msg.count);
-    const double frac = msg.packed_bytes
-                            ? static_cast<double>(bytes) /
-                                  static_cast<double>(msg.packed_bytes)
-                            : 0.0;
-    runs = static_cast<std::size_t>(static_cast<double>(total_segs) * frac +
-                                    0.5);
-  }
+  const std::size_t runs = msg.plan->segments_in_range(offset, bytes);
   const sim::SimTime dur =
       cost.d2d_2d_setup_ns + cost.copy_launch_ns +
       static_cast<sim::SimTime>(static_cast<double>(runs) *
@@ -87,16 +70,16 @@ cusim::Event submit_generalized(cusim::CudaContext& ctx, cusim::Stream& stream,
   return ctx.record_event(stream);
 }
 
-// Batched sub-pattern pack/unpack: the plan decomposed the irregular run
-// list into a few maximal uniform (block, stride, rows) groups, so the
-// packed range becomes a short sequence of 2-D copies (plus 1-D head/tail
-// copies where a chunk boundary splits a row) instead of one degenerate
-// per-row gather.
+// Sub-pattern pack/unpack: the plan grouped the rows into maximal uniform
+// (block, stride, rows) sub-patterns, so the packed range becomes a short
+// sequence of 2-D copies (plus 1-D head/tail copies where a chunk boundary
+// splits a row) instead of one degenerate per-row gather. A single-vector
+// plan has one sub-pattern, so a row-aligned range of it is exactly one
+// cudaMemcpy2DAsync — the offload of paper §IV-A.
 cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
                                  cusim::Stream& stream, const MsgView& msg,
                                  std::size_t offset, std::size_t bytes,
                                  std::byte* dense, bool packing) {
-  auto* base = static_cast<std::byte*>(msg.base);
   const std::size_t end = offset + bytes;
   const auto copy1d = [&](std::byte* strided, std::byte* packed,
                           std::size_t n) {
@@ -117,7 +100,7 @@ cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
     std::byte* d = dense + (sp.packed_offset + lo - offset);
     std::size_t row = lo / sp.block;
     const std::size_t rskip = lo % sp.block;
-    std::byte* const sp_base = base + sp.first_offset;
+    std::byte* const sp_base = row_ptr(msg, sp, 0);
     if (rskip != 0) {  // head: finish the split row with a 1-D copy
       const std::size_t take = std::min(sp.block - rskip, hi - lo);
       copy1d(sp_base + static_cast<std::int64_t>(row) * sp.stride + rskip, d,
@@ -149,20 +132,13 @@ cusim::Event submit_subpatterned(cusim::CudaContext& ctx,
   return ctx.record_event(stream);
 }
 
-// True when the plan carries sub-patterns the batched path can drive
-// (kSingleVector plans carry exactly one, which also serves unaligned
-// slices of patterned messages).
-bool subpatterned(const MsgView& msg) {
-  return msg.plan && !msg.plan->subpatterns().empty();
-}
-
 }  // namespace
 
 std::size_t align_chunk_to_pattern(const MsgView& msg, std::size_t chunk) {
-  if (msg.contiguous || !patterned(msg)) return chunk;
-  const std::size_t block = msg.pattern->block_bytes;
-  if (chunk <= block) return block;
-  return (chunk / block) * block;
+  const SubPattern* sp = msg.contiguous ? nullptr : single_pattern(msg);
+  if (sp == nullptr) return chunk;
+  if (chunk <= sp->block) return sp->block;
+  return (chunk / sp->block) * sp->block;
 }
 
 // ---------------------------------------------------------------------------
@@ -180,25 +156,22 @@ void stage_to_host(cusim::CudaContext& ctx, PackScheme scheme,
                cusim::MemcpyKind::kDeviceToHost);
     return;
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "stage_to_host: strided scheme requires a vector pattern; use the "
-        "pipeline path for irregular datatypes");
-  }
-  const PatternSlice s = slice_pattern(msg, 0, msg.packed_bytes);
+  const SubPattern& sp = whole_rows(msg, 0, msg.packed_bytes, "stage_to_host");
+  std::byte* const first = row_ptr(msg, sp, 0);
+  const auto stride = static_cast<std::size_t>(sp.stride);
   switch (scheme) {
     case PackScheme::kD2H_nc2nc:
       // Same-layout copy out: the host image keeps the device stride.
-      ctx.memcpy2d(host_dst, s.stride, s.first_block, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kDeviceToHost);
+      ctx.memcpy2d(host_dst, stride, first, stride, sp.block, sp.rows,
+                   cusim::MemcpyKind::kDeviceToHost);
       return;
     case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(host_dst, s.block, s.first_block, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kDeviceToHost);
+      ctx.memcpy2d(host_dst, sp.block, first, stride, sp.block, sp.rows,
+                   cusim::MemcpyKind::kDeviceToHost);
       return;
     case PackScheme::kD2D2H_nc2c2c: {
       auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
-      ctx.memcpy2d(tbuf, s.block, s.first_block, s.stride, s.block, s.rows,
+      ctx.memcpy2d(tbuf, sp.block, first, stride, sp.block, sp.rows,
                    cusim::MemcpyKind::kDeviceToDevice);
       ctx.memcpy(host_dst, tbuf, msg.packed_bytes,
                  cusim::MemcpyKind::kDeviceToHost);
@@ -219,25 +192,24 @@ void stage_from_host(cusim::CudaContext& ctx, PackScheme scheme,
                cusim::MemcpyKind::kHostToDevice);
     return;
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "stage_from_host: strided scheme requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, 0, msg.packed_bytes);
+  const SubPattern& sp =
+      whole_rows(msg, 0, msg.packed_bytes, "stage_from_host");
+  std::byte* const first = row_ptr(msg, sp, 0);
+  const auto stride = static_cast<std::size_t>(sp.stride);
   switch (scheme) {
     case PackScheme::kD2H_nc2nc:
-      ctx.memcpy2d(s.first_block, s.stride, host_src, s.stride, s.block,
-                   s.rows, cusim::MemcpyKind::kHostToDevice);
+      ctx.memcpy2d(first, stride, host_src, stride, sp.block, sp.rows,
+                   cusim::MemcpyKind::kHostToDevice);
       return;
     case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(s.first_block, s.stride, host_src, s.block, s.block,
-                   s.rows, cusim::MemcpyKind::kHostToDevice);
+      ctx.memcpy2d(first, stride, host_src, sp.block, sp.block, sp.rows,
+                   cusim::MemcpyKind::kHostToDevice);
       return;
     case PackScheme::kD2D2H_nc2c2c: {
       auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
       ctx.memcpy(tbuf, host_src, msg.packed_bytes,
                  cusim::MemcpyKind::kHostToDevice);
-      ctx.memcpy2d(s.first_block, s.stride, tbuf, s.block, s.block, s.rows,
+      ctx.memcpy2d(first, stride, tbuf, sp.block, sp.block, sp.rows,
                    cusim::MemcpyKind::kDeviceToDevice);
       ctx.free(tbuf);
       return;
@@ -260,17 +232,16 @@ void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(host_dst, msg.base, nbytes, cusim::MemcpyKind::kDeviceToHost);
     return;
   }
-  const bool aligned =
-      patterned(msg) && nbytes % msg.pattern->block_bytes == 0;
-  if (aligned && !offload) {
+  const SubPattern* sp = single_pattern(msg);
+  if (sp != nullptr && nbytes % sp->block == 0 && !offload) {
     auto& stream = ctx.default_stream();
     submit_pcie_pack_to_host(ctx, stream, msg, 0, nbytes, host_dst)
         .synchronize();
     return;
   }
   // Offload (or irregular layout): pack on the device, then contiguous D2H.
-  // submit_device_pack picks 2-D / batched sub-pattern / generalized from
-  // the plan, including unaligned slices.
+  // submit_device_pack picks sub-pattern 2-D copies or the generalized
+  // kernel from the plan, including unaligned slices.
   auto* tbuf = static_cast<std::byte*>(ctx.malloc(nbytes));
   auto& stream = ctx.default_stream();
   submit_device_pack(ctx, stream, msg, 0, nbytes, tbuf).synchronize();
@@ -289,9 +260,8 @@ void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(msg.base, host_src, nbytes, cusim::MemcpyKind::kHostToDevice);
     return;
   }
-  const bool aligned =
-      patterned(msg) && nbytes % msg.pattern->block_bytes == 0;
-  if (aligned && !offload) {
+  const SubPattern* sp = single_pattern(msg);
+  if (sp != nullptr && nbytes % sp->block == 0 && !offload) {
     auto& stream = ctx.default_stream();
     submit_pcie_unpack_from_host(ctx, stream, msg, 0, nbytes, host_src)
         .synchronize();
@@ -316,14 +286,7 @@ cusim::Event submit_device_pack(cusim::CudaContext& ctx, cusim::Stream& stream,
                      bytes, cusim::MemcpyKind::kDeviceToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (patterned(msg) && offset % msg.pattern->block_bytes == 0 &&
-      bytes % msg.pattern->block_bytes == 0) {
-    const PatternSlice s = slice_pattern(msg, offset, bytes);
-    ctx.memcpy2d_async(dst_dev, s.block, s.first_block, s.stride, s.block,
-                       s.rows, cusim::MemcpyKind::kDeviceToDevice, stream);
-    return ctx.record_event(stream);
-  }
-  if (subpatterned(msg)) {
+  if (!msg.plan->subpatterns().empty()) {
     return submit_subpatterned(ctx, stream, msg, offset, bytes, dst_dev,
                                true);
   }
@@ -339,14 +302,7 @@ cusim::Event submit_device_unpack(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kDeviceToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (patterned(msg) && offset % msg.pattern->block_bytes == 0 &&
-      bytes % msg.pattern->block_bytes == 0) {
-    const PatternSlice s = slice_pattern(msg, offset, bytes);
-    ctx.memcpy2d_async(s.first_block, s.stride, src_dev, s.block, s.block,
-                       s.rows, cusim::MemcpyKind::kDeviceToDevice, stream);
-    return ctx.record_event(stream);
-  }
-  if (subpatterned(msg)) {
+  if (!msg.plan->subpatterns().empty()) {
     return submit_subpatterned(ctx, stream, msg, offset, bytes,
                                const_cast<std::byte*>(src_dev), false);
   }
@@ -364,13 +320,12 @@ cusim::Event submit_pcie_pack_to_host(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kDeviceToHost, stream);
     return ctx.record_event(stream);
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "submit_pcie_pack_to_host: requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, offset, bytes);
-  ctx.memcpy2d_async(host_dst, s.block, s.first_block, s.stride, s.block,
-                     s.rows, cusim::MemcpyKind::kDeviceToHost, stream);
+  const SubPattern& sp =
+      whole_rows(msg, offset, bytes, "submit_pcie_pack_to_host");
+  ctx.memcpy2d_async(host_dst, sp.block, row_ptr(msg, sp, offset / sp.block),
+                     static_cast<std::size_t>(sp.stride), sp.block,
+                     bytes / sp.block, cusim::MemcpyKind::kDeviceToHost,
+                     stream);
   return ctx.record_event(stream);
 }
 
@@ -385,13 +340,12 @@ cusim::Event submit_pcie_unpack_from_host(cusim::CudaContext& ctx,
                      bytes, cusim::MemcpyKind::kHostToDevice, stream);
     return ctx.record_event(stream);
   }
-  if (!patterned(msg)) {
-    throw std::logic_error(
-        "submit_pcie_unpack_from_host: requires a vector pattern");
-  }
-  const PatternSlice s = slice_pattern(msg, offset, bytes);
-  ctx.memcpy2d_async(s.first_block, s.stride, host_src, s.block, s.block,
-                     s.rows, cusim::MemcpyKind::kHostToDevice, stream);
+  const SubPattern& sp =
+      whole_rows(msg, offset, bytes, "submit_pcie_unpack_from_host");
+  ctx.memcpy2d_async(row_ptr(msg, sp, offset / sp.block),
+                     static_cast<std::size_t>(sp.stride), host_src, sp.block,
+                     sp.block, bytes / sp.block,
+                     cusim::MemcpyKind::kHostToDevice, stream);
   return ctx.record_event(stream);
 }
 
@@ -408,11 +362,10 @@ struct ChunkShape {
 };
 
 ChunkShape chunk_shape(const MsgView& msg, std::size_t chunk) {
-  if (patterned(msg)) {
-    const std::size_t width = msg.pattern->block_bytes;
-    return {width, std::max<std::size_t>(1, chunk / width)};
+  if (const SubPattern* sp = single_pattern(msg)) {
+    return {sp->block, std::max<std::size_t>(1, chunk / sp->block)};
   }
-  if (msg.plan && msg.plan->total_segments() > 0 && msg.packed_bytes > 0) {
+  if (msg.plan->total_segments() > 0 && msg.packed_bytes > 0) {
     const auto rows = std::max<std::size_t>(
         1, static_cast<std::size_t>(
                static_cast<double>(msg.plan->total_segments()) *
@@ -448,9 +401,7 @@ sim::SimTime modeled_stage_time(const gpu::GpuCostModel& cost,
   }
   // nc2c2c: device-side pack stage + contiguous PCIe stages.
   sim::SimTime pack;
-  const bool irregular =
-      msg.plan && msg.plan->layout() == LayoutClass::kIrregular;
-  if (irregular) {
+  if (msg.plan->layout() == LayoutClass::kIrregular) {
     // Generalized gather: flat per-run cost, no descriptor amortization.
     pack = cost.d2d_2d_setup_ns + cost.copy_launch_ns +
            static_cast<sim::SimTime>(static_cast<double>(s.rows) *
@@ -488,11 +439,12 @@ std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
 
 bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg) {
   if (msg.contiguous) return false;
-  if (!patterned(msg)) return true;  // PCIe 2-D cannot express the layout
+  const SubPattern* sp = single_pattern(msg);
+  if (sp == nullptr) return true;  // PCIe 2-D cannot express the layout
   const std::size_t n_total = msg.packed_bytes;
   if (n_total == 0) return false;
-  const std::size_t width = msg.pattern->block_bytes;
-  const std::size_t rows = msg.pattern->count;
+  const std::size_t width = sp->block;
+  const std::size_t rows = sp->rows;
   // Blocking end-to-end comparison (Figure 2): one strided PCIe copy vs
   // device pack followed by a contiguous PCIe copy.
   const sim::SimTime nc2c =

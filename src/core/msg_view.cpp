@@ -23,14 +23,7 @@ MsgView MsgView::make(void* base, int count, const mpisim::Datatype& dtype,
     v.on_device = true;
     v.device_id = info->device_id;
   }
-  v.pattern = v.plan->pattern();
   return v;
-}
-
-std::byte* MsgView::first_segment_ptr() const {
-  const auto& segs = dtype.segments();
-  if (segs.empty()) return static_cast<std::byte*>(base);
-  return static_cast<std::byte*>(base) + segs.front().offset;
 }
 
 }  // namespace mv2gnc::core

@@ -1,12 +1,11 @@
 // MsgView: everything the transfer engine needs to know about one side of
 // a message — base pointer, datatype, element count, and the derived facts
 // that drive protocol selection (device residency, contiguity, packed size,
-// 2-D pattern).
+// and the cached pack plan with its layout class and sub-patterns).
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <optional>
 
 #include "core/pack_plan.hpp"
 #include "gpu/memory_registry.hpp"
@@ -23,16 +22,12 @@ struct MsgView {
   int device_id = -1;
   bool contiguous = false;            // dense: pack step unnecessary
   std::size_t packed_bytes = 0;       // count * dtype.size()
-  std::optional<mpisim::VectorPattern> pattern;  // across all `count` elems
-  std::shared_ptr<const PackPlan> plan;          // cached transfer plan
+  std::shared_ptr<const PackPlan> plan;  // cached transfer plan (make sets it)
 
   /// Build a view; classifies `base` against `registry` and requires a
   /// committed datatype (throws std::logic_error otherwise).
   static MsgView make(void* base, int count, const mpisim::Datatype& dtype,
                       const gpu::MemoryRegistry& registry);
-
-  /// Address of the first data byte of the packed stream's first segment.
-  std::byte* first_segment_ptr() const;
 };
 
 }  // namespace mv2gnc::core

@@ -75,22 +75,8 @@ void sched_release(RankResources& res, std::uint64_t id,
   if (pooled) res.sched->note_released(id);
 }
 
-bool has_usable_pattern(const MsgView& msg) {
-  return msg.pattern.has_value() && msg.pattern->stride_bytes > 0 &&
-         static_cast<std::size_t>(msg.pattern->stride_bytes) >=
-             msg.pattern->block_bytes;
-}
-
-std::size_t segments_in_range(const MsgView& msg, std::size_t bytes) {
-  const std::size_t total = msg.dtype.total_segments(msg.count);
-  if (msg.packed_bytes == 0) return 0;
-  const double frac =
-      static_cast<double>(bytes) / static_cast<double>(msg.packed_bytes);
-  return static_cast<std::size_t>(static_cast<double>(total) * frac + 0.5);
-}
-
-// Exact memcpy count of chunk i ([off, off+bytes)) from the plan's cursor
-// table; falls back to the legacy proportional estimate without a plan.
+// Exact memcpy count of chunk i ([off, off+bytes)): from the plan's cursor
+// table when it covers the chunk, else one plan query.
 std::size_t chunk_segments(const MsgView& msg,
                            const PackPlan::ChunkCursors* table, std::size_t i,
                            std::size_t off, std::size_t bytes) {
@@ -99,17 +85,14 @@ std::size_t chunk_segments(const MsgView& msg,
         std::min(table->chunk, msg.plan->packed_bytes() - off);
     if (bytes == expect) return table->segments[i];
   }
-  if (msg.plan && msg.plan->packed_bytes() >= off + bytes) {
-    return msg.plan->segments_in_range(off, bytes);
-  }
-  return segments_in_range(msg, bytes);
+  return msg.plan->segments_in_range(off, bytes);
 }
 
 // Figure-2 scheme choice for a device-resident non-contiguous message.
 bool select_offload(const RankResources& res, const MsgView& msg) {
-  // Irregular layouts always take the offload path: there is no single
-  // cudaMemcpy2D that can walk them across PCIe.
-  if (!has_usable_pattern(msg)) return true;
+  // Layouts other than one uniform 2-D pattern always take the offload
+  // path: there is no single cudaMemcpy2D that can walk them across PCIe.
+  if (msg.plan->layout() != LayoutClass::kSingleVector) return true;
   // Model-driven, with gpu_offload=false kept as a hard ablation override
   // (the paper's nc2c measurement runs).
   if (!res.tun->gpu_offload) return false;
@@ -252,7 +235,7 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
     stages_ = send_stages(res_, msg_, ipc_direct);
     plan_ = ChunkPlan::make(msg_.packed_bytes,
                             select_chunk(res_, msg_, stages_.device_pack));
-    if (stages_.to_host == SendStages::ToHost::kCpuPack && msg_.plan &&
+    if (stages_.to_host == SendStages::ToHost::kCpuPack &&
         msg_.packed_bytes > 0) {
       cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
     }
@@ -940,8 +923,7 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
-  if (stages_.unpack == RecvStages::Unpack::kCpu && msg_.plan &&
-      msg_.packed_bytes > 0) {
+  if (stages_.unpack == RecvStages::Unpack::kCpu && msg_.packed_bytes > 0) {
     if (cache != nullptr && cache->recv_cursors &&
         cache->recv_chunk == plan_.chunk) {
       cursors_ = cache->recv_cursors;  // same sender chunk: cursors hold

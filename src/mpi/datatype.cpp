@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <mutex>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -43,14 +44,21 @@ struct TypeNode {
   std::vector<int> starts;
   ArrayOrder order = ArrayOrder::kC;
 
+  // Built by indexed_block: one block length throughout, so the node has
+  // a canonical form (indexed and hindexed nodes are flattened).
+  bool uniform_blocks = false;
+
   // Commit artifacts.
   bool committed = false;
-  std::vector<Segment> segments;
-  std::vector<std::size_t> packed_prefix;  // nsegs + 1 entries
+  std::vector<StridedBlock> blocks;
+  // Rows and packed bytes before block b within one element (nblocks + 1
+  // entries each): the cursor's search table.
+  std::vector<std::size_t> rows_before;
+  std::vector<std::size_t> bytes_before;
 
-  // Memoized flattened-layout facts, computed once in commit() so the
-  // per-send queries (total_segments, vector_pattern, is_contiguous) are
-  // O(1) instead of O(nsegs) scans.
+  // Layout facts memoized in commit() so the per-send queries
+  // (total_segments, vector_pattern, is_contiguous) are O(1).
+  std::size_t nrows = 0;        // merged runs per element
   bool seam_merges = false;     // last run of elem k abuts first of k+1
   bool uniform_len = false;     // every run has the same length
   bool uniform_stride = false;  // equal gap between consecutive runs
@@ -58,6 +66,12 @@ struct TypeNode {
   bool seam_stride_ok = false;  // inter-element seam equals intra_stride
   // Contiguity memo for pre-commit queries: -1 unknown, else 0/1.
   mutable int contig_memo = -1;
+
+  // Flattened runs: built at commit when the tree has no canonical form
+  // (`flattened`), else on the first segments() call.
+  bool flattened = false;
+  mutable std::once_flag flat_once;
+  mutable std::vector<Segment> flat;
 
   std::int64_t extent() const { return ub - lb; }
 };
@@ -206,6 +220,259 @@ std::size_t run_upper_bound(const TypeNode& n, std::size_t cap) {
   return cap;
 }
 
+// ---------------------------------------------------------------------------
+// Canonical strided blocks
+// ---------------------------------------------------------------------------
+
+using Blocks = std::vector<StridedBlock>;
+
+// Caps the reserve() ahead of flattening (merging can only shrink the run
+// count; the cap bounds memory for pathological trees).
+constexpr std::size_t kReserveCap = std::size_t{1} << 22;
+
+// Adds an outermost dimension of `n` copies `stride` bytes apart, fused
+// into the current outermost one when the copies continue its progression.
+// False, block untouched, when all three dimensions are in use.
+bool add_outer_dim(StridedBlock& b, std::size_t n, std::int64_t stride) {
+  if (b.ndims > 0) {
+    StrideDim& outer = b.dims[b.ndims - 1];
+    if (stride == static_cast<std::int64_t>(outer.count) * outer.stride) {
+      outer.count *= n;
+      return true;
+    }
+  }
+  if (b.ndims == static_cast<int>(b.dims.size())) return false;
+  b.dims[b.ndims++] = StrideDim{n, stride};
+  return true;
+}
+
+bool same_dims(const StridedBlock& a, const StridedBlock& b, int ndims) {
+  return std::equal(a.dims.begin(), a.dims.begin() + ndims, b.dims.begin());
+}
+
+// Folds `b` into `a` when b's rows continue a's pattern. Both have the
+// same row length and a's last row does not abut b's first.
+bool extend(StridedBlock& a, const StridedBlock& b) {
+  if (a.ndims == b.ndims + 1 && same_dims(a, b, b.ndims)) {
+    StrideDim& outer = a.dims[a.ndims - 1];
+    if (b.offset ==
+        a.offset + static_cast<std::int64_t>(outer.count) * outer.stride) {
+      ++outer.count;  // b is one more step of a's outermost dimension
+      return true;
+    }
+  }
+  if (a.ndims == b.ndims && same_dims(a, b, a.ndims)) {
+    return add_outer_dim(a, 2, b.offset - a.offset);  // b repeats a
+  }
+  return false;
+}
+
+// Appends b's rows after those of `out`. A row abutting the one before it
+// merges into it, as flattening merges runs; false when a side of such a
+// seam has several rows (the merged rows fit no strided shape).
+bool append(Blocks& out, const StridedBlock& b) {
+  if (!out.empty()) {
+    StridedBlock& a = out.back();
+    if (a.last_offset() + static_cast<std::int64_t>(a.length) == b.offset) {
+      if (a.ndims != 0 || b.ndims != 0) return false;
+      a.length += b.length;
+      return true;
+    }
+    if (a.length == b.length && extend(a, b)) return true;
+  }
+  out.push_back(b);
+  return true;
+}
+
+// `copies` copies of `part`, copy k shifted by shift_at(k) bytes.
+template <typename ShiftAt>
+std::optional<Blocks> concat_shifted(const Blocks& part, std::size_t copies,
+                                     ShiftAt shift_at) {
+  Blocks out;
+  for (std::size_t k = 0; k < copies; ++k) {
+    const std::int64_t shift = shift_at(k);
+    for (StridedBlock b : part) {
+      b.offset += shift;
+      if (!append(out, b)) return std::nullopt;
+    }
+  }
+  return out;
+}
+
+// `n` copies of `part`, `stride` bytes apart.
+std::optional<Blocks> repeat(const Blocks& part, std::size_t n,
+                             std::int64_t stride) {
+  if (n == 0 || part.empty()) return Blocks{};
+  if (n == 1) return part;
+  if (part.size() == 1) {
+    StridedBlock b = part[0];
+    if (b.last_offset() + static_cast<std::int64_t>(b.length) ==
+        b.offset + stride) {
+      // Each copy's last row abuts the next copy's first.
+      if (b.ndims != 0) return std::nullopt;
+      b.length *= n;
+      return Blocks{b};
+    }
+    if (add_outer_dim(b, n, stride)) return Blocks{b};
+  }
+  return concat_shifted(part, n, [stride](std::size_t k) {
+    return static_cast<std::int64_t>(k) * stride;
+  });
+}
+
+// Canonical blocks of one element straight from the type tree, O(tree) for
+// the regular constructors; nullopt when the tree holds an indexed,
+// hindexed or struct node or its merged rows fit no strided shape.
+std::optional<Blocks> canonical(const TypeNode& n) {
+  switch (n.kind) {
+    case Kind::kPredefined:
+      return Blocks{StridedBlock{0, n.size}};
+    case Kind::kResized:
+      return canonical(*n.children[0]);
+    case Kind::kContiguous: {
+      const TypeNode& c = *n.children[0];
+      const auto child = canonical(c);
+      if (!child) return std::nullopt;
+      return repeat(*child, static_cast<std::size_t>(n.count), c.extent());
+    }
+    case Kind::kVector: {
+      const TypeNode& c = *n.children[0];
+      const auto child = canonical(c);
+      if (!child) return std::nullopt;
+      const auto block = repeat(
+          *child, static_cast<std::size_t>(n.blocklength), c.extent());
+      if (!block) return std::nullopt;
+      return repeat(*block, static_cast<std::size_t>(n.count),
+                    n.stride_bytes);
+    }
+    case Kind::kIndexed: {
+      if (!n.uniform_blocks) return std::nullopt;
+      const TypeNode& c = *n.children[0];
+      const auto child = canonical(c);
+      if (!child) return std::nullopt;
+      if (n.blocklengths.empty()) return Blocks{};
+      const auto block = repeat(
+          *child, static_cast<std::size_t>(n.blocklengths[0]), c.extent());
+      if (!block) return std::nullopt;
+      return concat_shifted(*block, n.displacements.size(),
+                            [&n](std::size_t k) { return n.displacements[k]; });
+    }
+    case Kind::kStruct:
+      return std::nullopt;
+    case Kind::kSubarray: {
+      const TypeNode& c = *n.children[0];
+      auto cur = canonical(c);
+      if (!cur) return std::nullopt;
+      const std::size_t ndims = n.sizes.size();
+      std::vector<std::int64_t> dim_stride(ndims);
+      std::int64_t s = c.extent();
+      for (std::size_t k = 0; k < ndims; ++k) {
+        const std::size_t d = (n.order == ArrayOrder::kC) ? ndims - 1 - k : k;
+        dim_stride[d] = s;
+        s *= n.sizes[d];
+      }
+      // Innermost (fastest-varying) dimension first, as the type map
+      // orders it: the last for C order, the first for Fortran order.
+      std::int64_t base = 0;
+      for (std::size_t k = 0; k < ndims; ++k) {
+        const std::size_t d = (n.order == ArrayOrder::kC) ? ndims - 1 - k : k;
+        cur = repeat(*cur, static_cast<std::size_t>(n.subsizes[d]),
+                     dim_stride[d]);
+        if (!cur) return std::nullopt;
+        base += n.starts[d] * dim_stride[d];
+      }
+      for (StridedBlock& b : *cur) b.offset += base;
+      return cur;
+    }
+  }
+  return std::nullopt;
+}
+
+std::vector<Segment> flatten(const TypeNode& n) {
+  std::vector<Segment> segs;
+  segs.reserve(run_upper_bound(n, kReserveCap));
+  emit_segments(n, 0, segs);
+  return segs;
+}
+
+// Flattened runs grouped into blocks. Runs never abut, so append always
+// succeeds.
+Blocks group(const std::vector<Segment>& segs) {
+  Blocks out;
+  for (const Segment& s : segs) append(out, StridedBlock{s.offset, s.length});
+  return out;
+}
+
+// Blocks of one element: canonical when the tree has a canonical form,
+// else the flattened runs grouped into blocks.
+Blocks layout_blocks(const TypeNode& n) {
+  if (auto blocks = canonical(n)) return std::move(*blocks);
+  return group(flatten(n));
+}
+
+bool contiguous_blocks(const Blocks& blocks, std::size_t size,
+                       std::int64_t extent) {
+  return size == 0 ||
+         (blocks.size() == 1 && blocks[0].ndims == 0 &&
+          blocks[0].offset == 0 && blocks[0].length == size &&
+          static_cast<std::int64_t>(size) == extent);
+}
+
+// Memoizes the prefix tables and layout facts of the committed blocks.
+void summarize(TypeNode& n) {
+  const Blocks& blocks = n.blocks;
+  n.rows_before.assign(1, 0);
+  n.bytes_before.assign(1, 0);
+  n.rows_before.reserve(blocks.size() + 1);
+  n.bytes_before.reserve(blocks.size() + 1);
+  for (const StridedBlock& b : blocks) {
+    n.rows_before.push_back(n.rows_before.back() + b.rows());
+    n.bytes_before.push_back(n.bytes_before.back() + b.rows() * b.length);
+  }
+  if (n.bytes_before.back() != n.size) {
+    throw std::logic_error("datatype commit: segment sum != size");
+  }
+  n.nrows = n.rows_before.back();
+  n.contig_memo = contiguous_blocks(blocks, n.size, n.extent()) ? 1 : 0;
+  if (blocks.empty()) return;
+  const std::int64_t first = blocks.front().offset;
+  const std::int64_t last = blocks.back().last_offset();
+  n.seam_merges =
+      last + static_cast<std::int64_t>(blocks.back().length) ==
+      first + n.extent();
+  n.uniform_len = std::all_of(
+      blocks.begin(), blocks.end(),
+      [&](const StridedBlock& b) { return b.length == blocks[0].length; });
+  // Every gap between consecutive rows equals the first one: within each
+  // block (whose outer dimensions must continue its innermost step) and
+  // across block boundaries.
+  bool have_step = false;
+  bool uniform = true;
+  std::int64_t step = 0;
+  const auto gap = [&](std::int64_t g) {
+    if (!have_step) {
+      step = g;
+      have_step = true;
+    } else if (g != step) {
+      uniform = false;
+    }
+  };
+  for (std::size_t i = 0; i < blocks.size(); ++i) {
+    const StridedBlock& b = blocks[i];
+    if (i > 0) gap(b.offset - blocks[i - 1].last_offset());
+    if (b.ndims == 0) continue;
+    gap(b.dims[0].stride);
+    std::int64_t span = b.dims[0].stride;
+    for (int d = 1; d < b.ndims; ++d) {
+      span *= static_cast<std::int64_t>(b.dims[d - 1].count);
+      if (b.dims[d].stride != span) uniform = false;
+    }
+  }
+  n.uniform_stride = uniform;
+  n.intra_stride = step;
+  n.seam_stride_ok = (first + n.extent()) - last == n.intra_stride;
+}
+
 std::shared_ptr<TypeNode> predefined(const char* name, std::size_t size) {
   auto n = std::make_shared<TypeNode>();
   n->kind = Kind::kPredefined;
@@ -322,11 +589,12 @@ Datatype Datatype::hvector(int count, int blocklength,
     n->lb = 0;
     n->ub = 0;
   } else {
+    // The bounds move linearly with the block index, so the first and
+    // last blocks hold the extremes.
     std::int64_t lo = INT64_MAX, hi = INT64_MIN;
-    for (int i = 0; i < count; ++i) {
-      span_bounds(c, static_cast<std::int64_t>(i) * stride_bytes, blocklength,
-                  lo, hi);
-    }
+    span_bounds(c, 0, blocklength, lo, hi);
+    span_bounds(c, static_cast<std::int64_t>(count - 1) * stride_bytes,
+                blocklength, lo, hi);
     n->lb = lo;
     n->ub = hi;
   }
@@ -381,7 +649,9 @@ Datatype Datatype::indexed_block(int blocklength,
                                  std::span<const int> displacements,
                                  const Datatype& old) {
   std::vector<int> blocklens(displacements.size(), blocklength);
-  return indexed(blocklens, displacements, old);
+  Datatype t = indexed(blocklens, displacements, old);
+  t.node_->uniform_blocks = true;
+  return t;
 }
 
 Datatype Datatype::create_struct(std::span<const int> blocklengths,
@@ -478,13 +748,10 @@ bool Datatype::is_contiguous() const {
   const TypeNode& n = node();
   if (n.size == 0) return true;
   if (n.contig_memo < 0) {
-    // First query on an uncommitted tree: flatten once and memoize (the
-    // tree is immutable, so the answer never changes; commit() reuses it).
-    std::vector<Segment> segs;
-    detail::emit_segments(n, 0, segs);
+    // First query on an uncommitted tree: build its blocks once and
+    // memoize (the tree is immutable, so the answer never changes).
     n.contig_memo =
-        (segs.size() == 1 && segs[0].offset == 0 && segs[0].length == n.size &&
-         static_cast<std::int64_t>(n.size) == n.extent())
+        detail::contiguous_blocks(detail::layout_blocks(n), n.size, n.extent())
             ? 1
             : 0;
   }
@@ -529,57 +796,22 @@ std::string Datatype::describe() const {
 }
 
 // ---------------------------------------------------------------------------
-// Commit & flattened access
+// Commit & layout access
 // ---------------------------------------------------------------------------
 
 void Datatype::commit() {
   TypeNode& n = const_cast<TypeNode&>(node());
   if (n.committed) return;
-  n.segments.clear();
-  // Pre-size from the run count known at construction (merging can only
-  // shrink it); the cap bounds memory for pathological trees.
-  constexpr std::size_t kReserveCap = std::size_t{1} << 22;
-  n.segments.reserve(detail::run_upper_bound(n, kReserveCap));
-  detail::emit_segments(n, 0, n.segments);
-  n.packed_prefix.resize(n.segments.size() + 1);
-  n.packed_prefix[0] = 0;
-  for (std::size_t i = 0; i < n.segments.size(); ++i) {
-    n.packed_prefix[i + 1] = n.packed_prefix[i] + n.segments[i].length;
+  if (auto blocks = detail::canonical(n)) {
+    n.blocks = std::move(*blocks);
+  } else {
+    // No canonical form: flatten once and keep the runs, which host pack
+    // walks at 16 bytes a run.
+    std::call_once(n.flat_once, [&n] { n.flat = detail::flatten(n); });
+    n.blocks = detail::group(n.flat);
+    n.flattened = true;
   }
-  if (n.packed_prefix.back() != n.size) {
-    throw std::logic_error("datatype commit: segment sum != size");
-  }
-  // Memoize the layout facts every send-path query needs.
-  const auto& segs = n.segments;
-  if (!segs.empty()) {
-    n.seam_merges =
-        segs.back().offset + static_cast<std::int64_t>(segs.back().length) ==
-        segs.front().offset + n.extent();
-    n.uniform_len = true;
-    for (const Segment& s : segs) {
-      if (s.length != segs[0].length) {
-        n.uniform_len = false;
-        break;
-      }
-    }
-    n.uniform_stride = true;
-    n.intra_stride = segs.size() > 1 ? segs[1].offset - segs[0].offset : 0;
-    for (std::size_t i = 1; i < segs.size(); ++i) {
-      if (segs[i].offset - segs[i - 1].offset != n.intra_stride) {
-        n.uniform_stride = false;
-        break;
-      }
-    }
-    const std::int64_t seam =
-        (segs[0].offset + n.extent()) - segs.back().offset;
-    n.seam_stride_ok = (seam == n.intra_stride);
-  }
-  n.contig_memo =
-      (n.size == 0 ||
-       (segs.size() == 1 && segs[0].offset == 0 && segs[0].length == n.size &&
-        static_cast<std::int64_t>(n.size) == n.extent()))
-          ? 1
-          : 0;
+  detail::summarize(n);
   n.committed = true;
 }
 
@@ -598,16 +830,22 @@ const TypeNode& committed_node(const Datatype& t, const TypeNode& n,
 
 }  // namespace
 
+const std::vector<StridedBlock>& Datatype::blocks() const {
+  return committed_node(*this, node(), "blocks").blocks;
+}
+
 const std::vector<Segment>& Datatype::segments() const {
-  return committed_node(*this, node(), "segments").segments;
+  const TypeNode& n = committed_node(*this, node(), "segments");
+  std::call_once(n.flat_once, [&n] { n.flat = detail::flatten(n); });
+  return n.flat;
 }
 
 std::size_t Datatype::total_segments(int count) const {
   const TypeNode& n = committed_node(*this, node(), "total_segments");
-  if (count <= 0 || n.segments.empty()) return 0;
-  // Elements may merge at the seam if the last segment of element k abuts
-  // the first segment of element k+1 (memoized at commit).
-  const std::size_t per = n.segments.size();
+  if (count <= 0 || n.nrows == 0) return 0;
+  // Elements may merge at the seam if the last run of element k abuts the
+  // first run of element k+1 (memoized at commit).
+  const std::size_t per = n.nrows;
   if (n.seam_merges) {
     return per * static_cast<std::size_t>(count) -
            static_cast<std::size_t>(count - 1);
@@ -617,25 +855,24 @@ std::size_t Datatype::total_segments(int count) const {
 
 std::optional<VectorPattern> Datatype::vector_pattern(int count) const {
   const TypeNode& n = committed_node(*this, node(), "vector_pattern");
-  if (count <= 0 || n.segments.empty() || n.size == 0) return std::nullopt;
+  if (count <= 0 || n.nrows == 0 || n.size == 0) return std::nullopt;
   // All facts memoized at commit: this is O(1) on the send path.
-  const auto& segs = n.segments;
-  const std::size_t len = segs[0].length;
+  const std::size_t len = n.blocks[0].length;
   if (!n.uniform_len) return std::nullopt;
-  if (segs.size() > 1 && !n.uniform_stride) return std::nullopt;
+  if (n.nrows > 1 && !n.uniform_stride) return std::nullopt;
   if (count == 1) {
-    if (segs.size() == 1) {
+    if (n.nrows == 1) {
       return VectorPattern{1, len, static_cast<std::int64_t>(len)};
     }
-    return VectorPattern{segs.size(), len, n.intra_stride};
+    return VectorPattern{n.nrows, len, n.intra_stride};
   }
-  if (segs.size() == 1) {
+  if (n.nrows == 1) {
     // Single block per element: the seam becomes the stride.
     return VectorPattern{static_cast<std::size_t>(count), len, n.extent()};
   }
   // Across elements the seam stride must equal the intra-element stride.
   if (!n.seam_stride_ok) return std::nullopt;
-  return VectorPattern{segs.size() * static_cast<std::size_t>(count), len,
+  return VectorPattern{n.nrows * static_cast<std::size_t>(count), len,
                        n.intra_stride};
 }
 
@@ -649,27 +886,39 @@ namespace {
 // dense -> typed.
 enum class XferDir { kPack, kUnpack };
 
-void move_full(const TypeNode& n, XferDir dir, const void* typed_in,
-               void* typed_out, const void* dense_in, void* dense_out,
-               int count) {
-  const std::int64_t ext = n.extent();
-  std::size_t dense_pos = 0;
-  for (int e = 0; e < count; ++e) {
-    const std::int64_t elem_base = static_cast<std::int64_t>(e) * ext;
-    for (const Segment& s : n.segments) {
-      if (dir == XferDir::kPack) {
-        std::memcpy(static_cast<std::byte*>(dense_out) + dense_pos,
-                    static_cast<const std::byte*>(typed_in) + elem_base +
-                        s.offset,
-                    s.length);
-      } else {
-        std::memcpy(
-            static_cast<std::byte*>(typed_out) + elem_base + s.offset,
-            static_cast<const std::byte*>(dense_in) + dense_pos, s.length);
-      }
-      dense_pos += s.length;
-    }
+// Visits the rows of `b` from row `first` on, passing each row's offset to
+// `f`; stops early when `f` returns false.
+template <typename F>
+void for_each_row(const StridedBlock& b, std::size_t first, F&& f) {
+  std::array<std::size_t, 3> idx{};
+  std::int64_t off = b.offset;
+  for (int d = 0; d < b.ndims; ++d) {
+    idx[d] = first % b.dims[d].count;
+    first /= b.dims[d].count;
+    off += static_cast<std::int64_t>(idx[d]) * b.dims[d].stride;
   }
+  for (;;) {
+    if (!f(off)) return;
+    int d = 0;
+    for (; d < b.ndims; ++d) {
+      if (++idx[d] < b.dims[d].count) {
+        off += b.dims[d].stride;
+        break;
+      }
+      idx[d] = 0;
+      off -= static_cast<std::int64_t>(b.dims[d].count - 1) * b.dims[d].stride;
+    }
+    if (d == b.ndims) return;
+  }
+}
+
+// Index of the block holding row `row` of an element (nblocks past the
+// last row).
+std::size_t block_of_row(const TypeNode& n, std::size_t row) {
+  const auto it =
+      std::upper_bound(n.rows_before.begin(), n.rows_before.end(), row);
+  return static_cast<std::size_t>(std::distance(n.rows_before.begin(), it)) -
+         1;
 }
 
 // Locate packed-stream offset `pack_offset` (the one search of the ranged
@@ -679,58 +928,88 @@ PackCursor cursor_for(const TypeNode& n, std::size_t pack_offset) {
   if (n.size == 0) return cur;
   cur.elem = pack_offset / n.size;
   const std::size_t within = pack_offset % n.size;
-  const auto it = std::upper_bound(n.packed_prefix.begin(),
-                                   n.packed_prefix.end(), within);
-  cur.seg = static_cast<std::size_t>(
-                std::distance(n.packed_prefix.begin(), it)) -
-            1;
-  cur.skip = within - n.packed_prefix[cur.seg];
+  const auto it =
+      std::upper_bound(n.bytes_before.begin(), n.bytes_before.end(), within);
+  const auto b = static_cast<std::size_t>(
+                     std::distance(n.bytes_before.begin(), it)) -
+                 1;
+  const std::size_t in_block = within - n.bytes_before[b];
+  cur.seg = n.rows_before[b] + in_block / n.blocks[b].length;
+  cur.skip = in_block % n.blocks[b].length;
   return cur;
 }
 
-// Gather/scatter `nbytes` starting at `cur`. O(segments in range), zero
-// searches: after the first segment the cursor simply walks forward (each
-// subsequent element starts at segment 0 with no skip).
-void move_from_cursor(const TypeNode& n, XferDir dir, const void* typed_in,
-                      void* typed_out, const void* dense_in, void* dense_out,
-                      PackCursor cur, std::size_t nbytes) {
+// Packed-stream offset a cursor addresses.
+std::size_t cursor_offset(const TypeNode& n, const PackCursor& cur) {
+  std::size_t in_elem = 0;
+  if (cur.seg < n.nrows) {
+    const std::size_t b = block_of_row(n, cur.seg);
+    in_elem = n.bytes_before[b] + (cur.seg - n.rows_before[b]) *
+                                      n.blocks[b].length;
+  } else if (cur.seg == n.nrows) {
+    in_elem = n.size;
+  }
+  return cur.elem * n.size + in_elem + cur.skip;
+}
+
+// Gather/scatter `nbytes` starting at `cur`, row by row: O(rows in range)
+// after one search for the cursor's block. A flattened type walks its runs,
+// a canonical one its blocks.
+void move_from_cursor(const TypeNode& n, XferDir dir, const void* src,
+                      void* dst, PackCursor cur, std::size_t nbytes) {
+  const auto* in = static_cast<const std::byte*>(src);
+  auto* out = static_cast<std::byte*>(dst);
   const std::int64_t ext = n.extent();
-  std::size_t remaining = nbytes;
-  std::size_t dense_pos = 0;  // position within the output slice
   std::size_t e = cur.elem;
-  std::size_t si = cur.seg;
   std::size_t skip = cur.skip;
-  while (remaining > 0) {
-    const std::int64_t elem_base = static_cast<std::int64_t>(e) * ext;
-    while (remaining > 0 && si < n.segments.size()) {
-      const Segment& s = n.segments[si];
-      const std::size_t avail = s.length - skip;
-      const std::size_t take = std::min(avail, remaining);
-      if (dir == XferDir::kPack) {
-        std::memcpy(static_cast<std::byte*>(dense_out) + dense_pos,
-                    static_cast<const std::byte*>(typed_in) + elem_base +
-                        s.offset + static_cast<std::int64_t>(skip),
-                    take);
-      } else {
-        std::memcpy(static_cast<std::byte*>(typed_out) + elem_base +
-                        s.offset + static_cast<std::int64_t>(skip),
-                    static_cast<const std::byte*>(dense_in) + dense_pos,
-                    take);
-      }
-      dense_pos += take;
-      remaining -= take;
-      skip += take;
-      if (skip == s.length) {
-        ++si;
-        skip = 0;
-      }
+  std::size_t dense = 0;  // position within the packed slice
+  std::int64_t base = 0;  // current element's base offset
+  std::size_t len = 0;    // current block's row length
+  // Moves the row at `off` from byte `skip` on, clipped to the range.
+  const auto move_row = [&](std::int64_t off) {
+    const std::size_t take = std::min(len - skip, nbytes);
+    const std::int64_t at = base + off + static_cast<std::int64_t>(skip);
+    if (dir == XferDir::kPack) {
+      std::memcpy(out + dense, in + at, take);
+    } else {
+      std::memcpy(out + at, in + dense, take);
     }
-    // Element exhausted; move to the next.
-    if (si >= n.segments.size()) {
+    dense += take;
+    nbytes -= take;
+    skip = 0;
+    return nbytes > 0;
+  };
+  if (n.flattened) {
+    for (std::size_t s = cur.seg; nbytes > 0; ++s) {
+      if (s >= n.flat.size()) {  // element exhausted; move to the next
+        ++e;
+        s = 0;
+      }
+      base = static_cast<std::int64_t>(e) * ext;
+      len = n.flat[s].length;
+      move_row(n.flat[s].offset);
+    }
+    return;
+  }
+  std::size_t b = block_of_row(n, cur.seg);
+  std::size_t row = b < n.blocks.size() ? cur.seg - n.rows_before[b] : 0;
+  while (nbytes > 0) {
+    if (b == n.blocks.size()) {  // element exhausted; move to the next
       ++e;
-      si = 0;
+      b = 0;
+      row = 0;
       skip = 0;
     }
+    const StridedBlock& blk = n.blocks[b];
+    base = static_cast<std::int64_t>(e) * ext;
+    len = blk.length;
+    if (blk.ndims == 0) {
+      move_row(blk.offset);  // one row: the usual flattened block
+    } else {
+      for_each_row(blk, row, move_row);
+    }
+    ++b;
+    row = 0;
   }
 }
 
@@ -742,39 +1021,35 @@ void check_range(const TypeNode& n, int count, std::size_t pack_offset,
   }
 }
 
-void move_bytes(const TypeNode& n, XferDir dir, const void* typed_in,
-                void* typed_out, const void* dense_in, void* dense_out,
-                int count, std::size_t pack_offset, std::size_t nbytes) {
-  check_range(n, count, pack_offset, nbytes);
-  move_from_cursor(n, dir, typed_in, typed_out, dense_in, dense_out,
-                   cursor_for(n, pack_offset), nbytes);
-}
-
 }  // namespace
 
 void Datatype::pack(const void* src, int count, void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "pack");
-  move_full(n, XferDir::kPack, src, nullptr, nullptr, dst, count);
+  move_from_cursor(n, XferDir::kPack, src, dst, PackCursor{},
+                   n.size * static_cast<std::size_t>(std::max(count, 0)));
 }
 
 void Datatype::unpack(const void* src, int count, void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "unpack");
-  move_full(n, XferDir::kUnpack, nullptr, dst, src, nullptr, count);
+  move_from_cursor(n, XferDir::kUnpack, src, dst, PackCursor{},
+                   n.size * static_cast<std::size_t>(std::max(count, 0)));
 }
 
 void Datatype::pack_bytes(const void* src, int count, std::size_t pack_offset,
                           std::size_t nbytes, void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "pack_bytes");
-  move_bytes(n, XferDir::kPack, src, nullptr, nullptr, dst, count, pack_offset,
-             nbytes);
+  check_range(n, count, pack_offset, nbytes);
+  move_from_cursor(n, XferDir::kPack, src, dst, cursor_for(n, pack_offset),
+                   nbytes);
 }
 
 void Datatype::unpack_bytes(const void* src, int count,
                             std::size_t pack_offset, std::size_t nbytes,
                             void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "unpack_bytes");
-  move_bytes(n, XferDir::kUnpack, nullptr, dst, src, nullptr, count,
-             pack_offset, nbytes);
+  check_range(n, count, pack_offset, nbytes);
+  move_from_cursor(n, XferDir::kUnpack, src, dst, cursor_for(n, pack_offset),
+                   nbytes);
 }
 
 PackCursor Datatype::cursor_at(int count, std::size_t pack_offset) const {
@@ -788,13 +1063,8 @@ void Datatype::pack_bytes_from(const PackCursor& cur, const void* src,
                                void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "pack_bytes_from");
   if (n.size == 0 && nbytes == 0) return;
-  check_range(n, count,
-              cur.elem * n.size +
-                  (cur.seg < n.packed_prefix.size() ? n.packed_prefix[cur.seg]
-                                                    : 0) +
-                  cur.skip,
-              nbytes);
-  move_from_cursor(n, XferDir::kPack, src, nullptr, nullptr, dst, cur, nbytes);
+  check_range(n, count, cursor_offset(n, cur), nbytes);
+  move_from_cursor(n, XferDir::kPack, src, dst, cur, nbytes);
 }
 
 void Datatype::unpack_bytes_from(const PackCursor& cur, const void* src,
@@ -802,14 +1072,8 @@ void Datatype::unpack_bytes_from(const PackCursor& cur, const void* src,
                                  void* dst) const {
   const TypeNode& n = committed_node(*this, node(), "unpack_bytes_from");
   if (n.size == 0 && nbytes == 0) return;
-  check_range(n, count,
-              cur.elem * n.size +
-                  (cur.seg < n.packed_prefix.size() ? n.packed_prefix[cur.seg]
-                                                    : 0) +
-                  cur.skip,
-              nbytes);
-  move_from_cursor(n, XferDir::kUnpack, nullptr, dst, src, nullptr, cur,
-                   nbytes);
+  check_range(n, count, cursor_offset(n, cur), nbytes);
+  move_from_cursor(n, XferDir::kUnpack, src, dst, cur, nbytes);
 }
 
 }  // namespace mv2gnc::mpisim

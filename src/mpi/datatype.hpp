@@ -3,18 +3,32 @@
 // Implements the MPI type-constructor algebra the paper's workloads use —
 // contiguous, vector/hvector, indexed/hindexed/indexed_block, struct,
 // subarray, resized — over a small set of predefined types. A committed
-// type exposes:
+// type describes one element as a canonical list of StridedBlocks: each an
+// offset, a row length and up to three (count, stride) pairs, the form
+// TEMPI reduces CUDA-aware MPI datatypes to (arXiv 2012.14363) and the
+// shape one cudaMemcpy2D call moves (paper §IV-A). The list covers the
+// element's rows in packed-stream order, and no two consecutive rows abut
+// (abutting runs are merged), so rows and flattened segments are the same
+// thing.
+//
+// commit() builds the list from the type tree in O(tree) when every node
+// is predefined, contiguous, vector/hvector, indexed_block, subarray or
+// resized. Trees holding indexed, hindexed or struct nodes, or whose
+// merged rows fit no strided shape, are flattened once into segments,
+// which are kept, and the segments grouped into blocks. The queries read
+// the blocks:
 //   * size()/extent()/lower_bound() per the MPI type map rules;
-//   * a flattened segment list (byte offset + length per contiguous run,
-//     adjacent runs merged) — the representation both the host pack path
-//     and the GPU offload path consume;
-//   * vector-pattern detection (uniform block length + stride), which is
-//     what lets the GPU path drive cudaMemcpy2D for pack/unpack — exactly
-//     the datatype-processing offload of paper §IV-A;
-//   * full and byte-ranged pack/unpack, the ranged form being what the
-//     64 KB chunked pipeline of §IV-B slices on.
+//   * is_contiguous(), total_segments() and vector_pattern(), memoized at
+//     commit;
+//   * resumable cursors, located with one search of a per-block table.
+// Full and byte-ranged pack/unpack (the ranged form being what the 64 KB
+// chunked pipeline of §IV-B slices on) walk a canonical type's blocks row
+// by row, and a flattened type's kept segments. segments() returns the
+// flattened list, built from the tree on the first call for a canonical
+// type.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -34,6 +48,40 @@ struct Segment {
   friend bool operator==(const Segment&, const Segment&) = default;
 };
 
+/// One (count, stride) dimension of a StridedBlock.
+struct StrideDim {
+  std::size_t count = 0;
+  std::int64_t stride = 0;
+
+  friend bool operator==(const StrideDim&, const StrideDim&) = default;
+};
+
+/// Canonical strided block: rows of `length` bytes at offset
+/// + i0*dims[0].stride + i1*dims[1].stride + i2*dims[2].stride, visited
+/// with i0 fastest. The first `ndims` dims are in use, each with count >= 2.
+struct StridedBlock {
+  std::int64_t offset = 0;
+  std::size_t length = 0;
+  int ndims = 0;
+  std::array<StrideDim, 3> dims{};
+
+  std::size_t rows() const {
+    std::size_t r = 1;
+    for (int d = 0; d < ndims; ++d) r *= dims[d].count;
+    return r;
+  }
+  /// Offset of the block's last row.
+  std::int64_t last_offset() const {
+    std::int64_t off = offset;
+    for (int d = 0; d < ndims; ++d) {
+      off += static_cast<std::int64_t>(dims[d].count - 1) * dims[d].stride;
+    }
+    return off;
+  }
+
+  friend bool operator==(const StridedBlock&, const StridedBlock&) = default;
+};
+
 /// Detected uniform strided layout: `count` blocks of `block_bytes` every
 /// `stride_bytes`. This maps 1:1 onto a cudaMemcpy2D call.
 struct VectorPattern {
@@ -48,8 +96,8 @@ struct VectorPattern {
 enum class ArrayOrder { kC, kFortran };
 
 /// Resumable position within the packed stream of a (type, count) message:
-/// element index, segment index within that element, and bytes already
-/// consumed of that segment. A cursor fixes the starting point of a
+/// element index, row (segment) index within that element, and bytes
+/// already consumed of that row. A cursor fixes the starting point of a
 /// byte-ranged pack/unpack so chunked pipelines resume in O(1) instead of
 /// re-searching the prefix table per chunk.
 struct PackCursor {
@@ -124,18 +172,22 @@ class Datatype {
   /// Human-readable constructor tree, for diagnostics.
   std::string describe() const;
 
-  // -- commit & flattened access ------------------------------------------
-  /// MPI_Type_commit: builds the flattened representation. Communication
-  /// and pack/unpack require a committed type.
+  // -- commit & layout access ---------------------------------------------
+  /// MPI_Type_commit: builds the canonical block list. Communication and
+  /// pack/unpack require a committed type.
   void commit();
   bool committed() const;
 
-  /// Flattened runs of one element (requires commit).
+  /// Canonical strided blocks of one element, in packed-stream order
+  /// (requires commit).
+  const std::vector<StridedBlock>& blocks() const;
+  /// Flattened runs of one element (requires commit). Built from the type
+  /// tree on the first call unless commit already flattened the type.
   const std::vector<Segment>& segments() const;
   /// Number of contiguous runs in `count` elements.
   std::size_t total_segments(int count) const;
   /// Uniform strided pattern across `count` consecutive elements, if the
-  /// flattened layout is expressible as one (requires commit).
+  /// layout is expressible as one (requires commit).
   std::optional<VectorPattern> vector_pattern(int count) const;
 
   // -- host pack/unpack -----------------------------------------------------
@@ -155,10 +207,10 @@ class Datatype {
 
   // -- resumable cursors ----------------------------------------------------
   /// Locate packed-stream offset `pack_offset` of a count-element message
-  /// (one prefix-table search; requires commit).
+  /// (one search of the per-block prefix table; requires commit).
   PackCursor cursor_at(int count, std::size_t pack_offset) const;
-  /// pack_bytes starting at a precomputed cursor: O(segments in range),
-  /// zero searches. The cursor must address a message of >= count elements.
+  /// pack_bytes starting at a precomputed cursor: O(rows in range), one
+  /// search over the blocks. The cursor must address a message of >= count elements.
   void pack_bytes_from(const PackCursor& cur, const void* src, int count,
                        std::size_t nbytes, void* dst) const;
   /// Mirror of pack_bytes_from for the unpack direction.

@@ -128,7 +128,8 @@ TEST(GpuStaging, ChunkedDevicePackMatchesHostPack) {
     auto* tbuf = static_cast<std::byte*>(rig.ctx.malloc(total));
     auto stream = rig.ctx.create_stream();
     const std::size_t chunk = core::align_chunk_to_pattern(msg, 1000);
-    EXPECT_EQ(chunk % msg.pattern->block_bytes, 0u);
+    ASSERT_EQ(msg.plan->subpatterns().size(), 1u);
+    EXPECT_EQ(chunk % msg.plan->subpatterns()[0].block, 0u);
     for (std::size_t off = 0; off < total; off += chunk) {
       const std::size_t n = std::min(chunk, total - off);
       core::submit_device_pack(rig.ctx, stream, msg, off, n, tbuf + off);
@@ -161,7 +162,7 @@ TEST(GpuStaging, GeneralizedKernelHandlesIrregularLayout) {
     }
     rig.ctx.memcpy(dev, init.data(), span);
     auto msg = core::MsgView::make(dev, count, t, rig.reg);
-    ASSERT_FALSE(msg.pattern.has_value());
+    ASSERT_TRUE(msg.plan->subpatterns().empty());  // generalized kernel
 
     auto* tbuf = static_cast<std::byte*>(rig.ctx.malloc(msg.packed_bytes));
     auto stream = rig.ctx.create_stream();
@@ -220,8 +221,8 @@ TEST(GpuStaging, AlignChunkToPattern) {
     auto t = committed(Datatype::vector(64, 3, 5, Datatype::int32()));
     auto* dev = static_cast<std::byte*>(rig.ctx.malloc(4096));
     auto msg = core::MsgView::make(dev, 1, t, rig.reg);
-    ASSERT_TRUE(msg.pattern.has_value());
-    EXPECT_EQ(msg.pattern->block_bytes, 12u);
+    ASSERT_EQ(msg.plan->subpatterns().size(), 1u);
+    EXPECT_EQ(msg.plan->subpatterns()[0].block, 12u);
     EXPECT_EQ(core::align_chunk_to_pattern(msg, 100), 96u);  // 8 blocks
     EXPECT_EQ(core::align_chunk_to_pattern(msg, 5), 12u);    // min 1 block
     // Contiguous: untouched.

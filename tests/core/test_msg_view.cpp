@@ -1,10 +1,13 @@
 #include "core/msg_view.hpp"
 
+#include "core/pack_plan.hpp"
+
 #include <gtest/gtest.h>
 
 #include <array>
 #include <vector>
 
+using mv2gnc::core::LayoutClass;
 using mv2gnc::core::MsgView;
 using mv2gnc::gpu::MemoryRegistry;
 using mv2gnc::mpisim::Datatype;
@@ -26,8 +29,12 @@ TEST(MsgView, HostContiguous) {
   EXPECT_FALSE(v.on_device);
   EXPECT_TRUE(v.contiguous);
   EXPECT_EQ(v.packed_bytes, 64u);
-  ASSERT_TRUE(v.pattern.has_value());
-  EXPECT_EQ(v.pattern->count, 16u);
+  // A contiguous plan carries no sub-pattern; the 16-row pattern lives on
+  // the datatype.
+  EXPECT_EQ(v.plan->layout(), LayoutClass::kContiguous);
+  EXPECT_TRUE(v.plan->subpatterns().empty());
+  ASSERT_TRUE(v.dtype.vector_pattern(v.count).has_value());
+  EXPECT_EQ(v.dtype.vector_pattern(v.count)->count, 16u);
 }
 
 TEST(MsgView, DeviceClassification) {
@@ -46,10 +53,11 @@ TEST(MsgView, StridedVectorPattern) {
   auto t = committed(Datatype::vector(64, 1, 16, Datatype::float32()));
   auto v = MsgView::make(buf.data(), 1, t, reg);
   EXPECT_FALSE(v.contiguous);
-  ASSERT_TRUE(v.pattern.has_value());
-  EXPECT_EQ(v.pattern->count, 64u);
-  EXPECT_EQ(v.pattern->block_bytes, 4u);
-  EXPECT_EQ(v.pattern->stride_bytes, 64);
+  EXPECT_EQ(v.plan->layout(), LayoutClass::kSingleVector);
+  ASSERT_EQ(v.plan->subpatterns().size(), 1u);
+  EXPECT_EQ(v.plan->subpatterns()[0].rows, 64u);
+  EXPECT_EQ(v.plan->subpatterns()[0].block, 4u);
+  EXPECT_EQ(v.plan->subpatterns()[0].stride, 64);
 }
 
 TEST(MsgView, FirstSegmentPointer) {
@@ -59,7 +67,11 @@ TEST(MsgView, FirstSegmentPointer) {
   const std::array<int, 2> displs{5, 9};
   auto t = committed(Datatype::indexed(lens, displs, Datatype::int32()));
   auto v = MsgView::make(buf.data(), 1, t, reg);
-  EXPECT_EQ(v.first_segment_ptr(),
+  // Two equal rows 16 bytes apart: one sub-pattern whose first row is the
+  // message's first data byte.
+  ASSERT_EQ(v.plan->subpatterns().size(), 1u);
+  EXPECT_EQ(static_cast<std::byte*>(v.base) +
+                v.plan->subpatterns()[0].first_offset,
             reinterpret_cast<std::byte*>(buf.data()) + 20);
 }
 
@@ -85,5 +97,5 @@ TEST(MsgView, ZeroCountHasNoPattern) {
   auto t = committed(Datatype::int32());
   auto v = MsgView::make(buf.data(), 0, t, reg);
   EXPECT_EQ(v.packed_bytes, 0u);
-  EXPECT_FALSE(v.pattern.has_value());
+  EXPECT_TRUE(v.plan->subpatterns().empty());
 }

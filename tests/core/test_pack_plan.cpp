@@ -4,6 +4,7 @@
 #include "core/pack_plan.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <array>
 #include <vector>
@@ -19,6 +20,7 @@ namespace gpu = mv2gnc::gpu;
 using core::LayoutClass;
 using core::PackPlan;
 using core::PlanCache;
+using mv2gnc::mpisim::ArrayOrder;
 using mv2gnc::mpisim::Datatype;
 
 namespace {
@@ -56,6 +58,79 @@ TEST(PackPlan, SingleVectorClassification) {
   EXPECT_EQ(plan->subpatterns()[0].rows, 64u);
   EXPECT_EQ(plan->subpatterns()[0].block, 4u);
   EXPECT_EQ(plan->subpatterns()[0].stride, 16);
+}
+
+TEST(PackPlan, Halo3dFacesClassification) {
+  // examples/halo3d.cpp's faces: interior-sized subarrays of a 34x50x66
+  // brick of doubles (C order, x fastest), one index thick along `dim`.
+  const auto face = [](int dim) {
+    const std::array<int, 3> sizes{34, 50, 66};
+    std::array<int, 3> subsizes{32, 48, 64};
+    std::array<int, 3> starts{1, 1, 1};
+    subsizes[dim] = 1;
+    return PackPlan::build(
+        committed(Datatype::subarray(sizes, subsizes, starts, ArrayOrder::kC,
+                                     Datatype::float64())),
+        1);
+  };
+  // dim 0: 48 rows of 64 doubles, one plane.
+  const auto z = face(0);
+  EXPECT_EQ(z->layout(), LayoutClass::kSingleVector);
+  ASSERT_EQ(z->subpatterns().size(), 1u);
+  EXPECT_EQ(z->subpatterns()[0].rows, 48u);
+  EXPECT_EQ(z->subpatterns()[0].block, 512u);
+  EXPECT_EQ(z->subpatterns()[0].stride, 528);
+  // dim 1: one row of 64 doubles in each of 32 planes.
+  const auto y = face(1);
+  EXPECT_EQ(y->layout(), LayoutClass::kSingleVector);
+  ASSERT_EQ(y->subpatterns().size(), 1u);
+  EXPECT_EQ(y->subpatterns()[0].rows, 32u);
+  EXPECT_EQ(y->subpatterns()[0].stride, 26400);
+  // dim 2: a column of 48 doubles in each of 32 planes — a 3-D block the
+  // plan expands into one 2-D copy per plane.
+  const auto x = face(2);
+  EXPECT_EQ(x->layout(), LayoutClass::kSubPatterned);
+  ASSERT_EQ(x->subpatterns().size(), 32u);
+  for (std::size_t i = 0; i < x->subpatterns().size(); ++i) {
+    const core::SubPattern& sp = x->subpatterns()[i];
+    EXPECT_EQ(sp.rows, 48u);
+    EXPECT_EQ(sp.block, 8u);
+    EXPECT_EQ(sp.stride, 528);
+    EXPECT_EQ(sp.first_offset,
+              static_cast<std::int64_t>((1 + i) * 26400 + 528 + 8));
+    EXPECT_EQ(sp.packed_offset, i * 48 * 8);
+  }
+}
+
+TEST(PackPlan, HugeVectorCommitsAndPlansInConstantMemory) {
+  // vector(2^26, 1, 2, float): flattened, its segment list alone would be
+  // 1 GiB, plus a 0.5 GiB prefix table. Its canonical form is one strided
+  // block, so committing and planning it must not move the peak RSS of
+  // this process (ctest runs each case in a process of its own).
+  const auto peak_rss_kb = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_maxrss;
+  };
+  const long before = peak_rss_kb();
+  Datatype t = Datatype::vector(1 << 26, 1, 2, Datatype::float32());
+  t.commit();
+  const auto plan = PackPlan::build(t, 1);
+  EXPECT_LT(peak_rss_kb() - before, 16 * 1024);
+
+  constexpr std::size_t kRows = std::size_t{1} << 26;
+  EXPECT_EQ(t.size(), 4 * kRows);
+  EXPECT_EQ(t.extent(), static_cast<std::int64_t>(8 * kRows - 4));
+  EXPECT_EQ(t.total_segments(1), kRows);
+  EXPECT_EQ(plan->total_segments(), kRows);
+  EXPECT_EQ(plan->layout(), LayoutClass::kSingleVector);
+  ASSERT_EQ(plan->subpatterns().size(), 1u);
+  const core::SubPattern& sp = plan->subpatterns()[0];
+  EXPECT_EQ(sp.first_offset, 0);
+  EXPECT_EQ(sp.rows, kRows);
+  EXPECT_EQ(sp.block, 4u);
+  EXPECT_EQ(sp.stride, 8);
+  EXPECT_EQ(sp.packed_offset, 0u);
 }
 
 TEST(PackPlan, SignatureFoldsContiguousNesting) {

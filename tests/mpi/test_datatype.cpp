@@ -1,5 +1,6 @@
-// Datatype engine: type-map algebra (size/extent/lb), flattening, pattern
-// detection, and pack/unpack correctness for every constructor.
+// Datatype engine: type-map algebra (size/extent/lb), canonical strided
+// blocks, flattening, pattern detection, and pack/unpack correctness for
+// every constructor.
 #include "mpi/datatype.hpp"
 
 #include <gtest/gtest.h>
@@ -13,6 +14,8 @@
 using mv2gnc::mpisim::ArrayOrder;
 using mv2gnc::mpisim::Datatype;
 using mv2gnc::mpisim::Segment;
+using mv2gnc::mpisim::StrideDim;
+using mv2gnc::mpisim::StridedBlock;
 using mv2gnc::mpisim::VectorPattern;
 
 namespace {
@@ -20,6 +23,13 @@ namespace {
 Datatype committed(Datatype t) {
   t.commit();
   return t;
+}
+
+StridedBlock block(std::int64_t offset, std::size_t length,
+                   std::vector<StrideDim> dims = {}) {
+  StridedBlock b{offset, length};
+  for (const StrideDim& d : dims) b.dims[b.ndims++] = d;
+  return b;
 }
 
 std::vector<std::byte> pattern_bytes(std::size_t n, unsigned seed = 1) {
@@ -440,6 +450,70 @@ TEST(Datatype, TotalSegmentsCounts) {
   EXPECT_EQ(c.total_segments(1), 1u);
   EXPECT_EQ(c.total_segments(5), 1u);  // seam merges
   EXPECT_EQ(c.total_segments(0), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical strided blocks
+// ---------------------------------------------------------------------------
+
+TEST(Datatype, CanonicalBlocksOfRegularConstructors) {
+  // One block per regular constructor, however many rows it covers.
+  EXPECT_EQ(committed(Datatype::contiguous(1000, Datatype::float32())).blocks(),
+            std::vector<StridedBlock>{block(0, 4000)});
+  EXPECT_EQ(committed(Datatype::vector(64, 1, 4, Datatype::int32())).blocks(),
+            std::vector<StridedBlock>{block(0, 4, {{64, 16}})});
+  // A vector of vectors whose rows continue one progression fuses.
+  EXPECT_EQ(committed(Datatype::hvector(8, 1, 64,
+                                        Datatype::vector(4, 1, 4,
+                                                         Datatype::int32())))
+                .blocks(),
+            std::vector<StridedBlock>{block(0, 4, {{32, 16}})});
+  EXPECT_EQ(committed(Datatype::indexed_block(
+                          2, std::vector<int>{0, 5, 10, 15}, Datatype::int32()))
+                .blocks(),
+            std::vector<StridedBlock>{block(0, 8, {{4, 20}})});
+  // Column face of a 34x50x66 brick of doubles: rows of one double, 48 per
+  // plane 528 B apart, 32 planes 26400 B apart.
+  const std::array<int, 3> sizes{34, 50, 66};
+  const std::array<int, 3> subsizes{32, 48, 1};
+  const std::array<int, 3> starts{1, 1, 64};
+  EXPECT_EQ(committed(Datatype::subarray(sizes, subsizes, starts,
+                                         ArrayOrder::kC, Datatype::float64()))
+                .blocks(),
+            std::vector<StridedBlock>{
+                block(26400 + 528 + 64 * 8, 8, {{48, 528}, {32, 26400}})});
+}
+
+TEST(Datatype, FlattenedSpellingGroupsIntoTheSameBlocks) {
+  // hindexed has no canonical form: commit flattens it and groups the
+  // runs, which for evenly spaced rows gives the vector's block back.
+  const std::array<int, 4> lens{2, 2, 2, 2};
+  const std::array<std::int64_t, 4> displs{0, 20, 40, 60};
+  auto h = committed(Datatype::hindexed(lens, displs, Datatype::int32()));
+  EXPECT_EQ(h.blocks(), std::vector<StridedBlock>{block(0, 8, {{4, 20}})});
+  EXPECT_EQ(h.total_segments(1), 4u);
+}
+
+TEST(Datatype, RowsAbuttingAcrossCopiesMerge) {
+  // Blocks of indexed_block that abut merge into one run.
+  auto ib = committed(Datatype::indexed_block(2, std::vector<int>{0, 2, 6},
+                                              Datatype::int32()));
+  EXPECT_EQ(ib.blocks(),
+            (std::vector<StridedBlock>{block(0, 16), block(24, 8)}));
+  // Rows 0 and 8 of a 12-byte element, three copies 12 B apart: each
+  // copy's last row abuts the next copy's first, leaving runs of 4, 8, 8
+  // and 4 bytes. No strided shape holds them, so commit flattens.
+  auto t = committed(Datatype::hvector(
+      3, 1, 12, Datatype::vector(2, 1, 2, Datatype::int32())));
+  EXPECT_EQ(t.total_segments(1), 4u);
+  EXPECT_EQ(t.segments(),
+            (std::vector<Segment>{{0, 4}, {8, 8}, {20, 8}, {32, 4}}));
+  EXPECT_FALSE(t.vector_pattern(1).has_value());
+  std::vector<int> src(9);
+  std::iota(src.begin(), src.end(), 0);
+  std::vector<int> packed(6, -1);
+  t.pack(src.data(), 1, packed.data());
+  EXPECT_EQ(packed, (std::vector<int>{0, 2, 3, 5, 6, 8}));
 }
 
 // ---------------------------------------------------------------------------
