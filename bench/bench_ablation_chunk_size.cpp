@@ -1,10 +1,12 @@
 // Ablation: pipeline block (chunk) size sweep.
 //
 // Paper §IV-B: "we found 64KB to be the optimal block size in our
-// experimental environment" — the (n+2)*T(N/n) pipeline model trades
+// experimental environment" — its (n+2)*T(N/n) pipeline model trades
 // per-chunk overhead against overlap depth. This bench regenerates that
 // tuning curve for 1 MB and 4 MB vector messages; the shape should be
-// U-like (or monotone-flat past the knee) with the knee near 64 KB.
+// U-like (or monotone-flat past the knee) with the knee near 64 KB. The
+// last row is the library's own choice, which prices the makespan of the
+// pack, D2H, H2D and unpack pipeline per candidate chunk.
 #include <iostream>
 #include <vector>
 
@@ -39,7 +41,7 @@ int main() {
                    apps::format_us(t4m)});
   }
   {
-    // Reference row: what the (n+2)*T(N/n) model picks on its own.
+    // Reference row: what the pipeline-makespan model picks on its own.
     mpisim::ClusterConfig cfg;
     const sim::SimTime t1m = apps::measure_vector_latency(
         apps::VectorMethod::kMv2GpuNc, (1u << 20) / 4, 3, cfg);

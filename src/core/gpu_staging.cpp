@@ -376,65 +376,82 @@ ChunkShape chunk_shape(const MsgView& msg, std::size_t chunk) {
   return {chunk, 1};
 }
 
-}  // namespace
-
-sim::SimTime modeled_stage_time(const gpu::GpuCostModel& cost,
-                                const MsgView& msg, std::size_t chunk,
-                                bool offload) {
-  chunk = std::min(chunk, msg.packed_bytes);
-  if (chunk == 0) return 0;
-  const sim::SimTime d2h =
-      cost.copy_time(chunk, gpu::CopyDir::kDeviceToHost);
-  const sim::SimTime h2d =
-      cost.copy_time(chunk, gpu::CopyDir::kHostToDevice);
-  if (msg.contiguous) return std::max(d2h, h2d);
-  const ChunkShape s = chunk_shape(msg, chunk);
-  if (!offload) {
-    // nc2c: the strided copy IS the PCIe crossing.
-    const sim::SimTime pack = cost.copy2d_time(
-        s.width, s.rows, gpu::CopyDir::kDeviceToHost, gpu::Layout2D::kPack,
-        /*rows_contiguous=*/false);
-    const sim::SimTime unpack = cost.copy2d_time(
-        s.width, s.rows, gpu::CopyDir::kHostToDevice, gpu::Layout2D::kUnpack,
-        /*rows_contiguous=*/false);
-    return std::max(pack, unpack);
-  }
-  // nc2c2c: device-side pack stage + contiguous PCIe stages.
-  sim::SimTime pack;
+// Modeled D2D pack of one `chunk`-byte chunk of shape `s` into the tbuf.
+// The receiver's unpack costs the same.
+sim::SimTime device_pack_time(const gpu::GpuCostModel& cost,
+                              const MsgView& msg, ChunkShape s,
+                              std::size_t chunk) {
   if (msg.plan->layout() == LayoutClass::kIrregular) {
     // Generalized gather: flat per-run cost, no descriptor amortization.
-    pack = cost.d2d_2d_setup_ns + cost.copy_launch_ns +
+    return cost.d2d_2d_setup_ns + cost.copy_launch_ns +
            static_cast<sim::SimTime>(static_cast<double>(s.rows) *
                                      cost.d2d_row_first_ns) +
            cost.transfer_time(chunk, gpu::CopyDir::kDeviceToDevice);
-  } else {
-    pack = cost.copy2d_time(s.width, s.rows, gpu::CopyDir::kDeviceToDevice,
-                            gpu::Layout2D::kPack, /*rows_contiguous=*/false);
   }
-  return std::max({pack, d2h, h2d});
+  return cost.copy2d_time(s.width, s.rows, gpu::CopyDir::kDeviceToDevice,
+                          gpu::Layout2D::kPack, /*rows_contiguous=*/false);
+}
+
+}  // namespace
+
+sim::SimTime modeled_pipeline_time(const gpu::GpuCostModel& cost,
+                                   const MsgView& msg,
+                                   const SendStages& stages,
+                                   std::size_t chunk) {
+  chunk = std::min(chunk, msg.packed_bytes);
+  if (chunk == 0) return 0;
+  const ChunkShape s = chunk_shape(msg, chunk);
+  // Sum and maximum of the GPU copies one chunk passes through.
+  sim::SimTime sum = 0;
+  sim::SimTime slowest = 0;
+  const auto add = [&](sim::SimTime t) {
+    sum += t;
+    slowest = std::max(slowest, t);
+  };
+  if (stages.device_pack) {
+    const sim::SimTime pack = device_pack_time(cost, msg, s, chunk);
+    add(pack);  // sender: pack into the tbuf
+    add(pack);  // receiver: unpack out of the reassembly buffer
+  }
+  switch (stages.to_host) {
+    case SendStages::ToHost::kD2HCopy:
+      add(cost.copy_time(chunk, gpu::CopyDir::kDeviceToHost));
+      add(cost.copy_time(chunk, gpu::CopyDir::kHostToDevice));
+      break;
+    case SendStages::ToHost::kPcieStrided:
+      // nc2c: the strided copy is the PCIe crossing, both ways.
+      add(cost.copy2d_time(s.width, s.rows, gpu::CopyDir::kDeviceToHost,
+                           gpu::Layout2D::kPack, /*rows_contiguous=*/false));
+      add(cost.copy2d_time(s.width, s.rows, gpu::CopyDir::kHostToDevice,
+                           gpu::Layout2D::kUnpack, /*rows_contiguous=*/false));
+      break;
+    case SendStages::ToHost::kNone:
+    case SendStages::ToHost::kCpuPack:
+      break;
+  }
+  const auto n =
+      static_cast<sim::SimTime>((msg.packed_bytes + chunk - 1) / chunk);
+  return sum + (n - 1) * slowest;
 }
 
 std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
-                               const MsgView& msg, bool offload,
+                               const MsgView& msg, const SendStages& stages,
                                std::size_t fallback) {
   const std::size_t n_total = msg.packed_bytes;
   if (n_total == 0) return fallback;
-  std::size_t best = 0;
-  double best_cost = std::numeric_limits<double>::infinity();
+  std::size_t best = n_total;
+  sim::SimTime best_time = std::numeric_limits<sim::SimTime>::max();
   for (std::size_t c = 8 * 1024; c <= 1024 * 1024; c *= 2) {
     const std::size_t cand =
         align_chunk_to_pattern(msg, std::min(c, n_total));
-    if (cand == 0) continue;
-    const std::size_t n = (n_total + cand - 1) / cand;
-    const double t =
-        static_cast<double>(n + 2) *
-        static_cast<double>(modeled_stage_time(cost, msg, cand, offload));
-    if (t < best_cost) {
-      best_cost = t;
+    const sim::SimTime t = modeled_pipeline_time(cost, msg, stages, cand);
+    if (t == 0) return n_total;  // no priced stage: nothing to overlap
+    if (t < best_time) {
+      best_time = t;
       best = cand;
     }
   }
-  return best == 0 ? fallback : best;
+  return best;
 }
 
 bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg) {

@@ -1,6 +1,6 @@
 // GPU datatype-processing offload (paper §IV-A).
 //
-// Two layers:
+// Three layers:
 //  1. The three whole-message staging schemes of Figure 2 — "D2H nc2nc",
 //     "D2H nc2c" and "D2D2H nc2c2c" — as blocking helpers. The benchmark
 //     for Figure 2 measures these directly; the eager path and the
@@ -8,6 +8,9 @@
 //  2. Chunked async submit helpers used by the 5-stage pipeline: pack or
 //     unpack one packed-stream byte range on a CUDA stream, returning the
 //     cusim::Event that marks its completion.
+//  3. The per-message cost-model decisions (§IV-B): the Figure-2 scheme,
+//     and the pipeline chunk, priced from the SendStages descriptor that
+//     runs the transfer.
 //
 // Layout handling follows the message's pack plan. A single-vector plan
 // (the paper's scope) carries one SubPattern, and each row-aligned range of
@@ -19,6 +22,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #include "core/msg_view.hpp"
 #include "cuda/runtime.hpp"
@@ -26,6 +30,24 @@
 #include "sim/time.hpp"
 
 namespace mv2gnc::core {
+
+/// The sender's stages of one transfer (the left column of Figure 3; the
+/// full table is in core/rndv.hpp). The receiver's RecvStages mirror them.
+struct SendStages {
+  /// How a chunk reaches its host staging slot.
+  enum class ToHost : std::uint8_t {
+    kNone,         // no host slot: the wire reads device or user memory
+    kD2HCopy,      // contiguous D2H copy (from the tbuf, or the user buffer)
+    kPcieStrided,  // strided PCIe copy out of the user buffer (D2H nc2c)
+    kCpuPack,      // CPU pack of a host user buffer
+  };
+  /// Where the wire (RDMA write or IPC peer copy) reads a chunk from.
+  enum class Wire : std::uint8_t { kSlot, kTbuf, kUser };
+
+  bool device_pack = false;  // D2D nc2c pack of the user buffer into tbuf
+  ToHost to_host = ToHost::kNone;
+  Wire wire = Wire::kUser;
+};
 
 /// The three options of paper Figure 1 / Figure 2.
 enum class PackScheme {
@@ -105,19 +127,25 @@ std::size_t align_chunk_to_pattern(const MsgView& msg, std::size_t chunk);
 // Cost-model-driven per-message decisions (paper §IV-B)
 // ---------------------------------------------------------------------------
 
-/// Modeled duration of the slowest pipeline stage moving one `chunk`-byte
-/// chunk of `msg`, for the offloaded (nc2c2c: device pack + contiguous
-/// PCIe) or non-offloaded (nc2c: strided PCIe) scheme. This is the T(N/n)
-/// of the paper's (n+2)·T latency model.
-sim::SimTime modeled_stage_time(const gpu::GpuCostModel& cost,
-                                const MsgView& msg, std::size_t chunk,
-                                bool offload);
+/// Modeled time to move `msg` through `stages` in `chunk`-byte chunks
+/// (§IV-B): the makespan of an n = ceil(N/chunk) chunk linear pipeline,
+/// sum_s t_s + (n-1)·max_s t_s, every chunk priced at `chunk` bytes. The
+/// stages s are the GPU copies `stages` names, mirrored at the receiver:
+/// the device pack and unpack, then the D2H and H2D copies (contiguous, or
+/// 2-D for the strided PCIe path). The transport leg (fabric wire, IPC peer
+/// copy) is not priced, so a transfer with no GPU copy is modeled at 0.
+sim::SimTime modeled_pipeline_time(const gpu::GpuCostModel& cost,
+                                   const MsgView& msg,
+                                   const SendStages& stages,
+                                   std::size_t chunk);
 
-/// Pipeline chunk size minimizing the §IV-B model (n+2)·T(N/n) over
-/// power-of-two candidates (8 KB .. 1 MB), each aligned to the message's
-/// pattern block. Returns `fallback` when the message is empty.
+/// Pipeline chunk size minimizing modeled_pipeline_time over power-of-two
+/// candidates (8 KB .. 1 MB), each aligned to the message's pattern block
+/// and capped at the message size. A transfer with no priced stage goes as
+/// one chunk (returns the message size); an empty message returns
+/// `fallback`.
 std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
-                               const MsgView& msg, bool offload,
+                               const MsgView& msg, const SendStages& stages,
                                std::size_t fallback);
 
 /// Figure-2 scheme choice: true when packing on the device and crossing

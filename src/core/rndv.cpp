@@ -144,15 +144,16 @@ RecvStages recv_stages(const RankResources& res, const MsgView& msg,
 }
 
 // Pipeline chunk size (§IV-B): one degenerate chunk at or below the
-// threshold, otherwise model-optimized or the fixed tunable.
+// threshold, otherwise priced from the stages the transfer runs, or the
+// fixed tunable.
 std::size_t select_chunk(const RankResources& res, const MsgView& msg,
-                         bool offload_path) {
+                         const SendStages& stages) {
   const Tunables& tun = *res.tun;
   if (!tun.pipelining || msg.packed_bytes <= tun.pipeline_threshold) {
     return msg.packed_bytes;  // n = 1: degenerate (unpipelined) transfer
   }
   if (msg.on_device && tun.chunk_select == ChunkSelect::kModel) {
-    return select_chunk_bytes(res.cuda->device().cost(), msg, offload_path,
+    return select_chunk_bytes(res.cuda->device().cost(), msg, stages,
                               tun.chunk_bytes);
   }
   return align_chunk_to_pattern(msg, tun.chunk_bytes);
@@ -234,7 +235,7 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
   } else {
     stages_ = send_stages(res_, msg_, ipc_direct);
     plan_ = ChunkPlan::make(msg_.packed_bytes,
-                            select_chunk(res_, msg_, stages_.device_pack));
+                            select_chunk(res_, msg_, stages_));
     if (stages_.to_host == SendStages::ToHost::kCpuPack &&
         msg_.packed_bytes > 0) {
       cursors_ = msg_.plan->chunk_cursors(plan_.chunk);

@@ -181,22 +181,8 @@ struct ChunkPlan {
   static ChunkPlan make(std::size_t total, std::size_t chunk);
 };
 
-/// The sender's stages of one transfer (the left column of Figure 3).
-struct SendStages {
-  /// How a chunk reaches its host staging slot.
-  enum class ToHost : std::uint8_t {
-    kNone,         // no host slot: the wire reads device or user memory
-    kD2HCopy,      // contiguous D2H copy (from the tbuf, or the user buffer)
-    kPcieStrided,  // strided PCIe copy out of the user buffer (D2H nc2c)
-    kCpuPack,      // CPU pack of a host user buffer
-  };
-  /// Where the wire (RDMA write or IPC peer copy) reads a chunk from.
-  enum class Wire : std::uint8_t { kSlot, kTbuf, kUser };
-
-  bool device_pack = false;  // D2D nc2c pack of the user buffer into tbuf
-  ToHost to_host = ToHost::kNone;
-  Wire wire = Wire::kUser;
-};
+// SendStages, the sender's stages of one transfer (the left column of
+// Figure 3), lives in core/gpu_staging.hpp: the chunk price reads it.
 
 /// The receiver's stages of one transfer (the right column of Figure 3).
 struct RecvStages {

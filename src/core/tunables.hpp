@@ -17,7 +17,7 @@ namespace mv2gnc::core {
 
 /// How the pipeline chunk size is chosen per message.
 enum class ChunkSelect {
-  kModel,  // minimize the §IV-B latency model (n+2)·T_stage(N/n)
+  kModel,  // minimize the modeled makespan of the transfer's GPU copies
   kFixed,  // always use chunk_bytes (the paper's configured 64 KB)
 };
 
@@ -80,14 +80,17 @@ struct Tunables {
   /// the sliced pipeline (docs/COLLECTIVES.md).
   bool gpu_offload = true;
 
-  /// Per-message pipeline chunk-size policy. kModel picks the chunk that
-  /// minimizes (n+2)·T_stage(N/n) from the GPU cost model; kFixed forces
-  /// chunk_bytes. The detected-per-cluster config file of §IV-B maps to
-  /// kFixed with a measured chunk_bytes.
+  /// Per-message pipeline chunk-size policy. kModel prices the pipeline
+  /// the transfer runs from the GPU cost model (the makespan of n chunks
+  /// through its pack, D2H, H2D and unpack copies, whichever it has; see
+  /// core::select_chunk_bytes) and picks the cheapest chunk; a transfer
+  /// with none of those copies, such as an IPC contiguous send, goes as
+  /// one chunk. kFixed forces chunk_bytes. The detected-per-cluster config
+  /// file of §IV-B maps to kFixed with a measured chunk_bytes.
   ChunkSelect chunk_select = ChunkSelect::kModel;
 
-  /// Ablation lever: overlap the transfer stages. When false the message
-  /// moves as a single block (n = 1 in the paper's (n+2) model).
+  /// Ablation lever: overlap the transfer stages. When false every
+  /// rendezvous message moves as a single chunk (n = 1).
   bool pipelining = true;
 
   // -- concurrency scaling (docs/CONCURRENCY.md) -------------------------

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -17,6 +18,7 @@
 
 namespace core = mv2gnc::core;
 namespace gpu = mv2gnc::gpu;
+namespace sim = mv2gnc::sim;
 using core::LayoutClass;
 using core::PackPlan;
 using core::PlanCache;
@@ -292,25 +294,51 @@ TEST(CostSelection, ModelPrefersOffloadForFineGrainedRows) {
   EXPECT_FALSE(core::model_prefers_offload(cost, mcoarse));
 }
 
+// The stage descriptors of the routes a device-resident message can take
+// (the table in core/rndv.hpp).
+constexpr core::SendStages kFabricOffload{
+    true, core::SendStages::ToHost::kD2HCopy, core::SendStages::Wire::kSlot};
+constexpr core::SendStages kFabricPcie{
+    false, core::SendStages::ToHost::kPcieStrided,
+    core::SendStages::Wire::kSlot};
+constexpr core::SendStages kFabricContig{
+    false, core::SendStages::ToHost::kD2HCopy, core::SendStages::Wire::kSlot};
+constexpr core::SendStages kIpcStrided{
+    true, core::SendStages::ToHost::kNone, core::SendStages::Wire::kTbuf};
+constexpr core::SendStages kIpcContig{
+    false, core::SendStages::ToHost::kNone, core::SendStages::Wire::kUser};
+
+// fig5's `rows` x 4 B vector(rows, 1, 2, float), one element. The pricing
+// never touches the bytes, so every view shares one small base buffer.
+core::MsgView fig5_vector(std::size_t rows, gpu::MemoryRegistry& reg) {
+  static std::byte base[64];
+  return core::MsgView::make(
+      base, 1,
+      committed(
+          Datatype::vector(static_cast<int>(rows), 1, 2, Datatype::float32())),
+      reg);
+}
+
 TEST(CostSelection, ChunkMinimizesLatencyModel) {
   const auto cost = gpu::GpuCostModel::tesla_c2050();
   gpu::MemoryRegistry reg;
-  std::vector<std::byte> buf(64);
-  auto t = committed(Datatype::vector(1024, 1, 2, Datatype::int32()));
-  auto msg = core::MsgView::make(buf.data(), 1024, t, reg);  // 4 MB packed
-  const std::size_t chosen =
-      core::select_chunk_bytes(cost, msg, /*offload=*/true, 64 * 1024);
-  ASSERT_GE(chosen, 8u * 1024u);
-  ASSERT_LE(chosen, 1u << 20);
-  // The chosen chunk is no worse than every power-of-two candidate under
-  // the (n+2)·T model it is minimizing.
-  const auto model = [&](std::size_t c) {
-    const std::size_t n = (msg.packed_bytes + c - 1) / c;
-    return static_cast<double>(n + 2) *
-           static_cast<double>(core::modeled_stage_time(cost, msg, c, true));
-  };
-  for (std::size_t c = 8 * 1024; c <= (1u << 20); c *= 2) {
-    EXPECT_LE(model(chosen), model(c)) << "candidate " << c;
+  for (const std::size_t rows : {16'400u, 262'144u, 1'048'576u}) {
+    const core::MsgView msg = fig5_vector(rows, reg);
+    for (const core::SendStages& st : {kFabricOffload, kFabricPcie,
+                                       kIpcStrided}) {
+      const std::size_t chosen =
+          core::select_chunk_bytes(cost, msg, st, 64 * 1024);
+      ASSERT_GT(chosen, 0u);
+      ASSERT_LE(chosen, msg.packed_bytes);
+      EXPECT_EQ(chosen % 4, 0u) << "chunk splits a row";
+      // No power-of-two candidate has a shorter modeled makespan.
+      for (std::size_t c = 8 * 1024; c <= (1u << 20); c *= 2) {
+        const std::size_t cand = std::min<std::size_t>(c, msg.packed_bytes);
+        EXPECT_LE(core::modeled_pipeline_time(cost, msg, st, chosen),
+                  core::modeled_pipeline_time(cost, msg, st, cand))
+            << rows << " rows, candidate " << c;
+      }
+    }
   }
 }
 
@@ -323,6 +351,67 @@ TEST(CostSelection, StageTimeScalesWithSegmentDensity) {
   auto mfine = core::MsgView::make(buf.data(), 64, fine, reg);
   auto mwide = core::MsgView::make(buf.data(), 64, wide, reg);
   ASSERT_EQ(mfine.packed_bytes, mwide.packed_bytes);
-  EXPECT_GT(core::modeled_stage_time(cost, mfine, 64 * 1024, true),
-            core::modeled_stage_time(cost, mwide, 64 * 1024, true));
+  for (const core::SendStages& st : {kFabricOffload, kIpcStrided}) {
+    EXPECT_GT(core::modeled_pipeline_time(cost, mfine, st, 64 * 1024),
+              core::modeled_pipeline_time(cost, mwide, st, 64 * 1024));
+  }
+}
+
+TEST(CostSelection, MakespanSumsTheStagesOnce) {
+  // One chunk pays each priced copy once; each further chunk adds the
+  // slowest. Over IPC a strided chunk is packed and unpacked (two equal
+  // D2D 2-D copies); over the fabric it also crosses PCIe both ways.
+  const auto cost = gpu::GpuCostModel::tesla_c2050();
+  gpu::MemoryRegistry reg;
+  const core::MsgView msg = fig5_vector(16'400, reg);  // 65,600 B
+  const sim::SimTime pack = cost.copy2d_time(
+      4, 16'400, gpu::CopyDir::kDeviceToDevice, gpu::Layout2D::kPack, false);
+  EXPECT_EQ(core::modeled_pipeline_time(cost, msg, kIpcStrided, 65'600),
+            2 * pack);
+  EXPECT_EQ(core::modeled_pipeline_time(cost, msg, kFabricOffload, 65'600),
+            2 * pack + cost.copy_time(65'600, gpu::CopyDir::kDeviceToHost) +
+                cost.copy_time(65'600, gpu::CopyDir::kHostToDevice));
+  const sim::SimTime pack8k = cost.copy2d_time(
+      4, 2'048, gpu::CopyDir::kDeviceToDevice, gpu::Layout2D::kPack, false);
+  EXPECT_EQ(core::modeled_pipeline_time(cost, msg, kIpcStrided, 8'192),
+            (2 + 8) * pack8k);  // nine chunks, the last a 64 B sliver
+  EXPECT_EQ(core::modeled_pipeline_time(cost, msg, kIpcContig, 8'192), 0);
+}
+
+TEST(CostSelection, HaloVectorOverIpcGoesAsOneChunk) {
+  // stencil_halo's east-west halo: 16,400 rows of 4 B. Packing and
+  // unpacking it whole (2 x 245.5 us) beats nine 8 KB chunks (10 x 60.3 us)
+  // and three 32 KB ones (4 x 154.8 us).
+  const auto cost = gpu::GpuCostModel::tesla_c2050();
+  gpu::MemoryRegistry reg;
+  const core::MsgView msg = fig5_vector(16'400, reg);
+  EXPECT_EQ(core::select_chunk_bytes(cost, msg, kIpcStrided, 64 * 1024),
+            msg.packed_bytes);
+}
+
+TEST(CostSelection, Fig5FabricVectorsKeepTheirChunks) {
+  const auto cost = gpu::GpuCostModel::tesla_c2050();
+  gpu::MemoryRegistry reg;
+  EXPECT_EQ(core::select_chunk_bytes(cost, fig5_vector(262'144, reg),
+                                     kFabricOffload, 64 * 1024),
+            128u * 1024u);
+  EXPECT_EQ(core::select_chunk_bytes(cost, fig5_vector(1'048'576, reg),
+                                     kFabricOffload, 64 * 1024),
+            256u * 1024u);
+}
+
+TEST(CostSelection, ContiguousOverIpcGoesAsOneChunk) {
+  // The IPC peer copy is the only stage: there is nothing to overlap it
+  // with. Over the fabric the D2H and H2D copies still pipeline.
+  const auto cost = gpu::GpuCostModel::tesla_c2050();
+  gpu::MemoryRegistry reg;
+  auto bytes = committed(Datatype::byte());
+  std::vector<std::byte> buf(64);
+  for (const int n : {96 * 1024, 1 << 20, 4 << 20}) {
+    const auto msg = core::MsgView::make(buf.data(), n, bytes, reg);
+    EXPECT_EQ(core::select_chunk_bytes(cost, msg, kIpcContig, 64 * 1024),
+              static_cast<std::size_t>(n));
+    EXPECT_LT(core::select_chunk_bytes(cost, msg, kFabricContig, 64 * 1024),
+              static_cast<std::size_t>(n));
+  }
 }

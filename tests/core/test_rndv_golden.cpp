@@ -12,10 +12,13 @@
 // can present — device strided (GPU offload and the strided-PCIe
 // alternative), device contiguous, host strided, host contiguous and the
 // two intra-node IPC routes — each unpipelined (one chunk) and pipelined
-// (four or more chunks), plus a mixed-residency pair, a stream-triggered
-// isend_on, persistent re-fires through the plan cache (CPU- and
-// stream-started, the latter exercising every data-gate position) and a
-// lossy fabric that forces retransmissions.
+// (four or more chunks). The cost model sends an IPC contiguous message as
+// one chunk, so its pipelined cases pin chunk_select = fixed at 128 KB; two
+// more cases pin the model's own one-chunk IPC schedules (a 1 MB contiguous
+// message and stencil_halo's 16,400-row halo vector). Then a mixed-residency
+// pair, a stream-triggered isend_on, persistent re-fires through the plan
+// cache (CPU- and stream-started, the latter exercising every data-gate
+// position) and a lossy fabric that forces retransmissions.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -55,6 +58,8 @@ struct Case {
   int rows;  // float32 elements in the message
   bool pipelining = true;
   bool offload = true;
+  std::size_t fixed_chunk = 0;  // nonzero: chunk_select = fixed at this size
+  bool whole = false;  // pipelined, but the model sends one chunk per round
   std::size_t rpn = 1;
   Drive drive = Drive::kBlocking;
   int rounds = 1;
@@ -69,6 +74,7 @@ void PrintTo(const Case& c, std::ostream* os) { *os << c.name; }
 
 constexpr int kOneChunk = 1 << 16;    // 256 KB packed, pipelining off
 constexpr int kManyChunks = 1 << 18;  // 1 MB packed, pipelined
+constexpr int kHaloRows = 16'400;     // stencil_halo's 65,600 B east-west halo
 constexpr std::byte kSentinel{0xEE};
 
 bool on_device(Buf b) { return b == Buf::kDevStrided || b == Buf::kDevContig; }
@@ -174,6 +180,10 @@ Outcome run_case(const Case& c) {
   cfg.tunables.ranks_per_node = c.rpn;
   cfg.tunables.pipelining = c.pipelining;
   cfg.tunables.gpu_offload = c.offload;
+  if (c.fixed_chunk != 0) {
+    cfg.tunables.chunk_select = core::ChunkSelect::kFixed;
+    cfg.tunables.chunk_bytes = c.fixed_chunk;
+  }
   if (c.drive == Drive::kIsendOn || c.drive == Drive::kPersistentStream) {
     cfg.tunables.trigger_mode = core::TriggerMode::kStream;
   }
@@ -332,9 +342,18 @@ const Case kCases[] = {
      .golden = "t=236226 ev=29 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:2,2:1,3:1,4:1,5:1,7:1,9:1"},
     {.name = "ipc_contig_pipelined", .send = Buf::kDevContig,
-     .recv = Buf::kDevContig, .rows = kManyChunks, .rpn = 2,
+     .recv = Buf::kDevContig, .rows = kManyChunks, .fixed_chunk = 128 << 10,
+     .rpn = 2,
      .golden = "t=911359 ev=71 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:2,2:1,3:1,4:8,5:8,7:1,9:1"},
+    {.name = "ipc_contig_whole", .send = Buf::kDevContig,
+     .recv = Buf::kDevContig, .rows = kManyChunks, .whole = true, .rpn = 2,
+     .golden = "t=910311 ev=29 retry=0/0/0/0/0/0/0/0/0/0/0 "
+               "ctrl=1:2,2:1,3:1,4:1,5:1,7:1,9:1"},
+    {.name = "ipc_halo_vector", .send = Buf::kDevStrided,
+     .recv = Buf::kDevStrided, .rows = kHaloRows, .whole = true, .rpn = 2,
+     .golden = "t=602909 ev=33 retry=0/0/0/0/0/0/0/0/0/0/0 "
+               "ctrl=1:2,2:1,3:1,4:1,5:1,7:1,9:1"},
     {.name = "mixed_dev_strided_to_host_contig", .send = Buf::kDevStrided,
      .recv = Buf::kHostContig, .rows = kManyChunks,
      .golden = "t=4193395 ev=101 retry=0/0/0/0/0/0/0/0/0/0/0 "
@@ -383,8 +402,8 @@ const Case kCases[] = {
      .golden = "t=16013502 ev=333 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:6,2:3,3:3,4:24,5:24,7:3,9:3"},
     {.name = "persistent_stream_ipc_contig", .send = Buf::kDevContig,
-     .recv = Buf::kDevContig, .rows = kManyChunks, .rpn = 2,
-     .drive = Drive::kPersistentStream, .rounds = 3,
+     .recv = Buf::kDevContig, .rows = kManyChunks, .fixed_chunk = 128 << 10,
+     .rpn = 2, .drive = Drive::kPersistentStream, .rounds = 3,
      .golden = "t=2792364 ev=237 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:6,2:3,3:3,4:24,5:24,7:3,9:3"},
     {.name = "lossy_dev_strided_offload", .send = Buf::kDevStrided,
@@ -410,8 +429,11 @@ TEST_P(RndvGolden, ScheduleAndPayloadAreExact) {
   // own write times out and is resent).
   if (!c.lossy) {
     const std::uint64_t rounds = static_cast<std::uint64_t>(c.rounds);
-    if (c.pipelining) EXPECT_GE(out.first_fins, 4 * rounds) << c.name;
-    else EXPECT_EQ(out.first_fins, rounds) << c.name;
+    if (c.pipelining && !c.whole) {
+      EXPECT_GE(out.first_fins, 4 * rounds) << c.name;
+    } else {
+      EXPECT_EQ(out.first_fins, rounds) << c.name;
+    }
   } else {
     EXPECT_GT(out.retransmits, 0u) << c.name << ": lossy case never retried";
   }
