@@ -465,8 +465,9 @@ int main(int argc, char** argv) {
 
   // Congestion-adaptive routing + ECN sweep. Runs after (and prints after)
   // the classic grid, so the byte-identical baseline of the cells above is
-  // preserved verbatim.
-  bench::JsonReport routing_report("routing");
+  // preserved verbatim. The smoke sweep (64 ranks only) writes its own
+  // report, so it never overwrites the full sweep's BENCH_routing.json.
+  bench::JsonReport routing_report(smoke ? "routing_smoke" : "routing");
   const bool routing_ok = run_routing_sweep(routing_report, smoke ? 64 : 256);
   routing_report.write_and_note();
 

@@ -213,40 +213,20 @@ ChunkPlan ChunkPlan::make(std::size_t total, std::size_t chunk) {
 // ===========================================================================
 
 RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
-                   std::uint64_t my_req_id, RndvCache* cache)
+                   std::uint64_t my_req_id)
     : res_(res),
       msg_(std::move(msg)),
       dst_(dst_node),
       req_id_(my_req_id),
       graph_(res.trig),
       timer_(*res.engine) {
-  // The one stage input that can change between rounds of a persistent
-  // request is the transport route (failover demotes/restores IPC peers);
-  // the cache is keyed on it so a stale entry falls back to a fresh
-  // derivation.
-  const bool ipc_direct = msg_.on_device && res_.net->device_direct(dst_node);
-  if (cache != nullptr && cache->send_valid && cache->send_ipc == ipc_direct) {
-    // Persistent re-fire: stages, chunk table and pack cursors come
-    // straight from the cache — no cost-model calls, no plan lookup.
-    stages_ = cache->send_stages;
-    plan_ = cache->send_plan;
-    cursors_ = cache->send_cursors;
-    ++res_.trig->plan_cache_hits;
-  } else {
-    stages_ = send_stages(res_, msg_, ipc_direct);
-    plan_ = ChunkPlan::make(msg_.packed_bytes,
-                            select_chunk(res_, msg_, stages_));
-    if (stages_.to_host == SendStages::ToHost::kCpuPack &&
-        msg_.packed_bytes > 0) {
-      cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
-    }
-    if (cache != nullptr) {
-      cache->send_valid = true;
-      cache->send_ipc = ipc_direct;
-      cache->send_stages = stages_;
-      cache->send_plan = plan_;
-      cache->send_cursors = cursors_;
-    }
+  stages_ = send_stages(res_, msg_,
+                        msg_.on_device && res_.net->device_direct(dst_node));
+  plan_ = ChunkPlan::make(msg_.packed_bytes,
+                          select_chunk(res_, msg_, stages_));
+  if (stages_.to_host == SendStages::ToHost::kCpuPack &&
+      msg_.packed_bytes > 0) {
+    cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
   }
   pack_events_.resize(plan_.count);
   stage_events_.resize(plan_.count);
@@ -292,6 +272,16 @@ void RndvSend::post_ctrl(netsim::WireMessage msg) {
   res_.net->post_send(dst_, std::move(msg));
 }
 
+void RndvSend::set_data_gate(cusim::Event gate) {
+  if (stages_.device_pack || stages_.to_host != SendStages::ToHost::kNone ||
+      stages_.wire != SendStages::Wire::kUser) {
+    throw std::logic_error(
+        "RndvSend::set_data_gate: only a transfer whose wire reads the user "
+        "buffer, with no pack or staging stage, can be gated");
+  }
+  data_gate_ = std::move(gate);
+}
+
 void RndvSend::start(std::uint64_t tag_word) {
   rts_.kind = kRts;
   rts_.header[0] = tag_word;
@@ -302,34 +292,22 @@ void RndvSend::start(std::uint64_t tag_word) {
   build_graph();
   // Offload the whole pack immediately; it overlaps the RTS/CTS handshake
   // ("the sender ... triggers multiple asynchronous memory copies, each of
-  // which does a chunk size non-contiguous data pack"). With a stream data
-  // gate the packs are deferred to the graph's pack node instead — they
-  // must not read the buffer before the gate fires.
-  if (stages_.device_pack && !data_gate_.valid()) submit_packs();
+  // which does a chunk size non-contiguous data pack").
+  if (stages_.device_pack) {
+    tbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
+    for (std::size_t i = 0; i < plan_.count; ++i) {
+      pack_events_[i] = submit_device_pack(
+          *res_.cuda, res_.pack_stream, msg_, plan_.offset_of(i),
+          plan_.bytes_of(i), tbuf_ + plan_.offset_of(i));
+    }
+  }
   arm_timer();
   advance();
-}
-
-void RndvSend::submit_packs() {
-  tbuf_ = static_cast<std::byte*>(res_.cuda->malloc(plan_.total));
-  for (std::size_t i = 0; i < plan_.count; ++i) {
-    pack_events_[i] = submit_device_pack(*res_.cuda, res_.pack_stream, msg_,
-                                         plan_.offset_of(i), plan_.bytes_of(i),
-                                         tbuf_ + plan_.offset_of(i));
-  }
 }
 
 void RndvSend::build_graph() {
   graph_.clear();
   ++res_.trig->graphs_built;
-  // Gated device pack: one node that waits for the stream data gate, then
-  // submits every chunk pack. Ungated transfers pack inline in start()
-  // (before the retransmission deadline is armed).
-  if (stages_.device_pack && data_gate_.valid()) {
-    const int pack = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);
-    graph_.add_node(pack, [this] { return data_ready(); },
-                    [this] { submit_packs(); });
-  }
   // Stage frontier: pack (if any) must have completed; a staging slot must
   // be available. Staging runs regardless of CTS — it overlaps the
   // handshake.
@@ -372,14 +350,6 @@ bool RndvSend::stage_gate(std::size_t i) {
     res_.sched->withdraw(req_id_);
     return false;
   }
-  // Stream data gate: staging that reads the user buffer (strided PCIe
-  // copy, contiguous D2H, CPU pack) holds until the producing kernels
-  // drain. A device pack is covered by its pack node; a wire that reads
-  // the user buffer gates at the RDMA frontier instead.
-  if (data_gate_.valid() && !data_ready() && uses_staging() &&
-      !stages_.device_pack) {
-    return false;
-  }
   if (uses_staging() && !slots_[i].valid()) {
     if (force_pinned_) {
       // Stall watchdog verdict: the pool is wedged, take a pinned slot.
@@ -408,12 +378,9 @@ bool RndvSend::stage_gate(std::size_t i) {
 bool RndvSend::rdma_gate(std::size_t i) {
   if (!stage_submitted_[i]) return false;
   if (stage_events_[i].valid() && !stage_events_[i].query()) return false;
-  // A wire that reads the user buffer directly: the stream data gate holds
-  // the write itself (staged chunks were gated at staging).
-  if (data_gate_.valid() && !data_ready() &&
-      stages_.wire == SendStages::Wire::kUser) {
-    return false;
-  }
+  // The data gate holds the write itself: the wire reads the user buffer
+  // (set_data_gate admits no other stage set).
+  if (!data_ready()) return false;
   if (mode_ == CtsMode::kStaged && remote_slots_.empty()) return false;
   return true;
 }
@@ -458,11 +425,11 @@ void RndvSend::handle_timeout() {
     arm_timer();
     return;
   }
-  if (data_gate_.valid() && !data_ready()) {
-    // Stream-gated transfer waiting on its own compute, not on the peer:
-    // a long-running producer kernel is legal, so the quiet period does
-    // not charge the retry budget. Keep probing with the RTS so the
-    // peer's liveness watchdog stays fed meanwhile.
+  if (!data_ready()) {
+    // Gated transfer waiting on the copy that fills its buffer, not on the
+    // peer: a long-running producer is legal, so the quiet period does not
+    // charge the retry budget. Keep probing with the RTS so the peer's
+    // liveness watchdog stays fed meanwhile.
     post_ctrl(rts_);
     ++res_.retries->rts_retransmits;
     trace_event("fault_rts_retransmit");
@@ -897,8 +864,7 @@ void RndvSend::abandon(const std::string& reason) {
 
 RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
                    std::uint64_t sender_req, std::uint64_t my_req_id,
-                   std::size_t incoming_bytes, std::size_t sender_chunk,
-                   RndvCache* cache)
+                   std::size_t incoming_bytes, std::size_t sender_chunk)
     : res_(res),
       msg_(std::move(msg)),
       src_(src_node),
@@ -906,35 +872,13 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
       req_id_(my_req_id),
       graph_(res.trig),
       timer_(*res.engine) {
-  // The one stage input that may change between persistent rounds is the
-  // transport route (failover); the cache is keyed on it. The chunk table
-  // stays sender-driven (below).
-  const bool ipc_direct = msg_.on_device && res_.net->device_direct(src_node);
-  if (cache != nullptr && cache->recv_valid && cache->recv_ipc == ipc_direct) {
-    stages_ = cache->recv_stages;
-    ++res_.trig->plan_cache_hits;
-  } else {
-    stages_ = recv_stages(res_, msg_, ipc_direct);
-    if (cache != nullptr) {
-      cache->recv_valid = true;
-      cache->recv_ipc = ipc_direct;
-      cache->recv_stages = stages_;
-    }
-  }
+  stages_ = recv_stages(res_, msg_,
+                        msg_.on_device && res_.net->device_direct(src_node));
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
   if (stages_.unpack == RecvStages::Unpack::kCpu && msg_.packed_bytes > 0) {
-    if (cache != nullptr && cache->recv_cursors &&
-        cache->recv_chunk == plan_.chunk) {
-      cursors_ = cache->recv_cursors;  // same sender chunk: cursors hold
-    } else {
-      cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
-      if (cache != nullptr) {
-        cache->recv_chunk = plan_.chunk;
-        cache->recv_cursors = cursors_;
-      }
-    }
+    cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
   }
   chunks_.resize(plan_.count);
   acks_.resize(plan_.count);

@@ -159,7 +159,7 @@ struct RankResources {
   /// fairness gating, adaptive pipeline depth, ack/credit coalescing and
   /// the control-message census.
   TransferScheduler* sched = nullptr;
-  /// Trigger-graph / stream-op observability counters (docs/STREAMS.md).
+  /// Trigger-graph counters (docs/STREAMS.md).
   TriggerStats* trig = nullptr;
 };
 
@@ -200,29 +200,6 @@ struct RecvStages {
   Unpack unpack = Unpack::kNone;
 };
 
-/// Persistent-request plan cache (docs/STREAMS.md): the stage descriptor,
-/// chunk geometry and pack cursors a transfer derived once, stored so the
-/// next start() of the same frozen argument list re-fires them without
-/// plan lookup or cost-model calls. The cache is validated against the
-/// inputs that can legitimately change between rounds (transport failover
-/// flips device_direct; the sender's RTS dictates the receiver's chunk) —
-/// a mismatch falls back to a fresh derivation and refills the entry.
-/// Owned by the PersistentRequest; transfers hold a non-owning pointer.
-struct RndvCache {
-  // Sender side.
-  bool send_valid = false;
-  bool send_ipc = false;  // device_direct(dst) held when the entry was filled
-  SendStages send_stages;
-  ChunkPlan send_plan;
-  std::shared_ptr<const PackPlan::ChunkCursors> send_cursors;
-  // Receiver side.
-  bool recv_valid = false;
-  bool recv_ipc = false;
-  RecvStages recv_stages;
-  std::size_t recv_chunk = 0;  // sender chunk the cursors were cut for
-  std::shared_ptr<const PackPlan::ChunkCursors> recv_cursors;
-};
-
 /// Sender-side state machine. Drive with on_*() from the progress engine
 /// and call advance() after every event; done() flips once every chunk has
 /// been acknowledged by the receiver, failed() once the retry budget is
@@ -236,17 +213,19 @@ struct RndvCache {
 class RndvSend {
  public:
   RndvSend(RankResources& res, MsgView msg, int dst_node,
-           std::uint64_t my_req_id, RndvCache* cache = nullptr);
+           std::uint64_t my_req_id);
   ~RndvSend();
   RndvSend(const RndvSend&) = delete;
   RndvSend& operator=(const RndvSend&) = delete;
 
-  /// Stream-triggered mode: gate the data-touching stages on `gate` (an
-  /// event recorded on the application stream behind the kernels that
-  /// produce the send buffer). The RTS still leaves immediately — the
-  /// handshake overlaps the compute — but no byte of the user buffer is
-  /// read before the gate fires. Call before start().
-  void set_data_gate(cusim::Event gate) { data_gate_ = std::move(gate); }
+  /// Gate the wire on `gate`, an event recorded behind the copy that fills
+  /// the send buffer (a device collective's D2H into a host staging slot).
+  /// The RTS still leaves immediately, so the handshake overlaps the copy,
+  /// but no write reads the buffer before the gate fires. Only a transfer
+  /// whose wire reads the user buffer with no pack and no staging stage
+  /// may be gated; any other stage set throws std::logic_error. Call
+  /// before start().
+  void set_data_gate(cusim::Event gate);
 
   /// Send the RTS and (with a device pack stage) start packing immediately
   /// — packing overlaps the handshake, as in Figure 3. Arms the
@@ -301,22 +280,20 @@ class RndvSend {
     return stages_.to_host != SendStages::ToHost::kNone;
   }
 
-  /// Declare the trigger chains (pack gate -> stage frontier -> RDMA
-  /// frontier); advance() then only fires the graph.
+  /// Declare the trigger chains (stage frontier -> RDMA frontier);
+  /// advance() then only fires the graph.
   void build_graph();
-  /// Dependency gate of stage node i: depth cap, pack completion, data
-  /// gate, staging-slot acquisition (the acquisition is the side effect
-  /// that historically lived in the advance() loop body).
+  /// Dependency gate of stage node i: depth cap, pack completion,
+  /// staging-slot acquisition (the acquisition is the side effect that
+  /// historically lived in the advance() loop body).
   bool stage_gate(std::size_t i);
-  /// Dependency gate of RDMA node i: chunk staged, D2H drained, data gate
-  /// (wire reading the user buffer), landing address available.
+  /// Dependency gate of RDMA node i: chunk staged, D2H drained, data gate,
+  /// landing address available.
   bool rdma_gate(std::size_t i);
-  /// True once the stream data gate (if any) has fired.
+  /// True once the data gate (if any) has fired.
   bool data_ready() const {
     return !data_gate_.valid() || data_gate_.query();
   }
-  /// Allocate the tbuf and queue every chunk's device pack into it.
-  void submit_packs();
   void submit_stage(std::size_t i);
   void post_chunk_rdma(std::size_t i, bool retransmit);
   /// Stamp, census-count, piggyback pending credits for dst_, then post.
@@ -340,10 +317,10 @@ class RndvSend {
   std::uint64_t req_id_;
   SendStages stages_;
   ChunkPlan plan_;
-  /// Precomputed per-chunk resumable cursors (CPU pack); shared with the
-  /// plan cache, so retransmissions and repeated sends reuse them verbatim.
+  /// Precomputed per-chunk resumable cursors (CPU pack), so
+  /// retransmissions reuse them verbatim.
   std::shared_ptr<const PackPlan::ChunkCursors> cursors_;
-  /// Stream data gate (invalid unless set_data_gate was called).
+  /// Data gate (invalid unless set_data_gate was called).
   cusim::Event data_gate_;
   /// The stage/RDMA dependency graph; rebuilt per transfer, fired by
   /// advance().
@@ -403,8 +380,7 @@ class RndvRecv {
  public:
   RndvRecv(RankResources& res, MsgView msg, int src_node,
            std::uint64_t sender_req, std::uint64_t my_req_id,
-           std::size_t incoming_bytes, std::size_t sender_chunk,
-           RndvCache* cache = nullptr);
+           std::size_t incoming_bytes, std::size_t sender_chunk);
   ~RndvRecv();
   RndvRecv(const RndvRecv&) = delete;
   RndvRecv& operator=(const RndvRecv&) = delete;

@@ -55,15 +55,6 @@ bool TriggerGraph::complete() const {
   return true;
 }
 
-void TriggerGraph::reset() {
-  nodes_fired_ = 0;
-  for (auto& chain : chains_) {
-    chain.frontier = 0;
-    chain.fired = 0;
-    for (auto& node : chain.nodes) node.fired = false;
-  }
-}
-
 void TriggerGraph::clear() {
   chains_.clear();
   nodes_fired_ = 0;

@@ -22,9 +22,9 @@
 //     conditions they replace.
 //
 // Gates poll sim::EventFlag / cusim::Event state; external events re-drive
-// the owner's progress loop, which calls fire() again. Nodes whose gates
-// depend on a cusim stream event compose with the stream-triggered ops in
-// cuda/runtime.hpp (launch_host_trigger / stream_wait_flag).
+// the owner's progress loop, which calls fire() again. A gate that reads a
+// cusim event is re-driven by the stream's wakeup notifier, or by a
+// launch_host_trigger that pokes it (cuda/runtime.hpp).
 #pragma once
 
 #include <cstddef>
@@ -34,17 +34,11 @@
 
 namespace mv2gnc::core {
 
-/// Per-rank counters for the trigger/stream engine, surfaced by
-/// Cluster::print_stats when the stream knobs are active. Aggregated across
-/// every transfer and persistent request of the rank.
+/// Per-rank trigger-graph counters (Cluster::trigger_stats), aggregated
+/// across every transfer of the rank.
 struct TriggerStats {
-  std::uint64_t triggers_fired = 0;      // graph nodes whose action ran
-  std::uint64_t graphs_built = 0;        // transfer graphs constructed
-  std::uint64_t stream_ops = 0;          // trigger/wait ops enqueued on streams
-  std::uint64_t stream_sends = 0;        // isend_on posted
-  std::uint64_t stream_recvs = 0;        // irecv_on posted
-  std::uint64_t persistent_starts = 0;   // persistent request re-fires
-  std::uint64_t plan_cache_hits = 0;     // starts that reused a cached plan
+  std::uint64_t triggers_fired = 0;  // graph nodes whose action ran
+  std::uint64_t graphs_built = 0;    // transfer graphs constructed
 };
 
 class TriggerGraph {
@@ -78,9 +72,6 @@ class TriggerGraph {
 
   /// Every node in every chain has fired.
   bool complete() const;
-
-  /// Re-arm every node for another firing round (persistent re-fires).
-  void reset();
 
   std::size_t nodes_fired() const { return nodes_fired_; }
   bool empty() const { return chains_.empty(); }

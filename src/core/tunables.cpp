@@ -128,21 +128,6 @@ const char* route_select_name(RouteSelect r) {
   return "dmodk";
 }
 
-TriggerMode parse_trigger_mode(const std::string& v) {
-  if (v == "polled") return TriggerMode::kPolled;
-  if (v == "stream") return TriggerMode::kStream;
-  throw std::invalid_argument(
-      "tunables: trigger_mode must be 'polled' or 'stream', got: " + v);
-}
-
-const char* trigger_mode_name(TriggerMode m) {
-  switch (m) {
-    case TriggerMode::kPolled: return "polled";
-    case TriggerMode::kStream: return "stream";
-  }
-  return "polled";
-}
-
 const char* sched_policy_name(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kFifo: return "fifo";
@@ -190,8 +175,6 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
       else if (key == "route_select") t.route_select = parse_route_select(value);
-      else if (key == "trigger_mode") t.trigger_mode = parse_trigger_mode(value);
-      else if (key == "persistent_plan_cache") t.persistent_plan_cache = parse_bool(value, key);
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
       else if (key == "vbuf_reserve_per_transfer") t.vbuf_reserve_per_transfer = std::stoull(value);
       else if (key == "ack_coalesce_window_ns") t.ack_coalesce_window_ns = std::stoll(value);
@@ -247,9 +230,6 @@ std::string Tunables::to_config_string() const {
      << (transport_select == TransportSelect::kAuto ? "auto" : "fabric")
      << "\n"
      << "route_select = " << route_select_name(route_select) << "\n"
-     << "trigger_mode = " << trigger_mode_name(trigger_mode) << "\n"
-     << "persistent_plan_cache = "
-     << (persistent_plan_cache ? "true" : "false") << "\n"
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
      << "vbuf_reserve_per_transfer = " << vbuf_reserve_per_transfer << "\n"
      << "ack_coalesce_window_ns = " << ack_coalesce_window_ns << "\n"

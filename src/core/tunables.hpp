@@ -45,14 +45,6 @@ enum class RouteSelect {
   kAdaptive,  // least-backlogged path at injection time, index-order ties
 };
 
-/// How stream-attached sends/recvs (isend_on / irecv_on / start_on) couple
-/// to the cusim stream (see docs/STREAMS.md).
-enum class TriggerMode {
-  kPolled,  // synchronize the stream, then post: the CPU-driven baseline
-  kStream,  // enqueue trigger/wait ops on the stream; RTS fires when prior
-            // stream work drains and completion gates later stream work
-};
-
 struct Tunables {
   /// Messages at or below this size use the eager protocol.
   std::size_t eager_threshold = 8 * 1024;
@@ -138,21 +130,6 @@ struct Tunables {
   /// contention). 0 disables marking entirely — the byte-identical
   /// default.
   sim::SimTime ecn_backlog_ns = 0;
-
-  // -- stream-triggered communication (docs/STREAMS.md) ------------------
-  /// How the *_on(stream, ...) entry points behave. kPolled keeps the CPU
-  /// in the loop (synchronize + post — byte-identical to not using the
-  /// stream API at all); kStream enqueues host-trigger / wait-flag ops so
-  /// the transfer starts and completes in stream order with no host
-  /// turnaround.
-  TriggerMode trigger_mode = TriggerMode::kPolled;
-
-  /// Persistent requests (send_init/recv_init + start) cache the path
-  /// decision, pack plan and chunk table on first use and re-fire them on
-  /// every restart, skipping plan lookup and cost-model calls on the hot
-  /// path. Off by default: every start re-derives the plan exactly like a
-  /// fresh isend/irecv.
-  bool persistent_plan_cache = false;
 
   // -- reliability -------------------------------------------------------
   /// Base retransmission timeout for rendezvous control messages: if a

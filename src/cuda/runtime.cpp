@@ -35,25 +35,6 @@ const char* kind_name(MemcpyKind kind) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// HostFlag
-// ---------------------------------------------------------------------------
-
-void HostFlag::trigger() {
-  set_ = true;
-  auto waiters = std::move(waiters_);
-  waiters_.clear();
-  for (auto& fn : waiters) fn();
-}
-
-void HostFlag::on_set(std::function<void()> fn) {
-  if (set_) {
-    fn();
-  } else {
-    waiters_.push_back(std::move(fn));
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Stream / Event
 // ---------------------------------------------------------------------------
 
@@ -222,20 +203,6 @@ sim::FifoResource& CudaContext::engine_for(MemcpyKind kind) {
   throw CudaError("engine_for: unresolved kind");
 }
 
-namespace {
-
-// When a stream_wait_flag resolves, replay the submissions queued behind it
-// until the queue drains or another wait blocks the stream again.
-void drain_deferred(const std::shared_ptr<detail::StreamState>& st) {
-  while (!st->blocked && !st->deferred.empty()) {
-    auto next = std::move(st->deferred.front());
-    st->deferred.pop_front();
-    next();
-  }
-}
-
-}  // namespace
-
 sim::SimTime CudaContext::submit_to_stream(Stream& stream,
                                            sim::FifoResource& res,
                                            sim::SimTime duration,
@@ -243,22 +210,13 @@ sim::SimTime CudaContext::submit_to_stream(Stream& stream,
   auto st = stream.state_;
   if (!st) throw CudaError("operation submitted to null stream");
   ++st->submitted;
-  auto activate = [st, &res, duration, move = std::move(data_move)]() mutable {
-    const sim::SimTime done = res.submit_after(
-        st->last_op_done, duration,
-        [st, move = std::move(move)] {
-          if (move) move();
-          ++st->completed;
-          st->progress_flag->trigger();
-          if (st->wakeup != nullptr) st->wakeup->notify();
-        });
-    st->last_op_done = done;
-  };
-  if (st->blocked) {
-    st->deferred.push_back(std::move(activate));
-    return st->last_op_done;
-  }
-  activate();
+  st->last_op_done = res.submit_after(
+      st->last_op_done, duration, [st, move = std::move(data_move)] {
+        if (move) move();
+        ++st->completed;
+        st->progress_flag->trigger();
+        if (st->wakeup != nullptr) st->wakeup->notify();
+      });
   return st->last_op_done;
 }
 
@@ -268,50 +226,13 @@ void CudaContext::launch_host_trigger(Stream& stream,
   if (!st) throw CudaError("launch_host_trigger on null stream");
   charge_async_submit();
   ++st->submitted;
-  auto activate = [st, eng = &engine_, fn = std::move(fn)]() mutable {
-    const sim::SimTime done = std::max(eng->now(), st->last_op_done);
-    st->last_op_done = done;
-    eng->schedule_at(done, [st, fn = std::move(fn)] {
-      if (fn) fn();
-      ++st->completed;
-      st->progress_flag->trigger();
-      if (st->wakeup != nullptr) st->wakeup->notify();
-    });
-  };
-  if (st->blocked) {
-    st->deferred.push_back(std::move(activate));
-  } else {
-    activate();
-  }
-}
-
-void CudaContext::stream_wait_flag(Stream& stream,
-                                   std::shared_ptr<HostFlag> flag) {
-  auto st = stream.state_;
-  if (!st) throw CudaError("stream_wait_flag on null stream");
-  if (!flag) throw CudaError("stream_wait_flag on null flag");
-  charge_async_submit();
-  ++st->submitted;
-  auto activate = [st, eng = &engine_, flag = std::move(flag)] {
-    const sim::SimTime fence = st->last_op_done;
-    st->blocked = true;
-    flag->on_set([st, eng, fence] {
-      const sim::SimTime done = std::max(eng->now(), fence);
-      eng->schedule_at(done, [st, done] {
-        ++st->completed;
-        if (done > st->last_op_done) st->last_op_done = done;
-        st->blocked = false;
-        st->progress_flag->trigger();
-        if (st->wakeup != nullptr) st->wakeup->notify();
-        drain_deferred(st);
-      });
-    });
-  };
-  if (st->blocked) {
-    st->deferred.push_back(activate);
-  } else {
-    activate();
-  }
+  st->last_op_done = std::max(engine_.now(), st->last_op_done);
+  engine_.schedule_at(st->last_op_done, [st, fn = std::move(fn)] {
+    if (fn) fn();
+    ++st->completed;
+    st->progress_flag->trigger();
+    if (st->wakeup != nullptr) st->wakeup->notify();
+  });
 }
 
 void CudaContext::charge_async_submit() {

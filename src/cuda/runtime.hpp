@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -56,33 +55,6 @@ struct IpcMemHandle {
   std::uint64_t offset = 0;  // offset of the exported pointer within it
 };
 
-/// A host-visible one-shot flag a stream can wait on (the 32-bit word of
-/// cuStreamWaitValue32, reduced to set/unset). Unlike sim::EventFlag, whose
-/// waiters are blocked *processes*, HostFlag waiters are callbacks — the
-/// stream-trigger machinery arms one to resolve a pending stream_wait_flag
-/// the moment the host (e.g. the MPI layer completing a request) triggers.
-class HostFlag {
- public:
-  HostFlag() = default;
-
-  bool is_set() const { return set_; }
-
-  /// Set the flag and run every armed callback, FIFO. Callbacks may
-  /// schedule engine events but must not block.
-  void trigger();
-
-  /// Re-arm for another trigger (persistent re-fires). Callbacks armed
-  /// after the reset wait for the next trigger.
-  void reset() { set_ = false; }
-
-  /// Arm `fn` to run at trigger time — immediately if already set.
-  void on_set(std::function<void()> fn);
-
- private:
-  bool set_ = false;
-  std::vector<std::function<void()>> waiters_;
-};
-
 namespace detail {
 
 struct StreamState {
@@ -94,12 +66,6 @@ struct StreamState {
   sim::SimTime last_op_done = 0;  // stream-order fence
   std::unique_ptr<sim::EventFlag> progress_flag;
   sim::Notifier* wakeup = nullptr;
-  // stream_wait_flag support: while a wait op is unresolved the stream is
-  // blocked and later submissions queue as activation thunks, replayed in
-  // order when the wait resolves. Counts (submitted) advance at submit
-  // time so query()/events see the queued work.
-  bool blocked = false;
-  std::deque<std::function<void()>> deferred;
 };
 
 }  // namespace detail
@@ -236,18 +202,11 @@ class CudaContext {
   void launch_device_reduce(Stream& stream, std::size_t bytes,
                             std::function<void()> body);
 
-  // -- stream-triggered ops (docs/STREAMS.md) ---------------------------
-  /// cuLaunchHostFunc / cuStreamWriteValue analogue: enqueue `fn` to run
-  /// when the stream reaches this point (all prior submissions drained).
-  /// `fn` executes in scheduler context — it must only set flags / poke
-  /// notifiers, never block.
+  // -- host callbacks ---------------------------------------------------
+  /// cuLaunchHostFunc analogue: enqueue `fn` to run when the stream reaches
+  /// this point (all prior submissions drained). `fn` executes in scheduler
+  /// context — it must only set flags / poke notifiers, never block.
   void launch_host_trigger(Stream& stream, std::function<void()> fn);
-
-  /// cuStreamWaitValue analogue: all stream work submitted after this call
-  /// waits until `flag` is triggered (and prior stream work drained).
-  /// Submissions made while the wait is pending are queued and replayed in
-  /// order at resolve time.
-  void stream_wait_flag(Stream& stream, std::shared_ptr<HostFlag> flag);
 
   gpu::Device& device() { return device_; }
   const gpu::Device& device() const { return device_; }

@@ -650,30 +650,6 @@ void Cluster::print_stats(std::ostream& os) {
       os << line;
     }
   }
-  // Trigger-graph / stream / persistent counters render only when one of
-  // the stream-rendezvous knobs left its default, keeping every default
-  // run (all the pinned baselines) byte-identical.
-  const bool show_trig =
-      config_.tunables.trigger_mode != core::TriggerMode::kPolled ||
-      config_.tunables.persistent_plan_cache;
-  if (show_trig) {
-    os << "rank  graphs  fired  stream-ops  s-sends  s-recvs  p-starts  "
-          "plan-hits\n";
-    for (int r = 0; r < config_.ranks; ++r) {
-      const core::TriggerStats& ts = trigger_stats(r);
-      char line[160];
-      std::snprintf(line, sizeof(line),
-                    "%4d %7llu %6llu %11llu %8llu %8llu %9llu %10llu\n", r,
-                    static_cast<unsigned long long>(ts.graphs_built),
-                    static_cast<unsigned long long>(ts.triggers_fired),
-                    static_cast<unsigned long long>(ts.stream_ops),
-                    static_cast<unsigned long long>(ts.stream_sends),
-                    static_cast<unsigned long long>(ts.stream_recvs),
-                    static_cast<unsigned long long>(ts.persistent_starts),
-                    static_cast<unsigned long long>(ts.plan_cache_hits));
-      os << line;
-    }
-  }
   const core::PlanCacheStats pc = plan_cache_stats();
   if (pc.lookups() > 0) {
     char line[200];

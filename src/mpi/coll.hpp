@@ -277,16 +277,15 @@ class CollEngine {
                                const std::vector<int>& ranks, int me,
                                double* dev, int count, bool take_max);
   /// Wire leg of one host-resident slice, with per-slice tags,
-  /// device-kernel folds and an optional D2H data gate on the first send
-  /// (trigger_mode = stream). Recursive-halving reduce-scatter plus
-  /// recursive-doubling allgather (the large-message shape: 2(1-1/p)
-  /// wire bytes and (1-1/p) folded bytes per slice instead of recursive
-  /// doubling's log2(p) of each); tiny slices fall back to the
-  /// full-vector butterfly.
+  /// device-kernel folds and the slice's D2H event `gate` holding the first
+  /// send's wire. Recursive-halving reduce-scatter plus recursive-doubling
+  /// allgather (the large-message shape: 2(1-1/p) wire bytes and (1-1/p)
+  /// folded bytes per slice instead of recursive doubling's log2(p) of
+  /// each); tiny slices fall back to the full-vector butterfly.
   void device_slice_wire(CollOpStats& op, const CommGroup& g,
                          const std::vector<int>& ranks, int me, double* data,
                          int count, bool take_max, int slice,
-                         cusim::Event* gate);
+                         cusim::Event gate);
   void device_bcast(CollOpStats& op, void* buf, int count,
                     const Datatype& dtype, int root, const CommGroup& g,
                     const Topology& t, CollShape shape);

@@ -15,14 +15,13 @@
 //   pipelined  the vector is cut into model-sized slices; slice k's D2H
 //              (coll_d2h_ stream) overlaps slice k-1's wire leg, whose
 //              folds run as device reduction kernels (coll_red_), while
-//              slice k-2's write-back drains on coll_h2d_. Sequencing uses
-//              the stream primitives: record_event data gates let the RTS
-//              of a slice's first send leave while its D2H is still in
-//              flight (trigger_mode = stream), stream_wait_flag holds the
-//              pre-enqueued write-back until the wire leg lands, and a
-//              launch_host_trigger marks the drain of the pipeline. Under
-//              trigger_mode = polled the same schedule synchronizes
-//              point-wise and is byte-identical.
+//              slice k-2's write-back drains on coll_h2d_. The slice's
+//              D2H event gates its first send's wire, so the RTS leaves
+//              while the copy is still in flight; a launch_host_trigger
+//              behind each D2H wakes the progress loop the moment the gate
+//              opens, the write-back is enqueued once the wire leg lands,
+//              and a last launch_host_trigger marks the drain of the
+//              pipeline.
 //
 // At rpn > 1 the two-level pipelined allreduce keeps the intra-node
 // reduce-scatter / allgather rings entirely device-resident: co-located
@@ -206,7 +205,7 @@ bool CollEngine::use_device_pipeline(const void* sendbuf,
 void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
                                    const std::vector<int>& ranks, int me,
                                    double* data, int count, bool take_max,
-                                   int slice, cusim::Event* gate) {
+                                   int slice, cusim::Event gate) {
   static const Datatype double_t = committed_double();
   const int p = static_cast<int>(ranks.size());
   if (p <= 1) return;
@@ -217,27 +216,22 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
   double* tmp = scratch<double>(static_cast<std::size_t>(count));
   const RdSchedule rd(p);
   const int pof2 = rd.pof2;
-  // The slice's D2H gate rides the first send's data stages (the RTS still
-  // leaves immediately); any fold that writes the slot before a send
-  // consumed the gate must synchronize it explicitly.
-  bool gate_pending = gate != nullptr;
+  // The slice's D2H gate rides the first send's wire (the RTS leaves
+  // immediately); a fold that writes the slot before any send consumed the
+  // gate synchronizes it instead. Either way the copy has landed before
+  // this function returns.
+  bool gate_pending = true;
   auto gated_send = [&](const double* buf, int cnt, int dst, int tag) {
     op.bytes_sent += sizeof(double) * static_cast<std::size_t>(cnt);
-    Request r;
-    if (gate_pending) {
-      XferOpts opts;
-      opts.data_gate = *gate;
-      r = comm_.isend(buf, cnt, double_t, dst, tag, g.context, opts);
-      gate_pending = false;
-    } else {
-      r = comm_.isend(buf, cnt, double_t, dst, tag, g.context);
-    }
+    Request r = comm_.isend(buf, cnt, double_t, dst, tag, g.context,
+                            gate_pending ? gate : cusim::Event{});
+    gate_pending = false;
     inflight_.push_back(r);
     return r;
   };
   auto fold_at = [&](int off, int cnt) {
     if (gate_pending) {
-      gate->synchronize();
+      gate.synchronize();
       gate_pending = false;
     }
     device_fold(op, data + off, tmp + off, cnt, take_max);
@@ -360,8 +354,6 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   ensure_coll_streams();
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
-  const bool stream_mode =
-      comm_.tunables().trigger_mode == core::TriggerMode::kStream;
   const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
   const std::size_t slice_bytes = pick_slice_bytes(total, p);
   const int sc = static_cast<int>(slice_bytes / sizeof(double));
@@ -371,24 +363,10 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   struct SliceState {
     core::detail::StagingSlot* slot = nullptr;
     cusim::Event d2h;
-    std::shared_ptr<cusim::HostFlag> h2d_release;
     int off = 0;
     int len = 0;
   };
   std::vector<SliceState> sl(static_cast<std::size_t>(S));
-  // If the pipeline aborts, release every armed write-back flag on unwind:
-  // a permanently blocked coll_h2d_ stream would wedge later collectives
-  // and teardown. The released copies read parked scratch slots (kept live
-  // precisely for this) and write the caller's recvbuf — undefined content
-  // of a failed collective.
-  struct FlagDrain {
-    std::vector<SliceState>* sl;
-    ~FlagDrain() {
-      for (SliceState& s : *sl) {
-        if (s.h2d_release && !s.h2d_release->is_set()) s.h2d_release->trigger();
-      }
-    }
-  } flag_drain{&sl};
 
   auto post_d2h = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
@@ -399,23 +377,15 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     ctx.memcpy_async(s.slot->ptr, dev + s.off, b,
                      cusim::MemcpyKind::kDeviceToHost, coll_d2h_);
     s.d2h = ctx.record_event(coll_d2h_);
+    // A send gated on s.d2h is re-driven by the progress loop, not by the
+    // event completing: wake the loop the moment the copy drains, or the
+    // gated send sleeps until its retry timer (and charges a spurious
+    // timeout).
+    ctx.launch_host_trigger(coll_d2h_, [this] { comm_.wake_progress(); });
     op.bytes_staged += b;
     op.device_stage_ns +=
         hints_.gpu.copy_launch_ns +
         static_cast<sim::SimTime>(static_cast<double>(b) / hints_.gpu.d2h_bw);
-    if (stream_mode) {
-      // A send gated on s.d2h is re-driven by the progress loop, not by
-      // the event completing — wake the loop the moment the copy drains,
-      // or the gated send sleeps until its retry timer (and charges a
-      // spurious timeout).
-      ctx.launch_host_trigger(coll_d2h_, [this] { comm_.wake_progress(); });
-      // Pre-enqueue the write-back in stream order behind a wait flag; the
-      // wire leg's completion releases it (cuStreamWaitValue idiom).
-      s.h2d_release = std::make_shared<cusim::HostFlag>();
-      ctx.stream_wait_flag(coll_h2d_, s.h2d_release);
-      ctx.memcpy_async(dev + s.off, s.slot->ptr, b,
-                       cusim::MemcpyKind::kHostToDevice, coll_h2d_);
-    }
   };
 
   constexpr int kPrefetch = 2;  // D2H slices posted ahead of the wire leg
@@ -426,19 +396,9 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     double* host = reinterpret_cast<double*>(s.slot->ptr);
     const std::size_t b = sizeof(double) * static_cast<std::size_t>(s.len);
     const sim::SimTime wire_t0 = eng.now();
-    if (stream_mode) {
-      cusim::Event data_gate = s.d2h;
-      device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, &data_gate);
-      // Degenerate butterflies may not have consumed the gate; the
-      // write-back below must still see the D2H drained.
-      if (!s.d2h.query()) s.d2h.synchronize();
-      s.h2d_release->trigger();
-    } else {
-      s.d2h.synchronize();
-      device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, nullptr);
-      ctx.memcpy_async(dev + s.off, host, b,
-                       cusim::MemcpyKind::kHostToDevice, coll_h2d_);
-    }
+    device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, s.d2h);
+    ctx.memcpy_async(dev + s.off, host, b, cusim::MemcpyKind::kHostToDevice,
+                     coll_h2d_);
     op.device_stage_ns += eng.now() - wire_t0;
     op.device_stage_ns +=
         hints_.gpu.copy_launch_ns +

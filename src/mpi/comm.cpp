@@ -100,26 +100,6 @@ Request Communicator::irecv(void* buf, int count, const Datatype& dtype,
   return impl().irecv(buf, count, dtype, world_src, tag, group().context);
 }
 
-Request Communicator::isend_on(cusim::Stream& stream, const void* buf,
-                               int count, const Datatype& dtype, int dst,
-                               int tag) {
-  check_user_tag(tag, "isend_on");
-  ++impl().api_stats().isend;
-  return impl().isend_on(stream, buf, count, dtype,
-                         checked_peer(group(), dst, "isend_on"), tag,
-                         group().context);
-}
-
-Request Communicator::irecv_on(cusim::Stream& stream, void* buf, int count,
-                               const Datatype& dtype, int src, int tag) {
-  if (tag != kAnyTag) check_user_tag(tag, "irecv_on");
-  ++impl().api_stats().irecv;
-  const int world_src =
-      (src == kAnySource) ? kAnySource : checked_peer(group(), src, "irecv_on");
-  return impl().irecv_on(stream, buf, count, dtype, world_src, tag,
-                         group().context);
-}
-
 void Communicator::wait(Request& req, Status* status) {
   ++impl().api_stats().wait;
   impl().wait(req, status);
@@ -171,32 +151,6 @@ struct PersistentRequest::Init {
   Communicator comm;
   Request active;
   bool in_flight = false;
-
-  // -- persistent plan cache (persistent_plan_cache, docs/STREAMS.md) ----
-  /// The frozen argument list's message view, built on the first start():
-  /// its pack plan is resolved once and every re-fire reuses it.
-  bool primed = false;
-  core::MsgView view;
-  /// Rendezvous path decision + chunk table + pack cursors, refilled only
-  /// when the inputs they were derived from change (e.g. a transport
-  /// failover flips the IPC route).
-  core::RndvCache cache;
-
-  /// Fill `opts` with the cached view/plan when the tunable is on.
-  detail::XferOpts cached_opts() {
-    detail::RankComm& rc = comm.impl();
-    detail::XferOpts opts;
-    if (rc.tunables().persistent_plan_cache) {
-      if (!primed) {
-        view = core::MsgView::make(buf, count, dtype, rc.memory_registry());
-        primed = true;
-      }
-      opts.view = &view;
-      opts.cache = &cache;
-      ++rc.trigger_stats().persistent_starts;
-    }
-    return opts;
-  }
 };
 
 void PersistentRequest::start() {
@@ -207,45 +161,18 @@ void PersistentRequest::start() {
         "PersistentRequest::start: previous round not completed");
   }
   detail::RankComm& rc = s.comm.impl();
-  const detail::XferOpts opts = s.cached_opts();
   const int ctx = s.comm.group().context;
   if (s.is_send) {
     ++rc.api_stats().isend;
     s.active = rc.isend(s.buf, s.count, s.dtype,
                         checked_peer(s.comm.group(), s.peer, "start"), s.tag,
-                        ctx, opts);
+                        ctx);
   } else {
     ++rc.api_stats().irecv;
     const int world_src = (s.peer == kAnySource)
                               ? kAnySource
                               : checked_peer(s.comm.group(), s.peer, "start");
-    s.active = rc.irecv(s.buf, s.count, s.dtype, world_src, s.tag, ctx, opts);
-  }
-  s.in_flight = true;
-}
-
-void PersistentRequest::start_on(cusim::Stream& stream) {
-  if (!impl_) throw std::logic_error("start_on() on null PersistentRequest");
-  Init& s = *impl_;
-  if (s.in_flight) {
-    throw std::logic_error(
-        "PersistentRequest::start: previous round not completed");
-  }
-  detail::RankComm& rc = s.comm.impl();
-  detail::XferOpts opts = s.cached_opts();
-  const int ctx = s.comm.group().context;
-  if (s.is_send) {
-    ++rc.api_stats().isend;
-    s.active = rc.isend_on(stream, s.buf, s.count, s.dtype,
-                           checked_peer(s.comm.group(), s.peer, "start_on"),
-                           s.tag, ctx, std::move(opts));
-  } else {
-    ++rc.api_stats().irecv;
-    const int world_src = (s.peer == kAnySource)
-                              ? kAnySource
-                              : checked_peer(s.comm.group(), s.peer, "start_on");
-    s.active = rc.irecv_on(stream, s.buf, s.count, s.dtype, world_src, s.tag,
-                           ctx, std::move(opts));
+    s.active = rc.irecv(s.buf, s.count, s.dtype, world_src, s.tag, ctx);
   }
   s.in_flight = true;
 }
@@ -307,11 +234,6 @@ PersistentRequest Communicator::recv_init(void* buf, int count,
 
 void Communicator::startall(std::span<PersistentRequest> reqs) {
   for (PersistentRequest& r : reqs) r.start();
-}
-
-void Communicator::startall_on(cusim::Stream& stream,
-                               std::span<PersistentRequest> reqs) {
-  for (PersistentRequest& r : reqs) r.start_on(stream);
 }
 
 void Communicator::waitall_persistent(std::span<PersistentRequest> reqs) {

@@ -16,10 +16,6 @@
 
 #include "mpi/datatype.hpp"
 
-namespace mv2gnc::cusim {
-class Stream;
-}  // namespace mv2gnc::cusim
-
 namespace mv2gnc::mpisim {
 
 /// MPI_ANY_SOURCE.
@@ -97,18 +93,9 @@ class PersistentRequest {
  public:
   PersistentRequest() = default;
 
-  /// Post the operation (MPI_Start). The previous round must be complete.
-  /// With the persistent_plan_cache tunable on, the pack plan, chunk table
-  /// and path decision are derived on the first start() and re-fired on
-  /// every later one (docs/STREAMS.md).
+  /// Post the operation (MPI_Start): a fresh isend/irecv of the frozen
+  /// argument list. The previous round must be complete.
   void start();
-  /// Stream-triggered start (MPIX_Start_enqueue analogue): the operation
-  /// fires when `stream`'s prior work drains (a rendezvous-sized send
-  /// posts its RTS immediately and gates only the data-touching stages),
-  /// and completion gates stream work enqueued after this call. With
-  /// trigger_mode=polled this degrades to synchronize-then-start(), the
-  /// CPU-driven baseline.
-  void start_on(cusim::Stream& stream);
   /// Complete the current round (MPI_Wait).
   void wait(Status* status = nullptr);
   /// Poll the current round (MPI_Test).
@@ -144,17 +131,6 @@ class Communicator {
   /// MPI_Irecv. `src` may be kAnySource, `tag` may be kAnyTag.
   Request irecv(void* buf, int count, const Datatype& dtype, int src,
                 int tag);
-  /// Stream-triggered isend (docs/STREAMS.md): the send fires when
-  /// `stream`'s prior work drains — no host round trip between compute
-  /// and communication — and its completion gates stream work enqueued
-  /// after this call. trigger_mode=polled degrades to synchronize-then-
-  /// isend, the CPU-driven baseline.
-  Request isend_on(cusim::Stream& stream, const void* buf, int count,
-                   const Datatype& dtype, int dst, int tag);
-  /// Stream-triggered irecv: posted immediately (matching stays in program
-  /// order); completion gates later work on `stream`.
-  Request irecv_on(cusim::Stream& stream, void* buf, int count,
-                   const Datatype& dtype, int src, int tag);
   /// MPI_Wait.
   void wait(Request& req, Status* status = nullptr);
   /// MPI_Test: non-blocking completion check (drives progress once).
@@ -174,9 +150,6 @@ class Communicator {
                               int src, int tag);
   /// MPI_Startall.
   void startall(std::span<PersistentRequest> reqs);
-  /// Stream-triggered startall: every request fires when `stream`'s prior
-  /// work drains; completions gate later stream work (docs/STREAMS.md).
-  void startall_on(cusim::Stream& stream, std::span<PersistentRequest> reqs);
   /// MPI_Waitall over persistent requests.
   void waitall_persistent(std::span<PersistentRequest> reqs);
 

@@ -86,50 +86,23 @@ RankComm::~RankComm() {
 // Posting
 // ---------------------------------------------------------------------------
 
-void RankComm::finish_request(ReqState& s) {
-  s.complete = true;
-  if (s.done_flag) {
-    // Resolve any stream_wait_flag gated on this operation — on failure
-    // too, so a stream-triggered iteration can never hang on a failed
-    // transfer (wait()/test() still raise the RequestError).
-    s.done_flag->trigger();
-    s.done_flag.reset();
-  }
-}
-
 Request RankComm::isend(const void* buf, int count, const Datatype& dtype,
-                        int dst, int tag, int context, const XferOpts& opts) {
+                        int dst, int tag, int context,
+                        cusim::Event data_gate) {
   if (dst < 0 || dst >= size_) {
     throw std::invalid_argument("isend: bad destination rank " +
                                 std::to_string(dst));
   }
   auto state = std::make_shared<ReqState>();
   state->id = next_req_id();
-  state->done_flag = opts.done_flag;
-  post_isend(state, buf, count, dtype, dst, tag, context, opts);
-  return Request(std::move(state));
-}
-
-void RankComm::post_isend(const std::shared_ptr<ReqState>& state,
-                          const void* buf, int count, const Datatype& dtype,
-                          int dst, int tag, int context,
-                          const XferOpts& opts) {
-  state->view = (opts.view != nullptr)
-                    ? *opts.view
-                    : core::MsgView::make(const_cast<void*>(buf), count,
-                                          dtype, registry_);
+  state->view = core::MsgView::make(const_cast<void*>(buf), count, dtype,
+                                    registry_);
   const core::MsgView& view = state->view;
   const core::Tunables& tun = *res_.tun;
 
   if (view.packed_bytes <= tun.eager_threshold) {
-    if (opts.data_gate.valid()) {
-      // Eager packs the user buffer synchronously; a pending data gate
-      // means the producing kernels have not drained. Persistent stream
-      // starts defer eager posts to stream-drain, so this only triggers
-      // for a caller racing its own compute — wait the gate out.
-      cusim::Event gate = opts.data_gate;
-      gate.synchronize();
-    }
+    // Eager packs the user buffer synchronously: wait out a pending gate.
+    if (data_gate.valid()) data_gate.synchronize();
     netsim::WireMessage m;
     m.kind = core::kEager;
     m.header[0] = encode_envelope(context, tag);
@@ -150,22 +123,20 @@ void RankComm::post_isend(const std::shared_ptr<ReqState>& state,
     sched_.note_ctrl(core::kEager);
     sched_.flush_peer(dst);  // credits must not trail fresher traffic
     res_.net->post_send(dst, std::move(m));
-    finish_request(*state);  // buffered send: the payload holds a copy
-    return;
+    state->complete = true;  // buffered send: the payload holds a copy
+    return Request(std::move(state));
   }
 
   state->rndv_send =
-      std::make_shared<core::RndvSend>(res_, view, dst, state->id,
-                                       opts.cache);
-  if (opts.data_gate.valid()) {
-    state->rndv_send->set_data_gate(opts.data_gate);
-  }
+      std::make_shared<core::RndvSend>(res_, view, dst, state->id);
+  if (data_gate.valid()) state->rndv_send->set_data_gate(std::move(data_gate));
   active_sends_.emplace(state->id, state);
   state->rndv_send->start(encode_envelope(context, tag));
+  return Request(std::move(state));
 }
 
 Request RankComm::irecv(void* buf, int count, const Datatype& dtype, int src,
-                        int tag, int context, const XferOpts& opts) {
+                        int tag, int context) {
   if (src != kAnySource && (src < 0 || src >= size_)) {
     throw std::invalid_argument("irecv: bad source rank " +
                                 std::to_string(src));
@@ -173,14 +144,10 @@ Request RankComm::irecv(void* buf, int count, const Datatype& dtype, int src,
   auto state = std::make_shared<ReqState>();
   state->id = next_req_id();
   state->is_recv = true;
-  state->view = (opts.view != nullptr)
-                    ? *opts.view
-                    : core::MsgView::make(buf, count, dtype, registry_);
+  state->view = core::MsgView::make(buf, count, dtype, registry_);
   state->src_filter = src;
   state->tag_filter = tag;
   state->context = context;
-  state->done_flag = opts.done_flag;
-  state->rndv_cache = opts.cache;
 
   // Unexpected-queue scan first (FIFO).
   for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
@@ -200,88 +167,6 @@ Request RankComm::irecv(void* buf, int count, const Datatype& dtype, int src,
   }
   posted_recvs_.push_back(state);
   return Request(std::move(state));
-}
-
-// ---------------------------------------------------------------------------
-// Stream-triggered posting (docs/STREAMS.md)
-// ---------------------------------------------------------------------------
-
-Request RankComm::isend_on(cusim::Stream& stream, const void* buf, int count,
-                           const Datatype& dtype, int dst, int tag,
-                           int context, XferOpts opts) {
-  const core::Tunables& tun = *res_.tun;
-  if (tun.trigger_mode != core::TriggerMode::kStream) {
-    // CPU-driven baseline: drain the stream, then post exactly as a plain
-    // isend would. Byte-identical to not using the stream API at all.
-    stream.synchronize();
-    return isend(buf, count, dtype, dst, tag, context, opts);
-  }
-  if (dst < 0 || dst >= size_) {
-    throw std::invalid_argument("isend_on: bad destination rank " +
-                                std::to_string(dst));
-  }
-  ++trig_stats_.stream_sends;
-  // Stream completions must re-drive this rank's progress loop: the
-  // host-trigger below fires in scheduler context and only wakes us.
-  stream.set_wakeup(&notifier_);
-  auto state = std::make_shared<ReqState>();
-  state->id = next_req_id();
-  if (!opts.done_flag) opts.done_flag = std::make_shared<cusim::HostFlag>();
-  state->done_flag = opts.done_flag;
-  if (opts.view != nullptr && opts.view->packed_bytes > tun.eager_threshold) {
-    // A persistent re-fire handed us the frozen view and the message is
-    // rendezvous-sized: post NOW. The RTS carries no payload, so the
-    // handshake overlaps the stream's remaining compute; only the
-    // data-touching stages gate on an event recorded at this point.
-    opts.data_gate = res_.cuda->record_event(stream);
-    post_isend(state, buf, count, dtype, dst, tag, context, opts);
-  } else {
-    // Defer the whole post until the stream drains past this point: the
-    // RTS fires when the producing kernels complete (and an eager-sized
-    // message packs only then — its synchronous pack reads the user
-    // buffer). The posting itself runs in the progress loop, in process
-    // context.
-    auto op = std::make_shared<StreamOp>();
-    op->post = [this, state, buf, count, dtype, dst, tag, context,
-                view = opts.view, cache = opts.cache] {
-      XferOpts o;
-      o.view = view;
-      o.cache = cache;
-      post_isend(state, buf, count, dtype, dst, tag, context, o);
-    };
-    stream_ops_.push_back(op);
-    res_.cuda->launch_host_trigger(stream, [op, n = &notifier_] {
-      op->ready = true;
-      n->notify();
-    });
-    ++trig_stats_.stream_ops;
-  }
-  // Completion gates later stream work (the next iteration's kernels wait
-  // for the send to finish before overwriting the buffer).
-  res_.cuda->stream_wait_flag(stream, state->done_flag);
-  ++trig_stats_.stream_ops;
-  return Request(std::move(state));
-}
-
-Request RankComm::irecv_on(cusim::Stream& stream, void* buf, int count,
-                           const Datatype& dtype, int src, int tag,
-                           int context, XferOpts opts) {
-  const core::Tunables& tun = *res_.tun;
-  if (tun.trigger_mode != core::TriggerMode::kStream) {
-    return irecv(buf, count, dtype, src, tag, context, opts);
-  }
-  ++trig_stats_.stream_recvs;
-  stream.set_wakeup(&notifier_);
-  // The receive posts immediately — MPI matching must stay in program
-  // order, and an early post lets the CTS leave as soon as the RTS lands.
-  // Only the *consumers* of the data wait: stream work enqueued after this
-  // call holds until the payload is unpacked into the user buffer.
-  if (!opts.done_flag) opts.done_flag = std::make_shared<cusim::HostFlag>();
-  auto flag = opts.done_flag;
-  Request r = irecv(buf, count, dtype, src, tag, context, opts);
-  res_.cuda->stream_wait_flag(stream, std::move(flag));
-  ++trig_stats_.stream_ops;
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -322,7 +207,7 @@ void RankComm::cancel_request(Request& req) {
         posted_recvs_.erase(it);
         s.failed = true;
         s.error = kReason;
-        finish_request(s);
+        s.complete = true;
         return;
       }
     }
@@ -460,21 +345,6 @@ void RankComm::progress_once() {
       engine_.rand_uniform() < tun.rank_stall_prob) {
     engine_.delay(static_cast<sim::SimTime>(engine_.rand_below(
         static_cast<std::uint64_t>(tun.rank_stall_ns) + 1)));
-  }
-  // Fire stream-triggered operations whose producing stream work has
-  // drained (the host-trigger only marks them ready; the actual post runs
-  // here, in process context). Index loop: a post may enqueue more ops.
-  if (!stream_ops_.empty()) {
-    for (std::size_t i = 0; i < stream_ops_.size(); ++i) {
-      auto& op = stream_ops_[i];
-      if (op->ready && !op->posted) {
-        op->posted = true;
-        op->post();
-        ++trig_stats_.triggers_fired;
-      }
-    }
-    std::erase_if(stream_ops_,
-                  [](const std::shared_ptr<StreamOp>& op) { return op->posted; });
   }
   netsim::Completion c;
   while (res_.net->poll(c)) dispatch(c);
@@ -754,7 +624,7 @@ void RankComm::deliver_eager(ReqState& r, int src, int tag,
     }
   }
   r.status = Status{src, tag, payload.size()};
-  finish_request(r);
+  r.complete = true;
 }
 
 void RankComm::begin_rndv_recv(const std::shared_ptr<ReqState>& r, int src,
@@ -768,8 +638,7 @@ void RankComm::begin_rndv_recv(const std::shared_ptr<ReqState>& r, int src,
   }
   r->status = Status{src, tag, bytes};
   r->rndv_recv = std::make_shared<core::RndvRecv>(
-      res_, r->view, src, sender_req, r->id, bytes, sender_chunk,
-      r->rndv_cache);
+      res_, r->view, src, sender_req, r->id, bytes, sender_chunk);
   active_recvs_.emplace(r->id, r);
   rts_index_.emplace(std::make_pair(src, sender_req), r->rndv_recv);
   r->rndv_recv->start();
@@ -784,13 +653,13 @@ void RankComm::sweep_transfers() {
     if (state->rndv_send->failed()) {
       state->failed = true;
       state->error = state->rndv_send->error();
-      finish_request(*state);
+      state->complete = true;
       done_sends.push_back(id);
     } else if (state->rndv_send->done() && state->rndv_send->drained()) {
       // done() alone is not enough: a direct-mode sender still owes the
       // (acked) SEND_DONE, and retiring it would stop the retransmission
       // its peer's request completion hinges on.
-      finish_request(*state);
+      state->complete = true;
       done_sends.push_back(id);
     }
   }
@@ -805,10 +674,10 @@ void RankComm::sweep_transfers() {
     if (state->rndv_recv->failed()) {
       state->failed = true;
       state->error = state->rndv_recv->error();
-      finish_request(*state);
+      state->complete = true;
       done_recvs.push_back(id);
     } else if (state->rndv_recv->request_complete()) {
-      finish_request(*state);
+      state->complete = true;
       done_recvs.push_back(id);
     }
   }

@@ -4,7 +4,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -60,24 +59,6 @@ struct CommGroup {
   }
 };
 
-/// Optional per-operation extras threaded through isend/irecv by the
-/// persistent-request and stream-triggered layers (docs/STREAMS.md).
-/// Default-constructed == plain isend/irecv, bit for bit.
-struct XferOpts {
-  /// Prebuilt message view (a persistent request froze its argument list
-  /// once): skips the MsgView::make plan lookup entirely.
-  const core::MsgView* view = nullptr;
-  /// Persistent plan cache slot (path decision + chunk table + cursors);
-  /// must outlive the request. Null: derive fresh.
-  core::RndvCache* cache = nullptr;
-  /// Stream data gate for a send: the transfer's data-touching stages hold
-  /// until this event fires (the RTS still leaves immediately).
-  cusim::Event data_gate;
-  /// Triggered when the request completes (success or failure) — resolves
-  /// a stream_wait_flag enqueued behind the operation.
-  std::shared_ptr<cusim::HostFlag> done_flag;
-};
-
 struct ReqState {
   std::uint64_t id = 0;
   bool complete = false;
@@ -97,14 +78,6 @@ struct ReqState {
 
   std::shared_ptr<core::RndvSend> rndv_send;
   std::shared_ptr<core::RndvRecv> rndv_recv;
-
-  // -- stream-triggered / persistent extras (docs/STREAMS.md) ------------
-  /// Set (and later triggered) on completion — success or failure, so a
-  /// gated stream can never hang on a failed transfer.
-  std::shared_ptr<cusim::HostFlag> done_flag;
-  /// Plan cache handed to the RndvRecv when the RTS matches (recv-side
-  /// matching happens after irecv returns, so the pointer rides here).
-  core::RndvCache* rndv_cache = nullptr;
 };
 
 /// A message that arrived before its receive was posted.
@@ -187,30 +160,18 @@ class RankComm {
   int next_context_hint() const { return next_context_; }
 
   // dst/src are WORLD ranks; `context` selects the communicator.
+  /// A valid `data_gate` holds the send's payload until the event fires:
+  /// an eager send waits it out before copying; a rendezvous send posts its
+  /// RTS at once and gates its wire, and throws std::logic_error if the
+  /// buffer needs a pack or staging stage (RndvSend::set_data_gate).
   Request isend(const void* buf, int count, const Datatype& dtype, int dst,
-                int tag, int context = 0, const XferOpts& opts = {});
+                int tag, int context = 0, cusim::Event data_gate = {});
   Request irecv(void* buf, int count, const Datatype& dtype, int src,
-                int tag, int context = 0, const XferOpts& opts = {});
+                int tag, int context = 0);
   void wait(Request& req, Status* status);
   bool test(Request& req, Status* status);
 
-  // -- stream-triggered posting (docs/STREAMS.md) ------------------------
-  /// isend whose RTS fires when `stream`'s prior work drains and whose
-  /// completion gates later stream work. trigger_mode=polled degrades to
-  /// synchronize-then-post (the CPU-driven baseline, byte-identical to
-  /// not using the stream API); trigger_mode=stream enqueues a host
-  /// trigger + wait-flag pair so the host never turns the crank between
-  /// compute and communication.
-  Request isend_on(cusim::Stream& stream, const void* buf, int count,
-                   const Datatype& dtype, int dst, int tag, int context = 0,
-                   XferOpts opts = {});
-  /// irecv posted immediately (matching must stay in program order) whose
-  /// completion gates later work on `stream`.
-  Request irecv_on(cusim::Stream& stream, void* buf, int count,
-                   const Datatype& dtype, int src, int tag, int context = 0,
-                   XferOpts opts = {});
-  /// Trigger-graph / stream-op counters (docs/STREAMS.md).
-  core::TriggerStats& trigger_stats() { return trig_stats_; }
+  /// Trigger-graph counters (docs/STREAMS.md).
   const core::TriggerStats& trigger_stats() const { return trig_stats_; }
 
   /// Abandon an in-flight request whose result is no longer wanted (the
@@ -295,27 +256,8 @@ class RankComm {
   void park_scratch(std::vector<std::shared_ptr<void>> scratch);
 
  private:
-  /// A stream-triggered send whose posting is deferred until the stream
-  /// drains past its host-trigger op. `ready` flips in scheduler context;
-  /// the posting itself runs in the progress loop (process context — it
-  /// may charge submit/pack time).
-  struct StreamOp {
-    bool ready = false;
-    bool posted = false;
-    std::function<void()> post;
-  };
-
   // One pass over all pending work; never blocks.
   void progress_once();
-  /// Shared body of isend/isend_on: runs the eager or rendezvous protocol
-  /// on an already-allocated request state.
-  void post_isend(const std::shared_ptr<ReqState>& state, const void* buf,
-                  int count, const Datatype& dtype, int dst, int tag,
-                  int context, const XferOpts& opts);
-  /// The single completion choke point: marks the request complete and
-  /// fires its stream done-flag (on failure too — a gated stream must
-  /// never hang).
-  void finish_request(ReqState& s);
   // Dispatch one completion-queue entry.
   void dispatch(const netsim::Completion& c);
   void handle_eager(const netsim::WireMessage& m);
@@ -354,11 +296,7 @@ class RankComm {
   std::unordered_map<std::uint64_t, std::shared_ptr<ReqState>> active_sends_;
   std::unordered_map<std::uint64_t, std::shared_ptr<ReqState>> active_recvs_;
 
-  // -- stream-triggered bookkeeping (docs/STREAMS.md) --------------------
   core::TriggerStats trig_stats_;
-  /// Deferred stream-triggered posts, drained by progress_once when their
-  /// host-trigger fires.
-  std::vector<std::shared_ptr<StreamOp>> stream_ops_;
 
   // -- reliability bookkeeping -------------------------------------------
   core::RetryStats retry_stats_;

@@ -16,9 +16,8 @@
 // one chunk, so its pipelined cases pin chunk_select = fixed at 128 KB; two
 // more cases pin the model's own one-chunk IPC schedules (a 1 MB contiguous
 // message and stencil_halo's 16,400-row halo vector). Then a mixed-residency
-// pair, a stream-triggered isend_on, persistent re-fires through the plan
-// cache (CPU- and stream-started, the latter exercising every data-gate
-// position) and a lossy fabric that forces retransmissions.
+// pair, persistent re-fires with start() and a lossy fabric that forces
+// retransmissions.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -31,7 +30,6 @@
 #include "mpi/cluster.hpp"
 
 namespace core = mv2gnc::core;
-namespace cusim = mv2gnc::cusim;
 namespace mpisim = mv2gnc::mpisim;
 namespace netsim = mv2gnc::netsim;
 namespace sim = mv2gnc::sim;
@@ -45,10 +43,8 @@ namespace {
 enum class Buf { kDevStrided, kDevContig, kHostStrided, kHostContig };
 
 enum class Drive {
-  kBlocking,          // send / recv
-  kIsendOn,           // isend_on behind a kernel, trigger_mode = stream
-  kPersistentCpu,     // send_init / recv_init re-fired with start()
-  kPersistentStream,  // re-fired with start_on behind a kernel (data gate)
+  kBlocking,    // send / recv
+  kPersistent,  // send_init / recv_init re-fired with start()
 };
 
 struct Case {
@@ -184,12 +180,6 @@ Outcome run_case(const Case& c) {
     cfg.tunables.chunk_select = core::ChunkSelect::kFixed;
     cfg.tunables.chunk_bytes = c.fixed_chunk;
   }
-  if (c.drive == Drive::kIsendOn || c.drive == Drive::kPersistentStream) {
-    cfg.tunables.trigger_mode = core::TriggerMode::kStream;
-  }
-  if (c.drive == Drive::kPersistentCpu || c.drive == Drive::kPersistentStream) {
-    cfg.tunables.persistent_plan_cache = true;
-  }
   if (c.lossy) {
     cfg.tunables.rndv_timeout_ns = 200'000;
     cfg.rng_seed = 7;
@@ -202,10 +192,8 @@ Outcome run_case(const Case& c) {
     const Buf b = sender ? c.send : c.recv;
     Endpoint e = make_endpoint(ctx, b, c.rows);
     const std::size_t span = span_of(b, c.rows);
-    cusim::Stream stream = ctx.cuda->create_stream();
     mpisim::PersistentRequest preq;
-    if (c.drive == Drive::kPersistentCpu ||
-        c.drive == Drive::kPersistentStream) {
+    if (c.drive == Drive::kPersistent) {
       preq = sender ? ctx.comm.send_init(e.base, e.count, e.type, 1, 5)
                     : ctx.comm.recv_init(e.base, e.count, e.type, 0, 5);
     }
@@ -219,24 +207,8 @@ Outcome run_case(const Case& c) {
           if (sender) ctx.comm.send(e.base, e.count, e.type, 1, 5);
           else ctx.comm.recv(e.base, e.count, e.type, 0, 5);
           break;
-        case Drive::kIsendOn: {
-          mpisim::Request r;
-          if (sender) {
-            ctx.cuda->launch_kernel_timed(stream, 20'000, [] {});
-            r = ctx.comm.isend_on(stream, e.base, e.count, e.type, 1, 5);
-          } else {
-            r = ctx.comm.irecv(e.base, e.count, e.type, 0, 5);
-          }
-          ctx.comm.wait(r);
-          break;
-        }
-        case Drive::kPersistentCpu:
+        case Drive::kPersistent:
           preq.start();
-          preq.wait();
-          break;
-        case Drive::kPersistentStream:
-          ctx.cuda->launch_kernel_timed(stream, 20'000, [] {});
-          preq.start_on(stream);
           preq.wait();
           break;
       }
@@ -245,7 +217,6 @@ Outcome run_case(const Case& c) {
         out.received.insert(out.received.end(), got.begin(), got.end());
       }
     }
-    stream.synchronize();
     if (on_device(b)) ctx.cuda->free(e.base);
   });
 
@@ -362,50 +333,11 @@ const Case kCases[] = {
      .recv = Buf::kDevStrided, .rows = kManyChunks,
      .golden = "t=9704410 ev=196 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:2,2:1,3:1,4:16,5:16,7:1"},
-    {.name = "isend_on_stream_dev_strided", .send = Buf::kDevStrided,
-     .recv = Buf::kDevStrided, .rows = kManyChunks, .drive = Drive::kIsendOn,
-     .golden = "t=5416689 ev=138 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:2,2:1,3:1,4:8,5:8,7:1"},
     {.name = "persistent_cpu_dev_strided", .send = Buf::kDevStrided,
      .recv = Buf::kDevStrided, .rows = kManyChunks,
-     .drive = Drive::kPersistentCpu, .rounds = 3,
+     .drive = Drive::kPersistent, .rounds = 3,
      .golden = "t=16188267 ev=396 retry=0/0/0/0/0/0/0/0/0/0/0 "
                "ctrl=1:6,2:3,3:3,4:24,5:24,7:3"},
-    {.name = "persistent_stream_dev_strided", .send = Buf::kDevStrided,
-     .recv = Buf::kDevStrided, .rows = kManyChunks,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=16249467 ev=420 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:24,5:24,7:3"},
-    {.name = "persistent_stream_dev_contig", .send = Buf::kDevContig,
-     .recv = Buf::kDevContig, .rows = kManyChunks,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=3436158 ev=324 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:24,5:24,7:3"},
-    {.name = "persistent_stream_pcie", .send = Buf::kDevStrided,
-     .recv = Buf::kDevStrided, .rows = kManyChunks, .offload = false,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=218990226 ev=4008 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:384,5:384,7:3"},
-    {.name = "persistent_stream_host_strided", .send = Buf::kHostStrided,
-     .recv = Buf::kHostStrided, .rows = kManyChunks,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=25842060 ev=465 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:48,5:48,7:3"},
-    {.name = "persistent_stream_host_contig", .send = Buf::kHostContig,
-     .recv = Buf::kHostContig, .rows = kManyChunks,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=1103180 ev=372 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:48,5:48,7:3,9:3"},
-    {.name = "persistent_stream_ipc_offload", .send = Buf::kDevStrided,
-     .recv = Buf::kDevStrided, .rows = kManyChunks, .rpn = 2,
-     .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=16013502 ev=333 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:24,5:24,7:3,9:3"},
-    {.name = "persistent_stream_ipc_contig", .send = Buf::kDevContig,
-     .recv = Buf::kDevContig, .rows = kManyChunks, .fixed_chunk = 128 << 10,
-     .rpn = 2, .drive = Drive::kPersistentStream, .rounds = 3,
-     .golden = "t=2792364 ev=237 retry=0/0/0/0/0/0/0/0/0/0/0 "
-               "ctrl=1:6,2:3,3:3,4:24,5:24,7:3,9:3"},
     {.name = "lossy_dev_strided_offload", .send = Buf::kDevStrided,
      .recv = Buf::kDevStrided, .rows = kManyChunks, .rounds = 4, .lossy = true,
      .golden = "t=22339071 ev=671 retry=3/3/0/2/3/0/38/0/0/0/0 "

@@ -242,32 +242,6 @@ TEST(Tunables, TopologyKnobsValidated) {
   EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument);
 }
 
-TEST(Tunables, StreamTriggerKnobsDefaultOff) {
-  // The pinned baselines depend on these defaults: polled trigger mode and
-  // no persistent plan cache are byte-identical with pre-stream builds.
-  Tunables t;
-  EXPECT_EQ(t.trigger_mode, mv2gnc::core::TriggerMode::kPolled);
-  EXPECT_FALSE(t.persistent_plan_cache);
-}
-
-TEST(Tunables, StreamTriggerKnobsRoundTrip) {
-  Tunables t;
-  t.trigger_mode = mv2gnc::core::TriggerMode::kStream;
-  t.persistent_plan_cache = true;
-  const std::string rendered = t.to_config_string();
-  EXPECT_NE(rendered.find("trigger_mode = stream"), std::string::npos);
-  EXPECT_NE(rendered.find("persistent_plan_cache = true"), std::string::npos);
-  std::istringstream in(rendered);
-  Tunables u = Tunables::from_stream(in);
-  EXPECT_EQ(u.trigger_mode, mv2gnc::core::TriggerMode::kStream);
-  EXPECT_TRUE(u.persistent_plan_cache);
-}
-
-TEST(Tunables, ParserRejectsBadTriggerMode) {
-  std::istringstream bad("trigger_mode = gpu\n");
-  EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument);
-}
-
 TEST(Tunables, RoutingAndEcnKnobsDefaultOff) {
   Tunables t;
   EXPECT_EQ(t.route_select, mv2gnc::core::RouteSelect::kDmodK);
@@ -334,4 +308,20 @@ TEST(Tunables, ParserRejectsDeletedDeviceCollectiveKnobs) {
   const std::string cfg = Tunables{}.to_config_string();
   EXPECT_EQ(cfg.find("coll_device"), std::string::npos);
   EXPECT_EQ(cfg.find("coll_slice_bytes"), std::string::npos);
+}
+
+TEST(Tunables, ParserRejectsDeletedStreamKnobs) {
+  // Point-to-point has no stream-enqueued posting and persistent requests
+  // re-derive their plan on every start: neither knob is a config key any
+  // more, whatever its value.
+  for (const char* line :
+       {"trigger_mode = polled\n", "trigger_mode = stream\n",
+        "persistent_plan_cache = false\n",
+        "persistent_plan_cache = true\n"}) {
+    std::istringstream bad(line);
+    EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument) << line;
+  }
+  const std::string cfg = Tunables{}.to_config_string();
+  EXPECT_EQ(cfg.find("trigger_mode"), std::string::npos);
+  EXPECT_EQ(cfg.find("persistent_plan_cache"), std::string::npos);
 }

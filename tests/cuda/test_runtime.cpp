@@ -1,5 +1,6 @@
 // cusim runtime semantics: data integrity of copies, kind
-// inference/validation, blocking-call timing, memset, kernels.
+// inference/validation, blocking-call timing, memset, kernels, host
+// triggers.
 #include "cuda/runtime.hpp"
 
 #include <gtest/gtest.h>
@@ -241,6 +242,48 @@ TEST(CudaRuntime, StreamWakeupNotifierFires) {
                      cusim::MemcpyKind::kHostToDevice, s);
     n.wait();  // completion must poke the notifier
     EXPECT_TRUE(s.query());
+    ctx.free(dev);
+  });
+}
+
+TEST(CudaRuntime, HostTriggerRunsOnceAtStreamDrain) {
+  run_sim([](sim::Engine& eng, cusim::CudaContext& ctx) {
+    const std::size_t n = 1u << 20;
+    void* host = ctx.malloc_host(n);
+    void* dev = ctx.malloc(n);
+    auto s = ctx.create_stream();
+    sim::Notifier wake(eng);
+    s.set_wakeup(&wake);
+    ctx.memcpy_async(dev, host, n, cusim::MemcpyKind::kHostToDevice, s);
+    ctx.memcpy_async(host, dev, n, cusim::MemcpyKind::kDeviceToHost, s);
+    const sim::SimTime drain = s.last_op_done();
+    int fired = 0;
+    sim::SimTime fired_at = -1;
+    ctx.launch_host_trigger(s, [&] {
+      ++fired;
+      fired_at = eng.now();
+    });
+    EXPECT_FALSE(s.query());
+    eng.delay(drain - 1 - eng.now());  // both copies still in flight
+    EXPECT_EQ(fired, 0);
+    EXPECT_FALSE(s.query());
+    s.synchronize();
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(fired_at, drain);  // the drain time of the copies before it
+    EXPECT_TRUE(s.query());
+    eng.delay(sim::milliseconds(1));
+    EXPECT_EQ(fired, 1);  // exactly once
+
+    // On an idle stream the trigger is the only completion, so the token
+    // that ends this wait can only come from it.
+    while (wake.try_consume()) {
+    }
+    ctx.launch_host_trigger(s, [&] { ++fired; });
+    EXPECT_FALSE(s.query());
+    wake.wait();
+    EXPECT_EQ(fired, 2);
+    EXPECT_TRUE(s.query());
+    ctx.free_host(host);
     ctx.free(dev);
   });
 }

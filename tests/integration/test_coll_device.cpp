@@ -1,6 +1,6 @@
 // Device-buffer collectives (docs/COLLECTIVES.md, "Device-resident
 // buffers"): the staged and sliced-pipeline schedules must be byte-exact
-// with the host path across the placement / algorithm / trigger matrix,
+// with the host path across the placement / algorithm matrix,
 // survive the lossy fault matrix, return every staging slot, and stay
 // hang-free when a rank crash-stops mid-pipeline. No tunable picks the
 // schedule; each test reaches it through its inputs (message size,
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,6 @@
 #include "mpi/coll.hpp"
 #include "support/coll_access.hpp"
 
-namespace core = mv2gnc::core;
 namespace netsim = mv2gnc::netsim;
 namespace mpisim = mv2gnc::mpisim;
 namespace sim = mv2gnc::sim;
@@ -43,13 +43,11 @@ constexpr std::uint64_t kMinSlices = 3;
 
 // `gpu_offload = false` is the staged baseline (the PCIe ablation); with
 // the default `true` the cost model picks the pipeline at these sizes.
-ClusterConfig matrix_config(int ranks, int rpn, bool gpu_offload,
-                            core::TriggerMode trig) {
+ClusterConfig matrix_config(int ranks, int rpn, bool gpu_offload) {
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
   cfg.tunables.gpu_offload = gpu_offload;
-  cfg.tunables.trigger_mode = trig;
   return cfg;
 }
 
@@ -237,14 +235,26 @@ Run<std::byte> run_allgather(const ClusterConfig& cfg, bool device,
 
 // ---------------------------------------------------------------------------
 // Byte-compare matrix: host == device-staged == device-pipelined across
-// rpn x shape (forced flat, forced two-level, the rule) x trigger_mode.
+// rpn x shape (forced flat, forced two-level, the rule).
 // ---------------------------------------------------------------------------
 
 struct MatrixCase {
   int rpn;
   Sel sel;
-  core::TriggerMode trig;
 };
+
+std::string matrix_name(const MatrixCase& mc) {
+  return "rpn" + std::to_string(mc.rpn) +
+         (mc.sel == Sel::kFlat   ? "_flat"
+          : mc.sel == Sel::kHier ? "_hier"
+                                 : "_auto");
+}
+
+// Test discovery copies gtest's printout of the parameter into the ctest
+// names; print only the name, so the names do not depend on the layout.
+void PrintTo(const MatrixCase& mc, std::ostream* os) {
+  *os << matrix_name(mc);
+}
 
 // The forced shapes must actually run: two-level wherever a node holds
 // two or more ranks, flat everywhere else.
@@ -262,11 +272,11 @@ class CollDeviceMatrix : public ::testing::TestWithParam<MatrixCase> {};
 
 TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
-  const auto host = run_allreduce(matrix_config(8, mc.rpn, true, mc.trig),
+  const auto host = run_allreduce(matrix_config(8, mc.rpn, true),
                                   /*device=*/false, kCount, mc.sel);
-  const auto staged = run_allreduce(matrix_config(8, mc.rpn, false, mc.trig),
+  const auto staged = run_allreduce(matrix_config(8, mc.rpn, false),
                                     /*device=*/true, kCount, mc.sel);
-  const auto piped = run_allreduce(matrix_config(8, mc.rpn, true, mc.trig),
+  const auto piped = run_allreduce(matrix_config(8, mc.rpn, true),
                                    /*device=*/true, kCount, mc.sel);
   EXPECT_EQ(host.device_calls, 0u);
   expect_staged(staged, 8, "gpu_offload = false");
@@ -290,7 +300,7 @@ TEST_P(CollDeviceMatrix, AllreduceBitExactAcrossSchedules) {
 TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
   const MatrixCase& mc = GetParam();
   const auto mk = [&](bool gpu_offload) {
-    return matrix_config(8, mc.rpn, gpu_offload, mc.trig);
+    return matrix_config(8, mc.rpn, gpu_offload);
   };
   const auto bhost = run_bcast(mk(true), false, 2, mc.sel);
   const auto bstaged = run_bcast(mk(false), true, 2, mc.sel);
@@ -326,41 +336,25 @@ TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
 INSTANTIATE_TEST_SUITE_P(
     Placements, CollDeviceMatrix,
     ::testing::Values(
-        MatrixCase{1, Sel::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{1, Sel::kAuto, core::TriggerMode::kStream},
-        MatrixCase{2, Sel::kFlat, core::TriggerMode::kPolled},
-        MatrixCase{2, Sel::kHier, core::TriggerMode::kPolled},
-        MatrixCase{2, Sel::kHier, core::TriggerMode::kStream},
-        MatrixCase{2, Sel::kAuto, core::TriggerMode::kPolled},
-        MatrixCase{4, Sel::kFlat, core::TriggerMode::kStream},
-        MatrixCase{4, Sel::kHier, core::TriggerMode::kPolled},
-        MatrixCase{4, Sel::kAuto, core::TriggerMode::kStream}),
+        MatrixCase{1, Sel::kFlat}, MatrixCase{1, Sel::kAuto},
+        MatrixCase{2, Sel::kFlat}, MatrixCase{2, Sel::kHier},
+        MatrixCase{2, Sel::kAuto}, MatrixCase{4, Sel::kFlat},
+        MatrixCase{4, Sel::kHier}, MatrixCase{4, Sel::kAuto}),
     [](const ::testing::TestParamInfo<MatrixCase>& info) {
-      const MatrixCase& mc = info.param;
-      std::string name = "rpn" + std::to_string(mc.rpn);
-      name += mc.sel == Sel::kFlat    ? "_flat"
-              : mc.sel == Sel::kHier ? "_hier"
-                                     : "_auto";
-      name += mc.trig == core::TriggerMode::kStream ? "_stream" : "_polled";
-      return name;
+      return matrix_name(info.param);
     });
 
 // A non-power-of-two group exercises the pre/post pairing of the sliced
 // wire leg.
 TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
-  for (core::TriggerMode trig :
-       {core::TriggerMode::kPolled, core::TriggerMode::kStream}) {
-    const auto host = run_allreduce(
-        matrix_config(6, 2, true, trig), false);
-    const auto piped = run_allreduce(
-        matrix_config(6, 2, true, trig), true);
-    expect_pipelined(piped, 6, "6 ranks");
-    for (int r = 0; r < 6; ++r) {
-      EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
-                               piped.out[static_cast<std::size_t>(r)].data(),
-                               sizeof(double) * kCount))
-          << "rank " << r << " trig " << static_cast<int>(trig);
-    }
+  const auto host = run_allreduce(matrix_config(6, 2, true), false);
+  const auto piped = run_allreduce(matrix_config(6, 2, true), true);
+  expect_pipelined(piped, 6, "6 ranks");
+  for (int r = 0; r < 6; ++r) {
+    EXPECT_EQ(0, std::memcmp(host.out[static_cast<std::size_t>(r)].data(),
+                             piped.out[static_cast<std::size_t>(r)].data(),
+                             sizeof(double) * kCount))
+        << "rank " << r;
   }
 }
 
@@ -387,8 +381,7 @@ TEST(CollDevice, DefaultTunablesPickScheduleByMessageSize) {
 // does.
 TEST(CollDevice, DefaultPipelinesJustPastSliceMultiple) {
   constexpr int kCount256K = (256 << 10) / static_cast<int>(sizeof(double));
-  const ClusterConfig cfg =
-      matrix_config(8, 2, true, core::TriggerMode::kPolled);
+  const ClusterConfig cfg = matrix_config(8, 2, true);
   const auto host = run_allreduce(cfg, false, kCount256K + 1);
   const auto at = run_allreduce(cfg, true, kCount256K);
   const auto past = run_allreduce(cfg, true, kCount256K + 1);
@@ -400,7 +393,7 @@ TEST(CollDevice, DefaultPipelinesJustPastSliceMultiple) {
 // Mixed residency (device send buffer, host recv buffer) must still agree
 // with the host result — it rides the staged schedule's wire leg.
 TEST(CollDevice, MixedResidencyFallsBackToStaged) {
-  ClusterConfig cfg = matrix_config(4, 2, true, core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(4, 2, true);
   std::vector<std::vector<double>> out(
       4, std::vector<double>(static_cast<std::size_t>(kCount)));
   Cluster cluster(cfg);
@@ -435,7 +428,7 @@ TEST(CollDevice, MixedResidencyFallsBackToStaged) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, PipelinedCountersAndPeerBytes) {
-  ClusterConfig cfg = matrix_config(8, 2, true, core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(8, 2, true);
   Cluster cluster(cfg);
   cluster.run([&](Context& ctx) {
     const std::vector<double> in = seed_vector(ctx.rank, kCount);
@@ -467,11 +460,10 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
-  ClusterConfig clean = matrix_config(8, 2, true, core::TriggerMode::kPolled);
+  ClusterConfig clean = matrix_config(8, 2, true);
   const auto host = run_allreduce(clean, false);
   for (bool gpu_offload : {false, true}) {
-    ClusterConfig cfg =
-        matrix_config(8, 2, gpu_offload, core::TriggerMode::kPolled);
+    ClusterConfig cfg = matrix_config(8, 2, gpu_offload);
     cfg.rng_seed = 23;
     netsim::FaultSpec drop;
     drop.drop_send = 0.02;
@@ -494,7 +486,7 @@ TEST(CollDevice, LossyFabricAndIpcStillBitExact) {
 // ---------------------------------------------------------------------------
 
 TEST(CollDevice, CrashMidPipelinedAllreduceDoesNotHang) {
-  ClusterConfig cfg = matrix_config(4, 2, true, core::TriggerMode::kPolled);
+  ClusterConfig cfg = matrix_config(4, 2, true);
   cfg.rng_seed = 11;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.tunables.rndv_max_retries = 3;

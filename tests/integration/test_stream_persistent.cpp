@@ -1,9 +1,8 @@
-// Stream-triggered and persistent rendezvous under the PR-7 fault matrix
-// (docs/STREAMS.md): the new trigger_mode / persistent_plan_cache knobs
-// must deliver the same bytes as the CPU-driven loop on every transport
-// (fabric, IPC, mixed rpn), survive lossy fabrics without losing the
-// hang-free guarantee, and fail cleanly — not hang — when a peer
-// crash-stops mid-startall.
+// Persistent requests (send_init / recv_init + start / startall) under the
+// fault matrix: a re-fired argument list must deliver the same bytes as a
+// fresh isend/irecv on every transport (fabric, IPC, mixed rpn), survive
+// lossy fabrics without losing the hang-free guarantee, and fail cleanly —
+// not hang — when a peer crash-stops mid-startall.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -30,7 +29,7 @@ Datatype committed(Datatype t) {
   return t;
 }
 
-enum class Mode { kCpuDriven, kStreamTriggered, kPersistentStream };
+enum class Mode { kIsend, kStart, kStartall };
 
 // Ring halo exchange of a strided device vector, `iters` rounds; returns
 // every received element of every rank and round, in a deterministic
@@ -40,12 +39,6 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
   ClusterConfig cfg;
   cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = rpn;
-  if (mode != Mode::kCpuDriven) {
-    cfg.tunables.trigger_mode = core::TriggerMode::kStream;
-  }
-  if (mode == Mode::kPersistentStream) {
-    cfg.tunables.persistent_plan_cache = true;
-  }
   std::vector<int> received(
       static_cast<std::size_t>(ranks) * static_cast<std::size_t>(iters) *
       static_cast<std::size_t>(n));
@@ -58,12 +51,9 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
     std::vector<std::byte> host(span);
     const int to = (ctx.rank + 1) % ctx.size;
     const int from = (ctx.rank + ctx.size - 1) % ctx.size;
-    cusim::Stream stream = ctx.cuda->create_stream();
-    std::array<mpisim::PersistentRequest, 2> preqs;
-    if (mode == Mode::kPersistentStream) {
-      preqs[0] = ctx.comm.send_init(dsend, 1, col, to, 9);
-      preqs[1] = ctx.comm.recv_init(drecv, 1, col, from, 9);
-    }
+    std::array<mpisim::PersistentRequest, 2> preqs{
+        ctx.comm.send_init(dsend, 1, col, to, 9),
+        ctx.comm.recv_init(drecv, 1, col, from, 9)};
     for (int it = 0; it < iters; ++it) {
       // Stage this round's strided payload on the device.
       for (int i = 0; i < n; ++i) {
@@ -73,28 +63,23 @@ std::vector<int> run_ring(Mode mode, int ranks, std::size_t rpn, int n,
       ctx.cuda->memcpy(dsend, host.data(), span,
                        cusim::MemcpyKind::kHostToDevice);
       switch (mode) {
-        case Mode::kCpuDriven: {
+        case Mode::kIsend: {
           mpisim::Request sr = ctx.comm.isend(dsend, 1, col, to, 9);
           mpisim::Request rr = ctx.comm.irecv(drecv, 1, col, from, 9);
           std::array<mpisim::Request, 2> reqs{sr, rr};
           ctx.comm.waitall(reqs);
           break;
         }
-        case Mode::kStreamTriggered: {
-          ctx.cuda->launch_kernel_timed(stream, 5'000, [] {});
-          mpisim::Request sr = ctx.comm.isend_on(stream, dsend, 1, col, to, 9);
-          mpisim::Request rr =
-              ctx.comm.irecv_on(stream, drecv, 1, col, from, 9);
-          std::array<mpisim::Request, 2> reqs{sr, rr};
-          ctx.comm.waitall(reqs);
+        case Mode::kStart:
+          preqs[0].start();
+          preqs[1].start();
+          preqs[0].wait();
+          preqs[1].wait();
           break;
-        }
-        case Mode::kPersistentStream: {
-          ctx.cuda->launch_kernel_timed(stream, 5'000, [] {});
-          ctx.comm.startall_on(stream, preqs);
+        case Mode::kStartall:
+          ctx.comm.startall(preqs);
           ctx.comm.waitall_persistent(preqs);
           break;
-        }
       }
       ctx.cuda->memcpy(host.data(), drecv, span,
                        cusim::MemcpyKind::kDeviceToHost);
@@ -124,35 +109,32 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send) {
 
 }  // namespace
 
-TEST(StreamPersistent, ByteCompareCpuVsStreamAcrossRpn) {
-  // The stream-triggered path must deliver exactly the bytes the
-  // CPU-driven loop delivers, on the fabric (rpn=1), mixed (rpn=2) and
+TEST(StreamPersistent, ByteCompareStartVsIsendAcrossRpn) {
+  // Re-fired persistent requests must deliver exactly the bytes a fresh
+  // isend/irecv delivers, on the fabric (rpn=1), mixed (rpn=2) and
   // all-IPC (rpn=4) topologies — every rendezvous path flavor.
   const int n = 4096;  // 16 KB packed: rendezvous-sized
   for (std::size_t rpn : {1u, 2u, 4u}) {
-    const std::vector<int> cpu = run_ring(Mode::kCpuDriven, 4, rpn, n, 3);
-    const std::vector<int> str =
-        run_ring(Mode::kStreamTriggered, 4, rpn, n, 3);
-    const std::vector<int> per =
-        run_ring(Mode::kPersistentStream, 4, rpn, n, 3);
-    EXPECT_EQ(cpu, str) << "rpn=" << rpn;
-    EXPECT_EQ(cpu, per) << "rpn=" << rpn;
+    const std::vector<int> fresh = run_ring(Mode::kIsend, 4, rpn, n, 3);
+    const std::vector<int> start = run_ring(Mode::kStart, 4, rpn, n, 3);
+    const std::vector<int> all = run_ring(Mode::kStartall, 4, rpn, n, 3);
+    EXPECT_EQ(fresh, start) << "rpn=" << rpn;
+    EXPECT_EQ(fresh, all) << "rpn=" << rpn;
     // Sanity: the expected ring pattern actually arrived (guards against
     // three identically-wrong runs).
-    EXPECT_EQ(cpu[0], 3 * 1'000'000);  // rank 0 hears rank 3, round 0
+    EXPECT_EQ(fresh[0], 3 * 1'000'000);  // rank 0 hears rank 3, round 0
   }
 }
 
 TEST(StreamPersistent, PersistentSurvivesLossyFabricAndIpc) {
-  // Persistent re-fires with the plan cache on, under the PR-7 lossy
-  // matrix: dropped rendezvous control on both the fabric and the IPC
-  // channel. The reliability layer must retransmit through it; the cached
-  // plan must not leak stale state between rounds. Completion of this
-  // test IS the hang-free assertion (a hang deadlocks the run).
+  // Persistent re-fires under the lossy matrix: dropped rendezvous control
+  // on both the fabric and the IPC channel. The reliability layer must
+  // retransmit through it, and no round may leak state into the next.
+  // Completion of this test IS the hang-free assertion (a hang deadlocks
+  // the run).
   ClusterConfig cfg;
   cfg.ranks = 4;
   cfg.tunables.ranks_per_node = 2;
-  cfg.tunables.persistent_plan_cache = true;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.rng_seed = 23;
   fault_rendezvous_control(cfg.faults, 0.05);
@@ -177,15 +159,12 @@ TEST(StreamPersistent, PersistentSurvivesLossyFabricAndIpc) {
     }
   });
   std::uint64_t faults = 0;
-  std::uint64_t cache_hits = 0;
   for (int r = 0; r < 4; ++r) {
     faults += cluster.fault_stats(r).fabric.total() +
               cluster.fault_stats(r).ipc.total();
-    cache_hits += cluster.trigger_stats(r).plan_cache_hits;
     EXPECT_EQ(cluster.vbuf_audit(r), "") << "rank " << r;
   }
   EXPECT_GT(faults, 0u) << "lossy run injected nothing - vacuous test";
-  EXPECT_GT(cache_hits, 0u) << "plan cache never re-fired";
 }
 
 TEST(StreamPersistent, CrashMidStartallFailsCleanlyWithoutHanging) {
@@ -195,7 +174,6 @@ TEST(StreamPersistent, CrashMidStartallFailsCleanlyWithoutHanging) {
   // keeps exchanging correct data through the noise.
   ClusterConfig cfg;
   cfg.ranks = 4;
-  cfg.tunables.persistent_plan_cache = true;
   cfg.tunables.rndv_timeout_ns = 200'000;
   cfg.tunables.rndv_max_retries = 3;
   cfg.rng_seed = 31;

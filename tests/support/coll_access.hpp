@@ -1,7 +1,8 @@
-// Test access to the collective engine behind a Communicator, so a test
-// can run a collective in a forced shape (CollShape::kFlat or kTwoLevel)
-// through the engine's shaped entry points. The public operations fill the
-// shape from the selection rule instead.
+// Test access to the engines behind a Communicator: the collective engine,
+// so a test can run a collective in a forced shape (CollShape::kFlat or
+// kTwoLevel) through its shaped entry points (the public operations fill
+// the shape from the selection rule instead), and the rank's point-to-point
+// engine, whose internal isend takes the data gate device collectives use.
 #pragma once
 
 #include "mpi/coll.hpp"
@@ -11,6 +12,7 @@ namespace mv2gnc::mpisim::detail {
 
 struct CollAccess {
   static CollEngine& engine(Communicator& c) { return c.impl().coll(); }
+  static RankComm& rank(Communicator& c) { return c.impl(); }
   static const CommGroup& group(const Communicator& c) { return c.group(); }
 };
 
