@@ -145,6 +145,82 @@ std::size_t align_chunk_to_pattern(const MsgView& msg, std::size_t chunk) {
 // Blocking whole-message schemes (Figure 2)
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// One Figure-2 scheme over the first `rows` rows of the single pattern
+// `sp`, as blocking cudaMemcpy2D / cudaMemcpy calls (no stream submit).
+void rows_to_host(cusim::CudaContext& ctx, PackScheme scheme,
+                  const MsgView& msg, const SubPattern& sp, std::size_t rows,
+                  std::byte* host_dst) {
+  std::byte* const first = row_ptr(msg, sp, 0);
+  const auto stride = static_cast<std::size_t>(sp.stride);
+  switch (scheme) {
+    case PackScheme::kD2H_nc2nc:
+      // Same-layout copy out: the host image keeps the device stride.
+      ctx.memcpy2d(host_dst, stride, first, stride, sp.block, rows,
+                   cusim::MemcpyKind::kDeviceToHost);
+      return;
+    case PackScheme::kD2H_nc2c:
+      ctx.memcpy2d(host_dst, sp.block, first, stride, sp.block, rows,
+                   cusim::MemcpyKind::kDeviceToHost);
+      return;
+    case PackScheme::kD2D2H_nc2c2c: {
+      const std::size_t bytes = rows * sp.block;
+      auto* tbuf = static_cast<std::byte*>(ctx.malloc(bytes));
+      ctx.memcpy2d(tbuf, sp.block, first, stride, sp.block, rows,
+                   cusim::MemcpyKind::kDeviceToDevice);
+      ctx.memcpy(host_dst, tbuf, bytes, cusim::MemcpyKind::kDeviceToHost);
+      ctx.free(tbuf);
+      return;
+    }
+  }
+}
+
+void rows_from_host(cusim::CudaContext& ctx, PackScheme scheme,
+                    const MsgView& msg, const SubPattern& sp,
+                    std::size_t rows, const std::byte* host_src) {
+  std::byte* const first = row_ptr(msg, sp, 0);
+  const auto stride = static_cast<std::size_t>(sp.stride);
+  switch (scheme) {
+    case PackScheme::kD2H_nc2nc:
+      ctx.memcpy2d(first, stride, host_src, stride, sp.block, rows,
+                   cusim::MemcpyKind::kHostToDevice);
+      return;
+    case PackScheme::kD2H_nc2c:
+      ctx.memcpy2d(first, stride, host_src, sp.block, sp.block, rows,
+                   cusim::MemcpyKind::kHostToDevice);
+      return;
+    case PackScheme::kD2D2H_nc2c2c: {
+      const std::size_t bytes = rows * sp.block;
+      auto* tbuf = static_cast<std::byte*>(ctx.malloc(bytes));
+      ctx.memcpy(tbuf, host_src, bytes, cusim::MemcpyKind::kHostToDevice);
+      ctx.memcpy2d(first, stride, tbuf, sp.block, sp.block, rows,
+                   cusim::MemcpyKind::kDeviceToDevice);
+      ctx.free(tbuf);
+      return;
+    }
+  }
+}
+
+// The single pattern whose whole rows a blocking 2-D copy walks for the
+// first `nbytes` packed bytes under `scheme`, or null when the range needs
+// the device pack kernels (nc2c2c over another layout or a split row).
+const SubPattern* rows_for(const MsgView& msg, PackScheme scheme,
+                           std::size_t nbytes, const char* api) {
+  if (scheme == PackScheme::kD2H_nc2nc) {
+    throw std::invalid_argument(std::string(api) +
+                                ": nc2nc leaves the host image unpacked");
+  }
+  const SubPattern* sp = single_pattern(msg);
+  if (scheme == PackScheme::kD2H_nc2c ||
+      (sp != nullptr && nbytes % sp->block == 0)) {
+    return &whole_rows(msg, 0, nbytes, api);
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 void stage_to_host(cusim::CudaContext& ctx, PackScheme scheme,
                    const MsgView& msg, std::byte* host_dst) {
   if (!msg.on_device) {
@@ -157,28 +233,7 @@ void stage_to_host(cusim::CudaContext& ctx, PackScheme scheme,
     return;
   }
   const SubPattern& sp = whole_rows(msg, 0, msg.packed_bytes, "stage_to_host");
-  std::byte* const first = row_ptr(msg, sp, 0);
-  const auto stride = static_cast<std::size_t>(sp.stride);
-  switch (scheme) {
-    case PackScheme::kD2H_nc2nc:
-      // Same-layout copy out: the host image keeps the device stride.
-      ctx.memcpy2d(host_dst, stride, first, stride, sp.block, sp.rows,
-                   cusim::MemcpyKind::kDeviceToHost);
-      return;
-    case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(host_dst, sp.block, first, stride, sp.block, sp.rows,
-                   cusim::MemcpyKind::kDeviceToHost);
-      return;
-    case PackScheme::kD2D2H_nc2c2c: {
-      auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
-      ctx.memcpy2d(tbuf, sp.block, first, stride, sp.block, sp.rows,
-                   cusim::MemcpyKind::kDeviceToDevice);
-      ctx.memcpy(host_dst, tbuf, msg.packed_bytes,
-                 cusim::MemcpyKind::kDeviceToHost);
-      ctx.free(tbuf);
-      return;
-    }
-  }
+  rows_to_host(ctx, scheme, msg, sp, sp.rows, host_dst);
 }
 
 void stage_from_host(cusim::CudaContext& ctx, PackScheme scheme,
@@ -194,36 +249,16 @@ void stage_from_host(cusim::CudaContext& ctx, PackScheme scheme,
   }
   const SubPattern& sp =
       whole_rows(msg, 0, msg.packed_bytes, "stage_from_host");
-  std::byte* const first = row_ptr(msg, sp, 0);
-  const auto stride = static_cast<std::size_t>(sp.stride);
-  switch (scheme) {
-    case PackScheme::kD2H_nc2nc:
-      ctx.memcpy2d(first, stride, host_src, stride, sp.block, sp.rows,
-                   cusim::MemcpyKind::kHostToDevice);
-      return;
-    case PackScheme::kD2H_nc2c:
-      ctx.memcpy2d(first, stride, host_src, sp.block, sp.block, sp.rows,
-                   cusim::MemcpyKind::kHostToDevice);
-      return;
-    case PackScheme::kD2D2H_nc2c2c: {
-      auto* tbuf = static_cast<std::byte*>(ctx.malloc(msg.packed_bytes));
-      ctx.memcpy(tbuf, host_src, msg.packed_bytes,
-                 cusim::MemcpyKind::kHostToDevice);
-      ctx.memcpy2d(first, stride, tbuf, sp.block, sp.block, sp.rows,
-                   cusim::MemcpyKind::kDeviceToDevice);
-      ctx.free(tbuf);
-      return;
-    }
-  }
+  rows_from_host(ctx, scheme, msg, sp, sp.rows, host_src);
 }
 
 // ---------------------------------------------------------------------------
-// Blocking any-layout helpers (eager path)
+// Blocking any-layout helpers (eager path, MPI_Pack/MPI_Unpack)
 // ---------------------------------------------------------------------------
 
-void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
-                       std::byte* host_dst, std::size_t nbytes,
-                       bool offload) {
+void stage_to_host_any(cusim::CudaContext& ctx, PackScheme scheme,
+                       const MsgView& msg, std::byte* host_dst,
+                       std::size_t nbytes) {
   if (nbytes == 0) return;
   if (nbytes > msg.packed_bytes) {
     throw std::out_of_range("stage_to_host_any: nbytes beyond message");
@@ -232,16 +267,13 @@ void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(host_dst, msg.base, nbytes, cusim::MemcpyKind::kDeviceToHost);
     return;
   }
-  const SubPattern* sp = single_pattern(msg);
-  if (sp != nullptr && nbytes % sp->block == 0 && !offload) {
-    auto& stream = ctx.default_stream();
-    submit_pcie_pack_to_host(ctx, stream, msg, 0, nbytes, host_dst)
-        .synchronize();
+  if (const SubPattern* sp =
+          rows_for(msg, scheme, nbytes, "stage_to_host_any")) {
+    rows_to_host(ctx, scheme, msg, *sp, nbytes / sp->block, host_dst);
     return;
   }
-  // Offload (or irregular layout): pack on the device, then contiguous D2H.
-  // submit_device_pack picks sub-pattern 2-D copies or the generalized
-  // kernel from the plan, including unaligned slices.
+  // Other layouts and split rows: submit_device_pack picks sub-pattern 2-D
+  // copies or the generalized kernel from the plan, then one D2H copy.
   auto* tbuf = static_cast<std::byte*>(ctx.malloc(nbytes));
   auto& stream = ctx.default_stream();
   submit_device_pack(ctx, stream, msg, 0, nbytes, tbuf).synchronize();
@@ -249,9 +281,9 @@ void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
   ctx.free(tbuf);
 }
 
-void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
-                         const std::byte* host_src, std::size_t nbytes,
-                         bool offload) {
+void stage_from_host_any(cusim::CudaContext& ctx, PackScheme scheme,
+                         const MsgView& msg, const std::byte* host_src,
+                         std::size_t nbytes) {
   if (nbytes == 0) return;
   if (nbytes > msg.packed_bytes) {
     throw std::out_of_range("stage_from_host_any: nbytes beyond message");
@@ -260,11 +292,9 @@ void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
     ctx.memcpy(msg.base, host_src, nbytes, cusim::MemcpyKind::kHostToDevice);
     return;
   }
-  const SubPattern* sp = single_pattern(msg);
-  if (sp != nullptr && nbytes % sp->block == 0 && !offload) {
-    auto& stream = ctx.default_stream();
-    submit_pcie_unpack_from_host(ctx, stream, msg, 0, nbytes, host_src)
-        .synchronize();
+  if (const SubPattern* sp =
+          rows_for(msg, scheme, nbytes, "stage_from_host_any")) {
+    rows_from_host(ctx, scheme, msg, *sp, nbytes / sp->block, host_src);
     return;
   }
   auto* tbuf = static_cast<std::byte*>(ctx.malloc(nbytes));
@@ -454,24 +484,28 @@ std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
   return best;
 }
 
-bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg) {
-  if (msg.contiguous) return false;
+PackScheme pick_pack_scheme(const gpu::GpuCostModel& cost, const MsgView& msg,
+                            std::size_t bytes, bool gpu_offload) {
+  if (msg.contiguous) return PackScheme::kD2H_nc2c;
   const SubPattern* sp = single_pattern(msg);
-  if (sp == nullptr) return true;  // PCIe 2-D cannot express the layout
-  const std::size_t n_total = msg.packed_bytes;
-  if (n_total == 0) return false;
-  const std::size_t width = sp->block;
-  const std::size_t rows = sp->rows;
-  // Blocking end-to-end comparison (Figure 2): one strided PCIe copy vs
-  // device pack followed by a contiguous PCIe copy.
+  // No single cudaMemcpy2D walks the range across PCIe.
+  if (sp == nullptr || bytes % sp->block != 0) {
+    return PackScheme::kD2D2H_nc2c2c;
+  }
+  // gpu_offload = false is the hard ablation override (the paper's nc2c
+  // measurement runs).
+  const std::size_t rows = bytes / sp->block;
+  if (!gpu_offload || rows == 0) return PackScheme::kD2H_nc2c;
+  // Blocking end-to-end comparison (Figure 2) over the rows moved: one
+  // strided PCIe copy vs device pack followed by a contiguous PCIe copy.
   const sim::SimTime nc2c =
-      cost.copy2d_time(width, rows, gpu::CopyDir::kDeviceToHost,
+      cost.copy2d_time(sp->block, rows, gpu::CopyDir::kDeviceToHost,
                        gpu::Layout2D::kPack, /*rows_contiguous=*/false);
   const sim::SimTime nc2c2c =
-      cost.copy2d_time(width, rows, gpu::CopyDir::kDeviceToDevice,
+      cost.copy2d_time(sp->block, rows, gpu::CopyDir::kDeviceToDevice,
                        gpu::Layout2D::kPack, /*rows_contiguous=*/false) +
-      cost.copy_time(n_total, gpu::CopyDir::kDeviceToHost);
-  return nc2c2c < nc2c;
+      cost.copy_time(bytes, gpu::CopyDir::kDeviceToHost);
+  return nc2c2c < nc2c ? PackScheme::kD2D2H_nc2c2c : PackScheme::kD2H_nc2c;
 }
 
 }  // namespace mv2gnc::core

@@ -1,16 +1,17 @@
 // GPU datatype-processing offload (paper §IV-A).
 //
 // Three layers:
-//  1. The three whole-message staging schemes of Figure 2 — "D2H nc2nc",
-//     "D2H nc2c" and "D2D2H nc2c2c" — as blocking helpers. The benchmark
-//     for Figure 2 measures these directly; the eager path and the
-//     non-pipelined fallbacks reuse them.
+//  1. The three staging schemes of Figure 2 — "D2H nc2nc", "D2H nc2c" and
+//     "D2D2H nc2c2c" — as blocking helpers. The benchmark for Figure 2
+//     measures the whole-message ones directly; the eager path and
+//     MPI_Pack/MPI_Unpack run the `_any` ones on the scheme
+//     pick_pack_scheme chooses.
 //  2. Chunked async submit helpers used by the 5-stage pipeline: pack or
 //     unpack one packed-stream byte range on a CUDA stream, returning the
 //     cusim::Event that marks its completion.
-//  3. The per-message cost-model decisions (§IV-B): the Figure-2 scheme,
-//     and the pipeline chunk, priced from the SendStages descriptor that
-//     runs the transfer.
+//  3. The per-message cost-model decisions (§IV-B): the Figure-2 scheme
+//     every device staging path takes, and the pipeline chunk, priced from
+//     the SendStages descriptor that runs the transfer.
 //
 // Layout handling follows the message's pack plan. A single-vector plan
 // (the paper's scope) carries one SubPattern, and each row-aligned range of
@@ -108,16 +109,21 @@ cusim::Event submit_pcie_unpack_from_host(cusim::CudaContext& ctx,
                                           const std::byte* host_src);
 
 /// Blocking, any layout: gather the device message's first `nbytes` packed
-/// bytes into host memory. Chooses D2D2H when `offload` (or when the layout
-/// is irregular), D2H nc2c otherwise. Used by the eager path.
-void stage_to_host_any(cusim::CudaContext& ctx, const MsgView& msg,
-                       std::byte* host_dst, std::size_t nbytes, bool offload);
+/// bytes into host memory with `scheme` (pick_pack_scheme's choice; used by
+/// the eager path and MPI_Pack). kD2H_nc2c is one cudaMemcpy2D and needs a
+/// single-vector range of whole rows. kD2D2H_nc2c2c packs on the device
+/// (one cudaMemcpy2D for such a range, else the sub-pattern or generalized
+/// pack) and then makes one contiguous D2H copy. kD2H_nc2nc does not pack
+/// and is rejected.
+void stage_to_host_any(cusim::CudaContext& ctx, PackScheme scheme,
+                       const MsgView& msg, std::byte* host_dst,
+                       std::size_t nbytes);
 
 /// Blocking mirror: scatter `nbytes` packed host bytes into the device
-/// message.
-void stage_from_host_any(cusim::CudaContext& ctx, const MsgView& msg,
-                         const std::byte* host_src, std::size_t nbytes,
-                         bool offload);
+/// message with `scheme`.
+void stage_from_host_any(cusim::CudaContext& ctx, PackScheme scheme,
+                         const MsgView& msg, const std::byte* host_src,
+                         std::size_t nbytes);
 
 /// Round `chunk` down to a multiple of a single-vector message's block size
 /// (minimum one block); returns `chunk` unchanged for every other layout.
@@ -148,10 +154,19 @@ std::size_t select_chunk_bytes(const gpu::GpuCostModel& cost,
                                const MsgView& msg, const SendStages& stages,
                                std::size_t fallback);
 
-/// Figure-2 scheme choice: true when packing on the device and crossing
-/// PCIe contiguously (nc2c2c) is modeled cheaper than one strided PCIe
-/// copy (nc2c), comparing blocking end-to-end costs. Layouts no single 2-D
-/// copy expresses (not single-vector) always prefer the offload path.
-bool model_prefers_offload(const gpu::GpuCostModel& cost, const MsgView& msg);
+/// The Figure-2 scheme that moves the first `bytes` packed bytes of a
+/// device-resident message across PCIe, either way: kD2D2H_nc2c2c (pack
+/// on the device, then one contiguous copy) or kD2H_nc2c (one strided
+/// copy). The one place the choice is made: the rendezvous stage
+/// descriptors, the eager send and receive, and MPI_Pack/MPI_Unpack all
+/// take it from here.
+///   * A range no single 2-D copy expresses (a layout that is not one
+///     vector, or one that splits a row) packs on the device.
+///   * Otherwise `gpu_offload = false` forces the strided copy.
+///   * Otherwise the cheaper blocking end-to-end cost wins, priced on the
+///     rows the bytes cover (not the whole buffer's rows).
+/// A contiguous message gets kD2H_nc2c: every scheme is one plain copy.
+PackScheme pick_pack_scheme(const gpu::GpuCostModel& cost, const MsgView& msg,
+                            std::size_t bytes, bool gpu_offload);
 
 }  // namespace mv2gnc::core

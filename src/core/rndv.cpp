@@ -88,17 +88,6 @@ std::size_t chunk_segments(const MsgView& msg,
   return msg.plan->segments_in_range(off, bytes);
 }
 
-// Figure-2 scheme choice for a device-resident non-contiguous message.
-bool select_offload(const RankResources& res, const MsgView& msg) {
-  // Layouts other than one uniform 2-D pattern always take the offload
-  // path: there is no single cudaMemcpy2D that can walk them across PCIe.
-  if (msg.plan->layout() != LayoutClass::kSingleVector) return true;
-  // Model-driven, with gpu_offload=false kept as a hard ablation override
-  // (the paper's nc2c measurement runs).
-  if (!res.tun->gpu_offload) return false;
-  return model_prefers_offload(res.cuda->device().cost(), msg);
-}
-
 // The sender's stages of one transfer (the table in rndv.hpp).
 SendStages send_stages(const RankResources& res, const MsgView& msg,
                        bool ipc_direct) {
@@ -115,13 +104,17 @@ SendStages send_stages(const RankResources& res, const MsgView& msg,
     return {true, ToHost::kNone, Wire::kTbuf};
   }
   if (msg.contiguous) return {false, ToHost::kD2HCopy, Wire::kSlot};
-  if (select_offload(res, msg)) return {true, ToHost::kD2HCopy, Wire::kSlot};
+  if (pack_scheme(res, msg, msg.packed_bytes) == PackScheme::kD2D2H_nc2c2c) {
+    return {true, ToHost::kD2HCopy, Wire::kSlot};
+  }
   return {false, ToHost::kPcieStrided, Wire::kSlot};
 }
 
-// The receiver's stages of one transfer (the table in rndv.hpp).
+// The receiver's stages of one transfer of `bytes` packed bytes in `chunk`
+// byte chunks (the table in rndv.hpp).
 RecvStages recv_stages(const RankResources& res, const MsgView& msg,
-                       bool ipc_direct) {
+                       bool ipc_direct, std::size_t bytes,
+                       std::size_t chunk) {
   using Landing = RecvStages::Landing;
   using H2D = RecvStages::H2D;
   using Unpack = RecvStages::Unpack;
@@ -137,7 +130,10 @@ RecvStages recv_stages(const RankResources& res, const MsgView& msg,
     return {Landing::kDeviceBuffer, H2D::kNone, Unpack::kDeviceKernel};
   }
   if (msg.contiguous) return {Landing::kSlots, H2D::kCopy, Unpack::kNone};
-  if (select_offload(res, msg)) {
+  // The strided copy also needs each chunk to be whole rows of this
+  // buffer, and the sender sized the chunks in rows of its own layout.
+  if (align_chunk_to_pattern(msg, chunk) != chunk ||
+      pack_scheme(res, msg, bytes) == PackScheme::kD2D2H_nc2c2c) {
     return {Landing::kSlots, H2D::kCopy, Unpack::kDeviceKernel};
   }
   return {Landing::kSlots, H2D::kPcieStrided, Unpack::kNone};
@@ -197,6 +193,12 @@ sim::SimTime backoff_deadline(const Tunables& tun, std::size_t retries,
 
 }  // namespace
 
+PackScheme pack_scheme(const RankResources& res, const MsgView& msg,
+                       std::size_t bytes) {
+  return pick_pack_scheme(res.cuda->device().cost(), msg, bytes,
+                          res.tun->gpu_offload);
+}
+
 ChunkPlan ChunkPlan::make(std::size_t total, std::size_t chunk) {
   if (total == 0) throw std::invalid_argument("ChunkPlan: empty message");
   if (chunk == 0) throw std::invalid_argument("ChunkPlan: zero chunk size");
@@ -218,7 +220,6 @@ RndvSend::RndvSend(RankResources& res, MsgView msg, int dst_node,
       msg_(std::move(msg)),
       dst_(dst_node),
       req_id_(my_req_id),
-      graph_(res.trig),
       timer_(*res.engine) {
   stages_ = send_stages(res_, msg_,
                         msg_.on_device && res_.net->device_direct(dst_node));
@@ -307,7 +308,6 @@ void RndvSend::start(std::uint64_t tag_word) {
 
 void RndvSend::build_graph() {
   graph_.clear();
-  ++res_.trig->graphs_built;
   // Stage frontier: pack (if any) must have completed; a staging slot must
   // be available. Staging runs regardless of CTS — it overlaps the
   // handshake.
@@ -870,13 +870,13 @@ RndvRecv::RndvRecv(RankResources& res, MsgView msg, int src_node,
       src_(src_node),
       sender_req_(sender_req),
       req_id_(my_req_id),
-      graph_(res.trig),
       timer_(*res.engine) {
-  stages_ = recv_stages(res_, msg_,
-                        msg_.on_device && res_.net->device_direct(src_node));
   // Chunking is sender-driven (carried in the RTS), so both ends slice the
   // packed stream identically.
   plan_ = ChunkPlan::make(incoming_bytes, sender_chunk);
+  stages_ = recv_stages(res_, msg_,
+                        msg_.on_device && res_.net->device_direct(src_node),
+                        incoming_bytes, plan_.chunk);
   if (stages_.unpack == RecvStages::Unpack::kCpu && msg_.packed_bytes > 0) {
     cursors_ = msg_.plan->chunk_cursors(plan_.chunk);
   }
@@ -1255,7 +1255,6 @@ bool RndvRecv::drained() const {
 
 void RndvRecv::build_graph() {
   graph_.clear();
-  ++res_.trig->graphs_built;
   // H2D frontier: feeds the copy engine in chunk order as chunks land.
   if (stages_.h2d != RecvStages::H2D::kNone) {
     const int h2d = graph_.add_chain(TriggerGraph::ChainKind::kFrontier);

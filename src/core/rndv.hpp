@@ -15,13 +15,13 @@
 // Every buffer combination the MPI layer can present is this pipeline with
 // some stages dropped. Each side derives one stage descriptor per transfer
 // (SendStages / RecvStages) from residency, contiguity, the device-direct
-// route and the offload choice; the trigger graphs are built from it:
+// route and the Figure-2 scheme; the trigger graphs are built from it:
 //
 //   buffers            sender                  receiver
 //                      pack  to host      wire  landing  H2D       unpack
 //   device strided     tbuf  D2H copy     slot  slots    copy      kernel
 //   device strided,
-//     offload off      -     strided PCIe slot  slots    str. PCIe -
+//     nc2c scheme      -     strided PCIe slot  slots    str. PCIe -
 //   device contiguous  -     D2H copy     slot  slots    copy      -
 //   host strided       -     CPU pack     slot  slots    -         CPU
 //   host contiguous    -     -            user  user     -         -
@@ -29,7 +29,9 @@
 //   IPC contiguous     -     -            user  user     -         -
 //
 // Device contiguous is the 3-stage prior-work MVAPICH2-GPU design [3];
-// offload off is the paper's non-offloaded nc2c alternative. The IPC rows
+// the nc2c row is the paper's non-offloaded alternative, taken when
+// pick_pack_scheme (core/gpu_staging.hpp) prices it cheaper or
+// gpu_offload = false forces it. The IPC rows
 // are the intra-node collapsed pipeline (docs/SIMULATION.md): the peer
 // copy reads and writes device memory directly, so the host staging
 // stages and their vbuf slots drop out entirely.
@@ -159,9 +161,12 @@ struct RankResources {
   /// fairness gating, adaptive pipeline depth, ack/credit coalescing and
   /// the control-message census.
   TransferScheduler* sched = nullptr;
-  /// Trigger-graph counters (docs/STREAMS.md).
-  TriggerStats* trig = nullptr;
 };
+
+/// pick_pack_scheme for `bytes` packed bytes of a device-resident message,
+/// under the rank's GPU cost model and gpu_offload setting.
+PackScheme pack_scheme(const RankResources& res, const MsgView& msg,
+                       std::size_t bytes);
 
 /// Chunk geometry shared by both sides (the RTS carries the sender's
 /// chunk size so the receiver derives the identical split).

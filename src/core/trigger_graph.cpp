@@ -28,9 +28,6 @@ void TriggerGraph::fire() {
         if (node.gate && !node.gate()) break;
         node.fired = true;
         ++chain.frontier;
-        ++chain.fired;
-        ++nodes_fired_;
-        if (stats_ != nullptr) ++stats_->triggers_fired;
         if (node.action) node.action();
       }
     } else {
@@ -38,9 +35,6 @@ void TriggerGraph::fire() {
         if (node.fired) continue;
         if (node.gate && !node.gate()) continue;
         node.fired = true;
-        ++chain.fired;
-        ++nodes_fired_;
-        if (stats_ != nullptr) ++stats_->triggers_fired;
         if (node.action) node.action();
       }
     }
@@ -48,16 +42,6 @@ void TriggerGraph::fire() {
   }
 }
 
-bool TriggerGraph::complete() const {
-  for (const auto& chain : chains_) {
-    if (chain.fired < chain.nodes.size()) return false;
-  }
-  return true;
-}
-
-void TriggerGraph::clear() {
-  chains_.clear();
-  nodes_fired_ = 0;
-}
+void TriggerGraph::clear() { chains_.clear(); }
 
 }  // namespace mv2gnc::core

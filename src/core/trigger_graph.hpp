@@ -28,18 +28,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <vector>
 
 namespace mv2gnc::core {
-
-/// Per-rank trigger-graph counters (Cluster::trigger_stats), aggregated
-/// across every transfer of the rank.
-struct TriggerStats {
-  std::uint64_t triggers_fired = 0;  // graph nodes whose action ran
-  std::uint64_t graphs_built = 0;    // transfer graphs constructed
-};
 
 class TriggerGraph {
  public:
@@ -52,8 +44,6 @@ class TriggerGraph {
   /// scheduler withdrawal); evaluated at most once per node per pass.
   using Gate = std::function<bool()>;
   using Action = std::function<void()>;
-
-  explicit TriggerGraph(TriggerStats* stats = nullptr) : stats_(stats) {}
 
   /// Append a chain; returns its id. `enabled` (optional) gates the whole
   /// chain each pass — a disabled chain is skipped, epilogue included.
@@ -70,11 +60,6 @@ class TriggerGraph {
   /// One pass: walk chains in declaration order, firing ready nodes.
   void fire();
 
-  /// Every node in every chain has fired.
-  bool complete() const;
-
-  std::size_t nodes_fired() const { return nodes_fired_; }
-  bool empty() const { return chains_.empty(); }
   void clear();
 
  private:
@@ -89,12 +74,9 @@ class TriggerGraph {
     Action epilogue;
     std::vector<Node> nodes;
     std::size_t frontier = 0;  // kFrontier: first unfired node
-    std::size_t fired = 0;
   };
 
   std::vector<Chain> chains_;
-  std::size_t nodes_fired_ = 0;
-  TriggerStats* stats_ = nullptr;
 };
 
 }  // namespace mv2gnc::core

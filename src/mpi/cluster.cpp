@@ -156,13 +156,6 @@ std::size_t Cluster::tracked_rendezvous(int rank) const {
   return comms_[static_cast<std::size_t>(rank)]->tracked_rendezvous();
 }
 
-const core::TriggerStats& Cluster::trigger_stats(int rank) const {
-  if (rank < 0 || rank >= config_.ranks) {
-    throw std::out_of_range("trigger_stats: bad rank");
-  }
-  return comms_[static_cast<std::size_t>(rank)]->trigger_stats();
-}
-
 const core::SchedStats& Cluster::sched_stats(int rank) const {
   if (rank < 0 || rank >= config_.ranks) {
     throw std::out_of_range("sched_stats: bad rank");

@@ -155,9 +155,6 @@ class Cluster {
   std::size_t tracked_rendezvous(int rank) const;
   /// Concurrency-scheduler counters of one rank (valid after run()).
   const core::SchedStats& sched_stats(int rank) const;
-  /// Trigger-graph counters of one rank (valid after run();
-  /// docs/STREAMS.md).
-  const core::TriggerStats& trigger_stats(int rank) const;
   /// Per-collective counters of one rank (calls, two-level calls, bytes,
   /// intra/leader phases; valid after run()).
   const detail::CollStats& coll_stats(int rank) const;

@@ -163,11 +163,11 @@ class Communicator {
   /// Bytes needed to pack `count` elements of `dtype` (MPI_Pack_size).
   std::size_t pack_size(int count, const Datatype& dtype) const;
   /// MPI_Pack: append `count` elements at `inbuf` to `outbuf` at
-  /// `position` (updated). GPU-aware: a device `inbuf` is packed with the
-  /// datatype-offload engine.
+  /// `position` (updated). GPU-aware: a device `inbuf` is staged with the
+  /// Figure-2 scheme the cost model picks (core::pick_pack_scheme).
   void pack(const void* inbuf, int count, const Datatype& dtype,
             void* outbuf, std::size_t outsize, std::size_t& position);
-  /// MPI_Unpack: the reverse; a device `outbuf` is unpacked on the GPU.
+  /// MPI_Unpack: the reverse, with the same choice for a device `outbuf`.
   void unpack(const void* inbuf, std::size_t insize, std::size_t& position,
               void* outbuf, int count, const Datatype& dtype);
 

@@ -64,7 +64,6 @@ RankComm::RankComm(int rank, int size, sim::Engine& engine,
   res_.slot_graveyard = &slot_graveyard_;
   sched_.set_notifier(&notifier_);
   res_.sched = &sched_;
-  res_.trig = &trig_stats_;
   auto wg = std::make_shared<CommGroup>();
   wg->context = 0;
   wg->world.resize(static_cast<std::size_t>(size));
@@ -110,8 +109,9 @@ Request RankComm::isend(const void* buf, int count, const Datatype& dtype,
     m.payload.resize(view.packed_bytes);
     if (view.packed_bytes > 0) {
       if (view.on_device) {
-        core::stage_to_host_any(*res_.cuda, view, m.payload.data(),
-                                view.packed_bytes, tun.gpu_offload);
+        core::stage_to_host_any(
+            *res_.cuda, core::pack_scheme(res_, view, view.packed_bytes),
+            view, m.payload.data(), view.packed_bytes);
       } else if (view.contiguous) {
         std::memcpy(m.payload.data(), view.base, view.packed_bytes);
       } else {
@@ -612,8 +612,9 @@ void RankComm::deliver_eager(ReqState& r, int src, int tag,
   const core::Tunables& tun = *res_.tun;
   if (!payload.empty()) {
     if (view.on_device) {
-      core::stage_from_host_any(*res_.cuda, view, payload.data(),
-                                payload.size(), tun.gpu_offload);
+      core::stage_from_host_any(
+          *res_.cuda, core::pack_scheme(res_, view, payload.size()), view,
+          payload.data(), payload.size());
     } else if (view.contiguous) {
       std::memcpy(view.base, payload.data(), payload.size());
     } else {
@@ -752,8 +753,9 @@ void RankComm::pack(const void* inbuf, int count, const Datatype& dtype,
   auto* out = static_cast<std::byte*>(outbuf) + position;
   if (view.packed_bytes > 0) {
     if (view.on_device) {
-      core::stage_to_host_any(*res_.cuda, view, out, view.packed_bytes,
-                              res_.tun->gpu_offload);
+      core::stage_to_host_any(
+          *res_.cuda, core::pack_scheme(res_, view, view.packed_bytes), view,
+          out, view.packed_bytes);
     } else {
       engine_.delay(res_.tun->host_pack_time(
           view.packed_bytes, view.dtype.total_segments(count)));
@@ -773,8 +775,9 @@ void RankComm::unpack(const void* inbuf, std::size_t insize,
   const auto* in = static_cast<const std::byte*>(inbuf) + position;
   if (view.packed_bytes > 0) {
     if (view.on_device) {
-      core::stage_from_host_any(*res_.cuda, view, in, view.packed_bytes,
-                                res_.tun->gpu_offload);
+      core::stage_from_host_any(
+          *res_.cuda, core::pack_scheme(res_, view, view.packed_bytes), view,
+          in, view.packed_bytes);
     } else {
       engine_.delay(res_.tun->host_pack_time(
           view.packed_bytes, view.dtype.total_segments(count)));

@@ -171,9 +171,6 @@ class RankComm {
   void wait(Request& req, Status* status);
   bool test(Request& req, Status* status);
 
-  /// Trigger-graph counters (docs/STREAMS.md).
-  const core::TriggerStats& trigger_stats() const { return trig_stats_; }
-
   /// Abandon an in-flight request whose result is no longer wanted (the
   /// collective that owns it aborted). An unmatched posted receive is
   /// simply withdrawn; an active rendezvous is canceled at the protocol
@@ -295,8 +292,6 @@ class RankComm {
   std::deque<UnexpectedMsg> unexpected_;
   std::unordered_map<std::uint64_t, std::shared_ptr<ReqState>> active_sends_;
   std::unordered_map<std::uint64_t, std::shared_ptr<ReqState>> active_recvs_;
-
-  core::TriggerStats trig_stats_;
 
   // -- reliability bookkeeping -------------------------------------------
   core::RetryStats retry_stats_;

@@ -205,9 +205,13 @@ TEST(GpuStaging, StageAnyHandlesUnalignedSlices) {
     rig.ctx.memcpy(dev, init.data(), span);
     auto msg = core::MsgView::make(dev, 1, t, rig.reg);
 
-    // 150 bytes is not a multiple of the 4-byte block size.
+    // 150 bytes is not a multiple of the 4-byte block size: no strided
+    // PCIe copy expresses the range, so it packs on the device.
+    const core::PackScheme scheme =
+        core::pick_pack_scheme(rig.dev.cost(), msg, 150, /*gpu_offload=*/false);
+    EXPECT_EQ(scheme, core::PackScheme::kD2D2H_nc2c2c);
     std::vector<std::byte> host(150, std::byte{0});
-    core::stage_to_host_any(rig.ctx, msg, host.data(), 150, true);
+    core::stage_to_host_any(rig.ctx, scheme, msg, host.data(), 150);
     std::vector<std::byte> want(msg.packed_bytes);
     t.pack(init.data(), 1, want.data());
     EXPECT_EQ(std::memcmp(host.data(), want.data(), 150), 0);

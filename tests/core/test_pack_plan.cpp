@@ -12,11 +12,15 @@
 
 #include "core/gpu_staging.hpp"
 #include "core/msg_view.hpp"
+#include "cuda/runtime.hpp"
 #include "gpu/cost_model.hpp"
+#include "gpu/device.hpp"
 #include "gpu/memory_registry.hpp"
 #include "mpi/datatype.hpp"
+#include "sim/engine.hpp"
 
 namespace core = mv2gnc::core;
+namespace cusim = mv2gnc::cusim;
 namespace gpu = mv2gnc::gpu;
 namespace sim = mv2gnc::sim;
 using core::LayoutClass;
@@ -282,16 +286,89 @@ TEST(CostSelection, ModelPrefersOffloadForFineGrainedRows) {
   const auto cost = gpu::GpuCostModel::tesla_c2050();
   gpu::MemoryRegistry reg;
   std::vector<std::byte> buf(1 << 20);
+  const auto pick = [&](const core::MsgView& m) {
+    return core::pick_pack_scheme(cost, m, m.packed_bytes, true);
+  };
   // 4-byte rows: per-row PCIe cost dominates, offload must win (Fig. 2).
   auto fine = committed(Datatype::vector(4096, 1, 4, Datatype::int32()));
   auto mfine = core::MsgView::make(buf.data(), 1, fine, reg);
-  EXPECT_TRUE(core::model_prefers_offload(cost, mfine));
+  EXPECT_EQ(pick(mfine), core::PackScheme::kD2D2H_nc2c2c);
   // Few huge rows: the strided PCIe copy is nearly contiguous already and
   // the extra D2D stage only adds time.
   auto coarse = committed(
       Datatype::vector(4, 65536, 65536 * 2, Datatype::int32()));
   auto mcoarse = core::MsgView::make(buf.data(), 1, coarse, reg);
-  EXPECT_FALSE(core::model_prefers_offload(cost, mcoarse));
+  EXPECT_EQ(pick(mcoarse), core::PackScheme::kD2H_nc2c);
+}
+
+TEST(CostSelection, SchemeRegretIsZeroOnOneDevice) {
+  // Figure 2 on one simulated device: time the blocking nc2c and nc2c2c
+  // staging of single-vector layouts, to the host and back, and check that
+  // pick_pack_scheme names the faster of the two (a tie may go either
+  // way). Rows of 4, 16, 64 and 256 B; 1-2048 rows, a few counts per
+  // decade plus both sides of the model's crossover.
+  sim::Engine eng;
+  gpu::MemoryRegistry reg;
+  gpu::Device dev(eng, reg, 0, gpu::GpuCostModel::tesla_c2050(), 64u << 20);
+  cusim::CudaContext ctx(dev);
+  const auto vec = [](std::size_t width, std::size_t rows) {
+    const int elems = static_cast<int>(width / 4);
+    return committed(Datatype::vector(static_cast<int>(rows), elems,
+                                      2 * elems, Datatype::int32()));
+  };
+  std::size_t cells = 0;
+  eng.spawn("regret", [&] {
+    for (const std::size_t width : {4u, 16u, 64u, 256u}) {
+      std::vector<std::size_t> grid{1,   2,   3,   5,    10,   20,  30, 50,
+                                    100, 200, 300, 500, 1000, 2000, 2048};
+      // The fewest rows the model packs on the device. Pricing never
+      // touches the bytes, so a small host base stands in for the buffer.
+      std::size_t crossover = 0;
+      std::byte base[8] = {};
+      for (std::size_t rows = 2; rows <= 2048 && crossover == 0; ++rows) {
+        const auto msg = core::MsgView::make(base, 1, vec(width, rows), reg);
+        if (core::pick_pack_scheme(dev.cost(), msg, msg.packed_bytes, true) ==
+            core::PackScheme::kD2D2H_nc2c2c) {
+          crossover = rows;
+        }
+      }
+      ASSERT_GT(crossover, 2u) << width << " B rows";
+      grid.push_back(crossover - 1);
+      grid.push_back(crossover);
+      for (const std::size_t rows : grid) {
+        const Datatype t = vec(width, rows);
+        void* d = ctx.malloc(static_cast<std::size_t>(t.extent()));
+        const auto msg = core::MsgView::make(d, 1, t, reg);
+        std::vector<std::byte> host(msg.packed_bytes);
+        const auto timed = [&](core::PackScheme s, bool to_host) {
+          const sim::SimTime t0 = eng.now();
+          if (to_host) {
+            core::stage_to_host(ctx, s, msg, host.data());
+          } else {
+            core::stage_from_host(ctx, s, msg, host.data());
+          }
+          return eng.now() - t0;
+        };
+        const core::PackScheme pick =
+            core::pick_pack_scheme(dev.cost(), msg, msg.packed_bytes, true);
+        for (const bool to_host : {true, false}) {
+          const sim::SimTime nc2c = timed(core::PackScheme::kD2H_nc2c, to_host);
+          const sim::SimTime nc2c2c =
+              timed(core::PackScheme::kD2D2H_nc2c2c, to_host);
+          const sim::SimTime picked =
+              pick == core::PackScheme::kD2D2H_nc2c2c ? nc2c2c : nc2c;
+          EXPECT_LE(picked, std::min(nc2c, nc2c2c))
+              << width << " B x " << rows << " rows, "
+              << (to_host ? "to host" : "from host") << ": nc2c " << nc2c
+              << " ns, nc2c2c " << nc2c2c << " ns";
+          ++cells;
+        }
+        ctx.free(d);
+      }
+    }
+  });
+  eng.run();
+  EXPECT_EQ(cells, 4u * 17u * 2u);
 }
 
 // The stage descriptors of the routes a device-resident message can take

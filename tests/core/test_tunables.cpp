@@ -249,7 +249,7 @@ TEST(Tunables, RoutingAndEcnKnobsDefaultOff) {
 }
 
 TEST(Tunables, RoutingAndEcnKnobsRoundTrip) {
-  for (const auto [route, name] :
+  for (const auto& [route, name] :
        {std::pair{mv2gnc::core::RouteSelect::kHash, "hash"},
         std::pair{mv2gnc::core::RouteSelect::kAdaptive, "adaptive"},
         std::pair{mv2gnc::core::RouteSelect::kDmodK, "dmodk"}}) {

@@ -193,6 +193,46 @@ TEST(P2P, DeviceStridedToHostStrided) {
   });
 }
 
+TEST(P2P, DeviceVectorsOfDifferentRowWidths) {
+  // 40 rows of 12,000 B into 50 rows of 9,600 B (480,000 B, pipelined).
+  // Few rows each, so both sides prefer the strided PCIe copy; but the
+  // sender sizes its chunks in whole rows of its own layout, which split
+  // the receiver's rows, so the receiver must unpack on the device.
+  for (const bool offload : {true, false}) {
+    ClusterConfig cfg{.ranks = 2};
+    cfg.tunables.gpu_offload = offload;
+    Cluster cluster(cfg);
+    cluster.run([](Context& ctx) {
+      const auto send_t =
+          committed(Datatype::vector(40, 3000, 6000, Datatype::int32()));
+      const auto recv_t =
+          committed(Datatype::vector(50, 2400, 4800, Datatype::int32()));
+      const auto sent =
+          iota_ints(static_cast<std::size_t>(send_t.extent()) / 4);
+      if (ctx.rank == 0) {
+        auto* dev = static_cast<int*>(ctx.cuda->malloc(sent.size() * 4));
+        ctx.cuda->memcpy(dev, sent.data(), sent.size() * 4);
+        ctx.comm.send(dev, 1, send_t, 1, 6);
+        ctx.cuda->free(dev);
+        return;
+      }
+      std::vector<int> got(static_cast<std::size_t>(recv_t.extent()) / 4,
+                           -1);
+      auto* dev = static_cast<int*>(ctx.cuda->malloc(got.size() * 4));
+      ctx.cuda->memcpy(dev, got.data(), got.size() * 4);
+      ctx.comm.recv(dev, 1, recv_t, 0, 6);
+      ctx.cuda->memcpy(got.data(), dev, got.size() * 4);
+      std::vector<int> want_packed(send_t.size() / 4);
+      std::vector<int> got_packed(recv_t.size() / 4);
+      send_t.pack(sent.data(), 1, want_packed.data());
+      recv_t.pack(got.data(), 1, got_packed.data());
+      EXPECT_EQ(got_packed, want_packed);
+      EXPECT_EQ(got[2400], -1);  // first gap untouched
+      ctx.cuda->free(dev);
+    });
+  }
+}
+
 TEST(P2P, IrregularIndexedDeviceType) {
   // No vector pattern: exercises the generalized device pack kernel.
   Cluster cluster(ClusterConfig{.ranks = 2});
