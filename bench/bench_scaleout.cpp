@@ -210,14 +210,6 @@ const char* sweep_topo_name(SweepTopo t) {
   }
 }
 
-const char* route_name(mv2gnc::core::RouteSelect r) {
-  switch (r) {
-    case mv2gnc::core::RouteSelect::kDmodK: return "dmodk";
-    case mv2gnc::core::RouteSelect::kHash: return "hash";
-    default: return "adaptive";
-  }
-}
-
 void run_hotspot(HotSpot h, std::size_t bytes, mpisim::Context& ctx,
                  sim::SimTime stagger_ns = 0) {
   auto dt = mpisim::Datatype::byte();
@@ -281,7 +273,7 @@ struct SweepResult {
 };
 
 SweepResult run_sweep_cell(bench::JsonReport& report, HotSpot h, int ranks,
-                           SweepTopo topo, mv2gnc::core::RouteSelect route,
+                           SweepTopo topo, netsim::RouteSelect route,
                            std::size_t bytes, sim::SimTime ecn_ns = 0,
                            sim::SimTime stagger_ns = 0) {
   mpisim::ClusterConfig cfg;
@@ -304,7 +296,7 @@ SweepResult run_sweep_cell(bench::JsonReport& report, HotSpot h, int ranks,
     res.ecn_marks += l.ecn_marks;
   }
   const std::string key = std::string(hotspot_name(h)) + "_" +
-                          sweep_topo_name(topo) + "_" + route_name(route) +
+                          sweep_topo_name(topo) + "_" + netsim::route_select_name(route) +
                           (ecn_ns > 0 ? "_ecn" : "") + "_r" +
                           std::to_string(ranks);
   report.add(key + "_us", static_cast<double>(res.elapsed) / 1000.0);
@@ -332,8 +324,8 @@ bool run_routing_sweep(bench::JsonReport& report, int ranks) {
       SweepResult by_route[3];
       int i = 0;
       for (const auto route :
-           {mv2gnc::core::RouteSelect::kDmodK, mv2gnc::core::RouteSelect::kHash,
-            mv2gnc::core::RouteSelect::kAdaptive}) {
+           {netsim::RouteSelect::kDmodK, netsim::RouteSelect::kHash,
+            netsim::RouteSelect::kAdaptive}) {
         by_route[i++] = run_sweep_cell(report, h, ranks, topo, route,
                                        /*bytes=*/32 * 1024);
       }
@@ -372,10 +364,10 @@ bool run_routing_sweep(bench::JsonReport& report, int ranks) {
   const sim::SimTime kEcnStagger = 50'000;  // one ~20us chunk every 50us/rank
   const SweepResult off = run_sweep_cell(
       report, HotSpot::kIncast, ecn_ranks, SweepTopo::kFat2,
-      mv2gnc::core::RouteSelect::kDmodK, kEcnBytes, 0, kEcnStagger);
+      netsim::RouteSelect::kDmodK, kEcnBytes, 0, kEcnStagger);
   const SweepResult on = run_sweep_cell(
       report, HotSpot::kIncast, ecn_ranks, SweepTopo::kFat2,
-      mv2gnc::core::RouteSelect::kDmodK, kEcnBytes, kEcnThreshold,
+      netsim::RouteSelect::kDmodK, kEcnBytes, kEcnThreshold,
       kEcnStagger);
   apps::Table ecn_table(
       "ECN backlog-driven depth control: 4 MB incast at " +

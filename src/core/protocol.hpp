@@ -20,8 +20,8 @@
 namespace mv2gnc::core {
 
 /// WireMessage.kind values. User-visible eager data and every control
-/// message of the rendezvous pipeline. Values are stable wire numbers; 6 is
-/// retired.
+/// message of the rendezvous pipeline. Values are stable wire numbers; 6
+/// and 11 are retired.
 enum MsgKind : int {
   kEager = 1,     // h0=tag, h1=packed size; payload = packed bytes
   kRts = 2,       // h0=tag, h1=packed size, h2=sender req id,
@@ -47,11 +47,8 @@ enum MsgKind : int {
   kSendAbort = 10,   // h0=recv req — best-effort notice that the sender
                   //   failed the transfer permanently; the receiver fails
                   //   its request instead of waiting out its watchdog
-  kChunkAckBatch = 11,  // h0=entry count; payload = AckBatchEntry records —
-                  //   CHUNK_ACKs (credits included) coalesced within the
-                  //   ack_coalesce_window_ns delivery window into one
-                  //   control message, possibly spanning several transfers
-                  //   bound for the same peer
+  kChunkAckBatch = 11,  // retired (acks are never batched); kept because
+                  //   perfbench reads its census slot
   kCollAbort = 12,  // h0=communicator context, h1=collective sequence number
                   //   within that context, h2=origin world rank — the
                   //   COLL_ABORT wave (docs/RELIABILITY.md): a rank whose
@@ -87,47 +84,6 @@ inline void* read_address(const std::vector<std::byte>& payload,
 /// Number of addresses in a payload.
 inline std::size_t address_count(const std::vector<std::byte>& payload) {
   return payload.size() / sizeof(std::uintptr_t);
-}
-
-/// One coalesced CHUNK_ACK inside a kChunkAckBatch payload: the fields of
-/// an individual kChunkAck (h0..h3 + credit address), flattened.
-struct AckBatchEntry {
-  std::uint64_t sender_req = 0;
-  std::uint64_t chunk_idx = 0;
-  std::uint64_t slot_idx = kNoSlot;  // kNoSlot: no credit rides on this ack
-  std::uint64_t credit_seq = 0;
-  void* slot_addr = nullptr;         // recycled landing address (credit)
-  bool congested = false;            // ECN echo: the acked chunk's fin
-                                     // carried a fabric congestion mark
-};
-
-inline void append_ack_entry(std::vector<std::byte>& payload,
-                             const AckBatchEntry& e) {
-  const std::uint64_t words[6] = {
-      e.sender_req, e.chunk_idx, e.slot_idx, e.credit_seq,
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(e.slot_addr)),
-      e.congested ? std::uint64_t{1} : std::uint64_t{0}};
-  const auto* p = reinterpret_cast<const std::byte*>(words);
-  payload.insert(payload.end(), p, p + sizeof(words));
-}
-
-inline AckBatchEntry read_ack_entry(const std::vector<std::byte>& payload,
-                                    std::size_t i) {
-  std::uint64_t words[6];
-  std::memcpy(words, payload.data() + i * sizeof(words), sizeof(words));
-  AckBatchEntry e;
-  e.sender_req = words[0];
-  e.chunk_idx = words[1];
-  e.slot_idx = words[2];
-  e.credit_seq = words[3];
-  e.slot_addr = reinterpret_cast<void*>(
-      static_cast<std::uintptr_t>(words[4]));
-  e.congested = words[5] != 0;
-  return e;
-}
-
-inline std::size_t ack_entry_count(const std::vector<std::byte>& payload) {
-  return payload.size() / (6 * sizeof(std::uint64_t));
 }
 
 }  // namespace mv2gnc::core

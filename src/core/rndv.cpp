@@ -267,9 +267,6 @@ void RndvSend::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
   msg.flow = req_id_;  // hashed routing keys this transfer's path on it
   res_.sched->note_ctrl(msg.kind);
-  // Any control message to the peer is a free ride for credits this rank's
-  // receive side is holding back for the same destination.
-  res_.sched->flush_peer(dst_);
   res_.net->post_send(dst_, std::move(msg));
 }
 
@@ -636,20 +633,8 @@ void RndvSend::on_send_done_ack() {
 }
 
 void RndvSend::on_chunk_ack(const netsim::WireMessage& m) {
-  AckBatchEntry e;
-  e.sender_req = m.header[0];
-  e.chunk_idx = m.header[1];
-  e.slot_idx = m.header[2];
-  e.credit_seq = m.header[3];
-  e.slot_addr = (m.header[2] != kNoSlot) ? read_address(m.payload, 0)
-                                         : nullptr;
-  e.congested = m.header[4] != 0;
-  apply_chunk_ack(e);
-}
-
-void RndvSend::apply_chunk_ack(const AckBatchEntry& e) {
   if (complete_ || failed_) return;
-  const std::size_t idx = e.chunk_idx;
+  const std::size_t idx = m.header[1];
   if (idx >= plan_.count) return;
   if (acked_[idx]) {
     ++res_.retries->duplicates_dropped;
@@ -662,10 +647,10 @@ void RndvSend::apply_chunk_ack(const AckBatchEntry& e) {
   // the fabric's backlog threshold; the scheduler turns marks into depth
   // halvings and clean streaks into growth. After the duplicate check, so a
   // replayed ack cannot double-count one congestion episode.
-  res_.sched->note_chunk_ack(req_id_, e.congested);
-  if (e.slot_idx != kNoSlot) {
+  res_.sched->note_chunk_ack(req_id_, m.header[4] != 0);
+  if (m.header[2] != kNoSlot) {
     // The freed landing slot rides on the ack (the paper's CREDIT).
-    remote_slots_.emplace_back(e.slot_idx, e.slot_addr);
+    remote_slots_.emplace_back(m.header[2], read_address(m.payload, 0));
   }
   maybe_release_slot(idx);
   if (maybe_complete()) return;
@@ -891,7 +876,6 @@ RndvRecv::~RndvRecv() {
   // engine abort interrupted mid-flight.
   try {
     timer_.cancel();
-    res_.sched->drop_pending(src_, sender_req_);
     res_.sched->unregister_transfer(req_id_);
     if (rtbuf_ != nullptr) {
       res_.cuda->free(rtbuf_);
@@ -910,9 +894,6 @@ void RndvRecv::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
   msg.flow = sender_req_;  // same flow label as the sender's leg
   res_.sched->note_ctrl(msg.kind);
-  // Piggyback: pending coalesced credits for this peer must never trail a
-  // fresher control message.
-  res_.sched->flush_peer(src_);
   res_.net->post_send(src_, std::move(msg));
 }
 
@@ -959,9 +940,6 @@ void RndvRecv::force_drain() {
   // Failover health: the payload made it, but the peer went silent before
   // closing the handshake — count it against the path.
   res_.net->note_failure(src_);
-  // A pending coalesced ack advertises a slot address as a credit; the
-  // release below recycles those addresses, so the acks must die first.
-  res_.sched->drop_pending(src_, sender_req_);
   // Safe to recycle rather than park in the graveyard: the silence that got
   // us here spans the entire backoff budget, orders of magnitude beyond any
   // delivery latency plus jitter, so no write posted by the sender can
@@ -993,9 +971,6 @@ void RndvRecv::abandon(const std::string& reason) {
   failed_ = true;
   error_ = reason;
   timer_.cancel();
-  // Queued acks for this transfer advertise slots headed for the graveyard;
-  // they must never reach the wire.
-  res_.sched->drop_pending(src_, sender_req_);
   for (auto& s : slots_) {
     if (!s.valid()) continue;
     // The sender may still have writes queued against these addresses;
@@ -1142,43 +1117,7 @@ void RndvRecv::ack_chunk(std::size_t chunk_idx) {
   }
   drained_chunk_[chunk_idx] = true;
   acks_[chunk_idx] = ack;
-  ++drained_acks_;
   note_progress();  // local drain progress keeps the watchdog quiet
-  if (res_.sched->coalescing()) {
-    // Hand the ack to the coalescer: it goes out within the delivery
-    // window, batched with whatever else this rank owes the same peer
-    // (possibly acks of other transfers). Replays of a stored ack on a
-    // duplicate fin still use post_ctrl directly — recovery traffic must
-    // not sit in a batching window.
-    AckBatchEntry e;
-    e.sender_req = sender_req_;
-    e.chunk_idx = chunk_idx;
-    e.slot_idx = ack.header[2];
-    e.credit_seq = ack.header[3];
-    e.slot_addr =
-        (ack.header[2] != kNoSlot) ? slots_[ack.header[2]].ptr : nullptr;
-    e.congested = chunks_[chunk_idx].ecn;
-    // The credit valve: with half the advertised window's credits pending
-    // the sender is at risk of stalling on the coalescing timer; a
-    // one-slot window means every ack is the sender's only credit and
-    // must not idle in a batch at all. And with no other transfer active
-    // there is nothing to batch with — every held ack is pure pipeline
-    // delay — so a solo transfer flushes each credit immediately.
-    const std::size_t valve =
-        res_.sched->active_transfers() > 1
-            ? std::max<std::size_t>(1, slots_.size() / 2)
-            : 1;
-    res_.sched->queue_ack(src_, e, valve);
-    if (drained_acks_ == plan_.count) {
-      // The transfer's last ack must not sit in a batching window: our
-      // request may complete right now, the application may never drive
-      // this rank's progress loop again, and the sender's completion
-      // hinges on this ack. Flush synchronously (it carries every other
-      // ack pending for this peer with it).
-      res_.sched->flush_peer(src_);
-    }
-    return;
-  }
   post_ctrl(std::move(ack));
 }
 
@@ -1196,9 +1135,7 @@ void RndvRecv::on_send_done() {
     send_done_ = true;
     res_.net->note_success(src_);  // failover health: full round trip closed
     // Every chunk is acked at the sender: no retransmitted write can target
-    // these slots any more, so they may finally return to the pool. (The
-    // SEND_DONE also proves no ack of ours is still coalescing — the
-    // sender saw them all.)
+    // these slots any more, so they may finally return to the pool.
     for (auto& s : slots_) sched_release(res_, req_id_, s);
     res_.sched->unregister_transfer(req_id_);
   }

@@ -158,8 +158,8 @@ struct RankResources {
   /// drained every event.
   std::vector<detail::StagingSlot>* slot_graveyard = nullptr;
   /// Multi-transfer progress scheduler (docs/CONCURRENCY.md): vbuf QoS and
-  /// fairness gating, adaptive pipeline depth, ack/credit coalescing and
-  /// the control-message census.
+  /// fairness gating, adaptive pipeline depth and the control-message
+  /// census.
   TransferScheduler* sched = nullptr;
 };
 
@@ -239,9 +239,6 @@ class RndvSend {
 
   void on_cts(const netsim::WireMessage& msg);
   void on_chunk_ack(const netsim::WireMessage& msg);
-  /// One coalesced ack out of a kChunkAckBatch (or the fields of an
-  /// individual kChunkAck) — the shared entry point both paths reduce to.
-  void apply_chunk_ack(const AckBatchEntry& e);
   /// The peer received our RTS but has no matching receive posted yet.
   /// Refreshes the retry budget: an unanswered handshake whose RTS is known
   /// delivered is a late receiver, not a lost message, and legal MPI
@@ -301,7 +298,7 @@ class RndvSend {
   }
   void submit_stage(std::size_t i);
   void post_chunk_rdma(std::size_t i, bool retransmit);
-  /// Stamp, census-count, piggyback pending credits for dst_, then post.
+  /// Stamp, census-count, then post to dst_.
   void post_ctrl(netsim::WireMessage msg);
   void maybe_release_slot(std::size_t i);
   /// Complete once every chunk is acked and no write is still queued in
@@ -494,7 +491,6 @@ class RndvRecv {
   bool cts_sent_ = false;
   std::vector<netsim::WireMessage> acks_;  // stored per chunk once drained
   std::vector<bool> drained_chunk_;
-  std::size_t drained_acks_ = 0;  // chunks acked at least once
   bool send_done_ = false;
   std::uint64_t credit_seq_ = 0;
   std::uint64_t ctrl_seq_ = 0;

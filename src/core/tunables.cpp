@@ -27,25 +27,11 @@ void Tunables::validate() const {
     throw std::invalid_argument(
         "tunables: recv_window cannot exceed vbuf_count");
   }
-  if (vbuf_reserve_per_transfer > vbuf_count) {
-    throw std::invalid_argument(
-        "tunables: vbuf_reserve_per_transfer cannot exceed vbuf_count");
-  }
   if (ranks_per_node == 0) {
     throw std::invalid_argument("tunables: ranks_per_node must be >= 1");
   }
   if (rndv_timeout_ns <= 0) {
     throw std::invalid_argument("tunables: rndv_timeout_ns must be > 0");
-  }
-  if (ack_coalesce_window_ns < 0) {
-    throw std::invalid_argument(
-        "tunables: ack_coalesce_window_ns must be >= 0");
-  }
-  if (ack_coalesce_window_ns >= rndv_timeout_ns) {
-    // Held acks look like silence to the sender's retransmission deadline;
-    // a window at or above the timeout would retransmit every chunk.
-    throw std::invalid_argument(
-        "tunables: ack_coalesce_window_ns must be below rndv_timeout_ns");
   }
   if (rndv_backoff_factor < 1.0) {
     throw std::invalid_argument(
@@ -110,24 +96,6 @@ SchedPolicy parse_sched_policy(const std::string& v) {
       "tunables: sched_policy must be 'fifo' or 'fair', got: " + v);
 }
 
-RouteSelect parse_route_select(const std::string& v) {
-  if (v == "dmodk") return RouteSelect::kDmodK;
-  if (v == "hash") return RouteSelect::kHash;
-  if (v == "adaptive") return RouteSelect::kAdaptive;
-  throw std::invalid_argument(
-      "tunables: route_select must be 'dmodk', 'hash' or 'adaptive', got: " +
-      v);
-}
-
-const char* route_select_name(RouteSelect r) {
-  switch (r) {
-    case RouteSelect::kDmodK: return "dmodk";
-    case RouteSelect::kHash: return "hash";
-    case RouteSelect::kAdaptive: return "adaptive";
-  }
-  return "dmodk";
-}
-
 const char* sched_policy_name(SchedPolicy p) {
   switch (p) {
     case SchedPolicy::kFifo: return "fifo";
@@ -174,10 +142,8 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "sched_policy") t.sched_policy = parse_sched_policy(value);
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
-      else if (key == "route_select") t.route_select = parse_route_select(value);
+      else if (key == "route_select") t.route_select = netsim::parse_route_select(value);
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
-      else if (key == "vbuf_reserve_per_transfer") t.vbuf_reserve_per_transfer = std::stoull(value);
-      else if (key == "ack_coalesce_window_ns") t.ack_coalesce_window_ns = std::stoll(value);
       else if (key == "rndv_timeout_ns") t.rndv_timeout_ns = std::stoll(value);
       else if (key == "rndv_max_retries") t.rndv_max_retries = std::stoull(value);
       else if (key == "rndv_backoff_factor") t.rndv_backoff_factor = std::stod(value);
@@ -229,10 +195,8 @@ std::string Tunables::to_config_string() const {
      << "transport_select = "
      << (transport_select == TransportSelect::kAuto ? "auto" : "fabric")
      << "\n"
-     << "route_select = " << route_select_name(route_select) << "\n"
+     << "route_select = " << netsim::route_select_name(route_select) << "\n"
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
-     << "vbuf_reserve_per_transfer = " << vbuf_reserve_per_transfer << "\n"
-     << "ack_coalesce_window_ns = " << ack_coalesce_window_ns << "\n"
      << "rndv_timeout_ns = " << rndv_timeout_ns << "\n"
      << "rndv_max_retries = " << rndv_max_retries << "\n"
      << "rndv_backoff_factor = " << rndv_backoff_factor << "\n"

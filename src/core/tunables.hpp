@@ -11,6 +11,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "net/topology.hpp"
 #include "sim/time.hpp"
 
 namespace mv2gnc::core {
@@ -33,16 +34,6 @@ enum class TransportSelect {
 enum class SchedPolicy {
   kFifo,  // first-grabber-wins vbuf acquisition (legacy behavior)
   kFair,  // round-robin turns + per-transfer vbuf reservations
-};
-
-/// How messages pick among the parallel shared links of a multi-path
-/// fabric (mirrors netsim::RouteSelect; see docs/SIMULATION.md, "Switch
-/// topology, routing and link contention"). A no-op on the crossbar,
-/// which has no shared links to choose between.
-enum class RouteSelect {
-  kDmodK,     // static dst-indexed spine choice (byte-identical default)
-  kHash,      // deterministic (src, dst, transfer) hash across paths
-  kAdaptive,  // least-backlogged path at injection time, index-order ties
 };
 
 struct Tunables {
@@ -92,17 +83,6 @@ struct Tunables {
   /// adaptive pipeline depth.
   SchedPolicy sched_policy = SchedPolicy::kFifo;
 
-  /// kFair: pooled vbufs held back for each active transfer so one
-  /// large transfer cannot starve the pool (shrinks automatically when
-  /// active transfers outnumber capacity / reserve).
-  std::size_t vbuf_reserve_per_transfer = 2;
-
-  /// CHUNK_ACK/credit coalescing window: acks accumulated for this many
-  /// virtual nanoseconds are batched into one control message (and flushed
-  /// early by any outgoing control message to the same peer). 0 sends
-  /// every ack individually (legacy).
-  sim::SimTime ack_coalesce_window_ns = 0;
-
   // -- node topology / transport selection -------------------------------
   /// Processes per simulated node. Ranks r with the same r / ranks_per_node
   /// share one node (blocked placement, like mpirun -ppn). The default of 1
@@ -118,10 +98,11 @@ struct Tunables {
   // -- congestion-adaptive routing + ECN feedback (docs/SIMULATION.md,
   //    docs/CONCURRENCY.md) ----------------------------------------------
   /// Link-selection policy on a multi-path fabric (fat tree: which spine;
-  /// dragonfly: minimal vs Valiant/UGAL global route). kDmodK reproduces
-  /// the static-routing behavior bit-for-bit; on a crossbar every value is
-  /// an accepted no-op.
-  RouteSelect route_select = RouteSelect::kDmodK;
+  /// dragonfly: minimal vs Valiant/UGAL global route; see
+  /// docs/SIMULATION.md). kDmodK reproduces the static-routing behavior
+  /// bit-for-bit; on a crossbar every value is an accepted no-op. A
+  /// non-default value overrides ClusterConfig::topology.route.
+  netsim::RouteSelect route_select = netsim::RouteSelect::kDmodK;
 
   /// ECN-style congestion feedback: a chunk whose fabric traversal queued
   /// behind more than this much backlog on one shared link carries a

@@ -22,11 +22,8 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   // non-default value is copied over, so a route set directly on
   // config_.topology stays authoritative (and the byte-identical default
   // path never rewrites anything).
-  if (config_.tunables.route_select != core::RouteSelect::kDmodK) {
-    config_.topology.route =
-        config_.tunables.route_select == core::RouteSelect::kHash
-            ? netsim::RouteSelect::kHash
-            : netsim::RouteSelect::kAdaptive;
+  if (config_.tunables.route_select != netsim::RouteSelect::kDmodK) {
+    config_.topology.route = config_.tunables.route_select;
   }
   fabric_ = std::make_unique<netsim::Fabric>(engine_, config_.ranks,
                                              config_.net_cost,
@@ -287,10 +284,7 @@ void Cluster::print_stats(std::ostream& os) {
     const netsim::FabricTopology& topo = fabric_->topology();
     const bool dragonfly =
         topo.kind == netsim::FabricTopology::Kind::kDragonfly;
-    const char* route_name =
-        topo.route == netsim::RouteSelect::kHash       ? "hash"
-        : topo.route == netsim::RouteSelect::kAdaptive ? "adaptive"
-                                                       : "dmodk";
+    const char* route_name = netsim::route_select_name(topo.route);
     // New congestion columns only render when their feature is on, so the
     // default fat-tree output (pinned by the bench baselines) is unchanged.
     const bool show_route =
@@ -572,8 +566,7 @@ void Cluster::print_stats(std::ostream& os) {
   for (int r = 0; r < config_.ranks; ++r) {
     const core::SchedStats& ss = sched_stats(r);
     if (ss.grants_reserve + ss.grants_overflow + ss.denials +
-            ss.acks_individual + ss.acks_coalesced + ss.ecn_marks >
-        0) {
+            ss.acks_individual + ss.ecn_marks > 0) {
       any_sched = true;
       break;
     }
@@ -583,7 +576,7 @@ void Cluster::print_stats(std::ostream& os) {
     // ECN-off run (all the pinned baselines) byte-identical.
     const bool show_ecn = config_.tunables.ecn_backlog_ns > 0;
     os << "rank  act-hw  grants(res/ovf)  denials  q-waits  avg-qwait  "
-          "depth(-/+)  ack-ind  ack-coal  batches  piggyb  coal%";
+          "depth(-/+)  ack-ind";
     if (show_ecn) os << "  ecn-marks  ecn-depth(-/+)";
     os << "\n";
     for (int r = 0; r < config_.ranks; ++r) {
@@ -591,8 +584,7 @@ void Cluster::print_stats(std::ostream& os) {
       char line[256];
       std::snprintf(
           line, sizeof(line),
-          "%4d %7zu %8llu/%-8llu %7llu %8llu %8.1fus %5llu/%-5llu %8llu "
-          "%9llu %8llu %7llu %5.1f",
+          "%4d %7zu %8llu/%-8llu %7llu %8llu %8.1fus %5llu/%-5llu %8llu",
           r, ss.active_high_water,
           static_cast<unsigned long long>(ss.grants_reserve),
           static_cast<unsigned long long>(ss.grants_overflow),
@@ -601,11 +593,7 @@ void Cluster::print_stats(std::ostream& os) {
           static_cast<double>(ss.avg_queue_wait_ns()) / 1e3,
           static_cast<unsigned long long>(ss.depth_shrinks),
           static_cast<unsigned long long>(ss.depth_grows),
-          static_cast<unsigned long long>(ss.acks_individual),
-          static_cast<unsigned long long>(ss.acks_coalesced),
-          static_cast<unsigned long long>(ss.ack_batches),
-          static_cast<unsigned long long>(ss.ack_piggybacks),
-          100.0 * ss.coalesce_ratio());
+          static_cast<unsigned long long>(ss.acks_individual));
       os << line;
       if (show_ecn) {
         char e[48];
@@ -618,25 +606,21 @@ void Cluster::print_stats(std::ostream& os) {
       os << "\n";
     }
     // Outgoing control-message census by wire kind.
-    os << "rank   rts    cts    fin    ack   ackb  sdone  other  "
-          "ctrl-total\n";
+    os << "rank   rts    cts    fin    ack  sdone  other  ctrl-total\n";
     for (int r = 0; r < config_.ranks; ++r) {
       const core::SchedStats& ss = sched_stats(r);
       const std::uint64_t named =
           ss.ctrl_by_kind[core::kRts] + ss.ctrl_by_kind[core::kCts] +
           ss.ctrl_by_kind[core::kChunkFin] + ss.ctrl_by_kind[core::kChunkAck] +
-          ss.ctrl_by_kind[core::kChunkAckBatch] +
           ss.ctrl_by_kind[core::kSendDone];
       char line[224];
       std::snprintf(
           line, sizeof(line),
-          "%4d %5llu %6llu %6llu %6llu %6llu %6llu %6llu %11llu\n", r,
+          "%4d %5llu %6llu %6llu %6llu %6llu %6llu %11llu\n", r,
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kRts]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kCts]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kChunkFin]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kChunkAck]),
-          static_cast<unsigned long long>(
-              ss.ctrl_by_kind[core::kChunkAckBatch]),
           static_cast<unsigned long long>(ss.ctrl_by_kind[core::kSendDone]),
           static_cast<unsigned long long>(ss.ctrl_total() - named),
           static_cast<unsigned long long>(ss.ctrl_total()));
@@ -693,10 +677,9 @@ void Cluster::run(std::function<void(Context&)> body) {
       try {
         body(ctx);
         // MPI_Finalize analogue: the rank may still owe protocol work (a
-        // draining receiver waiting on SEND_DONE, retransmissions,
-        // coalesced acks). Keep servicing progress until it quiesces —
-        // once this process exits, nobody pumps the recovery timers any
-        // more.
+        // draining receiver waiting on SEND_DONE, retransmissions). Keep
+        // servicing progress until it quiesces — once this process exits,
+        // nobody pumps the recovery timers any more.
         comm->drain_pending();
       } catch (const detail::RankCrashed&) {
         // Crash-stop injection (ClusterConfig::crash_at): the rank

@@ -39,7 +39,7 @@ RankComm::RankComm(int rank, int size, sim::Engine& engine,
       registry_(registry),
       vbuf_pool_(tun.vbuf_count, tun.chunk_bytes),
       notifier_(engine),
-      sched_(engine, vbuf_pool_, tun, net),
+      sched_(engine, vbuf_pool_, tun),
       crash_timer_(engine) {
   // vbufs model MVAPICH2's pre-registered (pinned) staging pool.
   registry.register_pinned_host(vbuf_pool_.arena(), vbuf_pool_.arena_bytes());
@@ -62,7 +62,6 @@ RankComm::RankComm(int rank, int size, sim::Engine& engine,
   res_.trace = trace;
   res_.rank = rank;
   res_.slot_graveyard = &slot_graveyard_;
-  sched_.set_notifier(&notifier_);
   res_.sched = &sched_;
   auto wg = std::make_shared<CommGroup>();
   wg->context = 0;
@@ -121,7 +120,6 @@ Request RankComm::isend(const void* buf, int count, const Datatype& dtype,
       }
     }
     sched_.note_ctrl(core::kEager);
-    sched_.flush_peer(dst);  // credits must not trail fresher traffic
     res_.net->post_send(dst, std::move(m));
     state->complete = true;  // buffered send: the payload holds a copy
     return Request(std::move(state));
@@ -228,7 +226,7 @@ void RankComm::cancel_request(Request& req) {
 void RankComm::drain_pending() {
   const auto obligations = [this] {
     return !active_sends_.empty() || !active_recvs_.empty() ||
-           !draining_recvs_.empty() || sched_.pending_acks() > 0;
+           !draining_recvs_.empty();
   };
   while (true) {
     progress_once();
@@ -319,7 +317,6 @@ void RankComm::coll_send_abort_wave(const CommGroup& g, std::uint64_t seq,
     m.header[2] =
         static_cast<std::uint64_t>(static_cast<std::uint32_t>(origin));
     sched_.note_ctrl(core::kCollAbort);
-    sched_.flush_peer(w);
     res_.net->post_send(w, std::move(m));
   }
 }
@@ -349,9 +346,6 @@ void RankComm::progress_once() {
   netsim::Completion c;
   while (res_.net->poll(c)) dispatch(c);
   sweep_transfers();
-  // Flush coalesced acks whose delivery window expired (the coalescing
-  // deadline timer only wakes the notifier; the send happens here).
-  sched_.poll();
 }
 
 void RankComm::dispatch(const netsim::Completion& c) {
@@ -403,22 +397,6 @@ void RankComm::dispatch(const netsim::Completion& c) {
         return;
       }
       it->second->rndv_send->on_chunk_ack(m);
-      return;
-    }
-    case core::kChunkAckBatch: {
-      // Coalesced CHUNK_ACKs, possibly spanning several of our senders.
-      // Each entry applies independently; entries for retired transfers
-      // are stale duplicates, dropped like any late individual ack.
-      const std::size_t n = core::ack_entry_count(m.payload);
-      for (std::size_t i = 0; i < n; ++i) {
-        const core::AckBatchEntry e = core::read_ack_entry(m.payload, i);
-        auto it = active_sends_.find(e.sender_req);
-        if (it == active_sends_.end()) {
-          ++retry_stats_.duplicates_dropped;
-          continue;
-        }
-        it->second->rndv_send->apply_chunk_ack(e);
-      }
       return;
     }
     case core::kChunkFin: {

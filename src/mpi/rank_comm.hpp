@@ -117,9 +117,8 @@ class RankComm {
   /// Aggregated reliability counters (retransmissions, timeouts, stalls).
   const core::RetryStats& retry_stats() const { return retry_stats_; }
   /// Concurrency-scheduler counters (QoS grants/denials, queue waits,
-  /// adaptive depth moves, ack coalescing, control-message census).
+  /// adaptive depth moves, control-message census).
   const core::SchedStats& sched_stats() const { return sched_.stats(); }
-  core::TransferScheduler& sched() { return sched_; }
   /// Pool staging slots parked by failed/finished transfers; freed at
   /// destruction (they count as in_use in the pool until then), so they
   /// account exactly for any non-zero vbufs().in_use() after a quiesce.
@@ -180,15 +179,15 @@ class RankComm {
   void cancel_request(Request& req);
 
   /// MPI_Finalize analogue: service the progress loop until every protocol
-  /// obligation quiesces — live senders/receivers, draining receivers
-  /// still holding staging slots against a possible retransmitted write,
-  /// and coalesced acks whose delivery window has not expired. Without
-  /// this, a control message lost after the application's last wait (e.g.
-  /// the SEND_DONE that lets a pooled receiver release its retained slots)
-  /// strands its transfer forever: the rank's process is gone, so the
-  /// recovery timers fire into a notifier nobody waits on. Every live
-  /// obligation keeps a watchdog armed, so this loop always has a future
-  /// wake-up and terminates (force_drain/fail bound the lost-peer case).
+  /// obligation quiesces — live senders and receivers, and draining
+  /// receivers still holding staging slots against a possible
+  /// retransmitted write. Without this, a control message lost after the
+  /// application's last wait (e.g. the SEND_DONE that lets a pooled
+  /// receiver release its retained slots) strands its transfer forever:
+  /// the rank's process is gone, so the recovery timers fire into a
+  /// notifier nobody waits on. Every live obligation keeps a watchdog
+  /// armed, so this loop always has a future wake-up and terminates
+  /// (force_drain/fail bound the lost-peer case).
   void drain_pending();
 
   bool iprobe(int src, int tag, Status* status, int context = 0);

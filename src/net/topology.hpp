@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 
 #include "sim/time.hpp"
 
@@ -43,6 +44,27 @@ enum class RouteSelect {
   kHash,      // deterministic (src, dst, flow) hash across parallel paths
   kAdaptive,  // least-backlogged path now, index order breaks ties
 };
+
+/// The `route_select` config-file spelling of `r`.
+inline const char* route_select_name(RouteSelect r) {
+  switch (r) {
+    case RouteSelect::kDmodK: return "dmodk";
+    case RouteSelect::kHash: return "hash";
+    case RouteSelect::kAdaptive: return "adaptive";
+  }
+  return "dmodk";
+}
+
+/// Inverse of route_select_name; throws std::invalid_argument on any other
+/// spelling.
+inline RouteSelect parse_route_select(const std::string& v) {
+  for (RouteSelect r :
+       {RouteSelect::kDmodK, RouteSelect::kHash, RouteSelect::kAdaptive}) {
+    if (v == route_select_name(r)) return r;
+  }
+  throw std::invalid_argument(
+      "route_select must be 'dmodk', 'hash' or 'adaptive', got: " + v);
+}
 
 /// Shape of the inter-node interconnect.
 struct FabricTopology {

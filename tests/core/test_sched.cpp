@@ -1,7 +1,7 @@
 // Concurrency scaling: the per-rank transfer progress scheduler (vbuf QoS
-// reservations, round-robin overflow turns, adaptive pipeline depth) and
-// CHUNK_ACK/credit coalescing, exercised with N simultaneous rendezvous
-// transfers — on clean fabrics and under seeded drops + delivery jitter.
+// reservations, round-robin overflow turns, adaptive pipeline depth),
+// exercised with N simultaneous rendezvous transfers — on clean fabrics
+// and under seeded drops + delivery jitter.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -137,18 +137,16 @@ ClusterConfig fair_config() {
   return cfg;
 }
 
-// Drops + delivery jitter on every rendezvous control kind, including the
-// coalesced-ack batches; write faults on the data path. Eager traffic
-// (barriers) stays clean.
+// Drops + delivery jitter on every rendezvous control kind; write faults
+// on the data path. Eager traffic (barriers) stays clean.
 void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
                               double drop_imm, double fail_write,
                               sim::SimTime jitter_ns) {
   netsim::FaultSpec ctrl;
   ctrl.drop_send = drop_send;
   ctrl.jitter_ns = jitter_ns;
-  for (int kind : {core::kRts, core::kCts, core::kChunkAck,
-                   core::kChunkAckBatch, core::kSendDone, core::kRtsAck,
-                   core::kSendDoneAck, core::kSendAbort}) {
+  for (int kind : {core::kRts, core::kCts, core::kChunkAck, core::kSendDone,
+                   core::kRtsAck, core::kSendDoneAck, core::kSendAbort}) {
     fm.set_kind(kind, ctrl);
   }
   netsim::FaultSpec data;
@@ -161,13 +159,12 @@ void fault_rendezvous_control(netsim::FaultModel& fm, double drop_send,
 }  // namespace
 
 TEST(Sched, ConcurrentFairTransfersSurviveFaultsByteExact) {
-  // ISSUE acceptance: 8 simultaneous strided device transfers, fair QoS +
-  // ack coalescing, on a fabric dropping 3% of control messages (batches
-  // included), failing 0.5% of writes and jittering deliveries. Everything
-  // completes byte-exact and the pool books balance afterwards.
+  // 8 simultaneous strided device transfers under fair QoS, on a fabric
+  // dropping 3% of control messages, failing 0.5% of writes and jittering
+  // deliveries. Everything completes byte-exact and the pool books balance
+  // afterwards.
   ClusterConfig cfg = fair_config();
   cfg.rng_seed = 42;
-  cfg.tunables.ack_coalesce_window_ns = 30'000;
   cfg.tunables.vbuf_count = 16;
   cfg.tunables.rndv_timeout_ns = 400'000;
   cfg.tunables.rndv_max_retries = 40;
@@ -188,7 +185,6 @@ TEST(Sched, ConcurrentFairTransfersSurviveFaultsByteExact) {
 TEST(Sched, ConcurrentRunsAreDeterministicForFixedSeed) {
   ClusterConfig cfg = fair_config();
   cfg.rng_seed = 9;
-  cfg.tunables.ack_coalesce_window_ns = 30'000;
   cfg.tunables.rndv_timeout_ns = 400'000;
   cfg.tunables.rndv_max_retries = 40;
   fault_rendezvous_control(cfg.faults, 0.03, 0.03, 0.005, 5'000);
@@ -197,73 +193,26 @@ TEST(Sched, ConcurrentRunsAreDeterministicForFixedSeed) {
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.faults_injected, b.faults_injected);
   EXPECT_EQ(a.sender.denials, b.sender.denials);
-  EXPECT_EQ(a.receiver.ack_batches, b.receiver.ack_batches);
   EXPECT_EQ(a.mismatches, 0u);
   EXPECT_EQ(b.mismatches, 0u);
 }
 
 TEST(Sched, DefaultTunablesKeepEveryGateIdle) {
-  // fifo + window 0 is the ablation baseline: the scheduler observes (the
-  // control census still counts) but never gates, queues or batches.
-  ClusterConfig cfg;  // defaults: kFifo, ack_coalesce_window_ns = 0
+  // fifo is the ablation baseline: the scheduler observes (the control
+  // census still counts) but never gates or queues.
+  ClusterConfig cfg;  // defaults: kFifo
   const ConcResult res = run_concurrent(cfg, 4, 1 << 16);
   EXPECT_EQ(res.mismatches, 0u);
   for (const core::SchedStats* s : {&res.sender, &res.receiver}) {
     EXPECT_EQ(s->denials, 0u);
     EXPECT_EQ(s->queue_waits, 0u);
     EXPECT_EQ(s->grants_reserve + s->grants_overflow, 0u);
-    EXPECT_EQ(s->ack_batches, 0u);
-    EXPECT_EQ(s->acks_coalesced, 0u);
     EXPECT_EQ(s->depth_shrinks + s->depth_grows, 0u);
   }
   // ... while the observability census still sees the protocol.
   EXPECT_EQ(res.sender.ctrl_by_kind[core::kRts], 4u);
   EXPECT_GT(res.receiver.ctrl_by_kind[core::kChunkAck], 0u);
   EXPECT_GT(res.receiver.ctrl_by_kind[core::kCts], 0u);
-}
-
-TEST(Sched, CoalescingCutsAckMessagesOnTheWire) {
-  // ISSUE acceptance: with ack_coalesce_window_ns > 0 the control-message
-  // count per transfer drops measurably — acks ride in batches instead of
-  // one message each — at identical payload correctness.
-  ClusterConfig base;
-  base.tunables.chunk_select = core::ChunkSelect::kFixed;
-  ClusterConfig coalesced = base;
-  coalesced.tunables.ack_coalesce_window_ns = 200'000;
-  const ConcResult individual = run_concurrent(base, 4, 1 << 16);
-  const ConcResult batched = run_concurrent(coalesced, 4, 1 << 16);
-  EXPECT_EQ(individual.mismatches, 0u);
-  EXPECT_EQ(batched.mismatches, 0u);
-  // Baseline: every chunk ack is its own wire message.
-  EXPECT_GT(individual.receiver.acks_individual, 0u);
-  EXPECT_EQ(individual.receiver.ack_batches, 0u);
-  // Coalesced: batches exist, and the number of ack-bearing wire messages
-  // (singles + batches) shrank.
-  EXPECT_GT(batched.receiver.ack_batches, 0u);
-  EXPECT_GT(batched.receiver.coalesce_ratio(), 0.0);
-  EXPECT_LT(batched.receiver.acks_individual + batched.receiver.ack_batches,
-            individual.receiver.acks_individual);
-  EXPECT_LT(batched.receiver.ctrl_total(), individual.receiver.ctrl_total());
-}
-
-TEST(Sched, CoalescedAckLossRecovers) {
-  // Dropping 40% of both ack forms forces chunk retransmission; duplicate
-  // fins are answered with stored-ack replays (which bypass the coalescing
-  // window — recovery traffic must not idle in a batch).
-  ClusterConfig cfg = fair_config();
-  cfg.rng_seed = 23;
-  cfg.tunables.ack_coalesce_window_ns = 100'000;
-  cfg.tunables.rndv_timeout_ns = 300'000;
-  cfg.tunables.rndv_max_retries = 60;
-  netsim::FaultSpec ack_loss;
-  ack_loss.drop_send = 0.4;
-  cfg.faults.set_kind(core::kChunkAck, ack_loss);
-  cfg.faults.set_kind(core::kChunkAckBatch, ack_loss);
-  const ConcResult res = run_concurrent(cfg, 4, 1 << 16);
-  EXPECT_EQ(res.mismatches, 0u);
-  EXPECT_GT(res.sender_retries.chunk_retransmits, 0u);
-  EXPECT_EQ(res.sender_retries.transfer_failures, 0u);
-  EXPECT_EQ(res.receiver_retries.transfer_failures, 0u);
 }
 
 TEST(Sched, FairShrinksCompletionSpreadUnderPoolContention) {
@@ -392,13 +341,10 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
   // ack halves it, marks within the same episode are absorbed, and 16
   // clean acks earn one step back.
   sim::Engine eng;
-  netsim::Fabric fab(eng, 2, netsim::NetCostModel::qdr_ib());
-  core::FabricTransport ft(fab.endpoint(0));
-  core::TransportRouter router(ft);
   core::VbufPool pool(32, 64 * 1024);
   core::Tunables tun;
   tun.ecn_backlog_ns = 1000;
-  core::TransferScheduler sched(eng, pool, tun, router);
+  core::TransferScheduler sched(eng, pool, tun);
   ASSERT_TRUE(sched.ecn_enabled());
   sched.register_transfer(7);
   const std::size_t open = sched.inflight_cap();
@@ -424,12 +370,9 @@ TEST(Sched, EcnMarkHalvesDepthAndCleanStreakGrowsItBack) {
 
 TEST(Sched, EcnDisabledIgnoresMarkedAcks) {
   sim::Engine eng;
-  netsim::Fabric fab(eng, 2, netsim::NetCostModel::qdr_ib());
-  core::FabricTransport ft(fab.endpoint(0));
-  core::TransportRouter router(ft);
   core::VbufPool pool(32, 64 * 1024);
   core::Tunables tun;  // ecn_backlog_ns = 0: feedback off
-  core::TransferScheduler sched(eng, pool, tun, router);
+  core::TransferScheduler sched(eng, pool, tun);
   ASSERT_FALSE(sched.ecn_enabled());
   sched.register_transfer(3);
   const std::size_t cap = sched.inflight_cap();

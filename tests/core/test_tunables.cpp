@@ -171,23 +171,18 @@ TEST(Tunables, ParserRejectsBadSelectionPolicy) {
 }
 
 TEST(Tunables, ConcurrencyKnobsDefaultToLegacyBehaviour) {
-  // fifo + no coalescing + uncapped depth must reproduce the pre-scheduler
-  // pipeline exactly; that is the ablation baseline.
+  // fifo + uncapped depth must reproduce the pre-scheduler pipeline
+  // exactly; that is the ablation baseline.
   Tunables t;
   EXPECT_EQ(t.sched_policy, mv2gnc::core::SchedPolicy::kFifo);
-  EXPECT_EQ(t.ack_coalesce_window_ns, 0);
 }
 
 TEST(Tunables, ConcurrencyKnobsRoundTrip) {
   Tunables t;
   t.sched_policy = mv2gnc::core::SchedPolicy::kFair;
-  t.vbuf_reserve_per_transfer = 3;
-  t.ack_coalesce_window_ns = 40'000;
   std::istringstream in(t.to_config_string());
   Tunables u = Tunables::from_stream(in);
   EXPECT_EQ(u.sched_policy, mv2gnc::core::SchedPolicy::kFair);
-  EXPECT_EQ(u.vbuf_reserve_per_transfer, 3u);
-  EXPECT_EQ(u.ack_coalesce_window_ns, 40'000);
 }
 
 TEST(Tunables, ParserRejectsBadSchedPolicy) {
@@ -200,16 +195,20 @@ TEST(Tunables, ParserRejectsDeletedBytesSchedPolicy) {
   EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument);
 }
 
-TEST(Tunables, ValidationCatchesBadConcurrencyKnobs) {
-  Tunables t;
-  t.vbuf_reserve_per_transfer = t.vbuf_count + 1;  // cannot out-reserve pool
-  EXPECT_THROW(t.validate(), std::invalid_argument);
-  t = Tunables{};
-  t.ack_coalesce_window_ns = -1;
-  EXPECT_THROW(t.validate(), std::invalid_argument);
-  t = Tunables{};
-  t.ack_coalesce_window_ns = t.rndv_timeout_ns;  // would mimic ack loss
-  EXPECT_THROW(t.validate(), std::invalid_argument);
+TEST(Tunables, ParserRejectsDeletedCoalescingAndReserveKnobs) {
+  // Chunk acks are never batched and the fair scheduler reserves one
+  // pooled slot per transfer: neither is a config key any more, whatever
+  // its value.
+  for (const char* line :
+       {"ack_coalesce_window_ns = 0\n", "ack_coalesce_window_ns = 30000\n",
+        "vbuf_reserve_per_transfer = 1\n",
+        "vbuf_reserve_per_transfer = 2\n"}) {
+    std::istringstream bad(line);
+    EXPECT_THROW(Tunables::from_stream(bad), std::invalid_argument) << line;
+  }
+  const std::string cfg = Tunables{}.to_config_string();
+  EXPECT_EQ(cfg.find("ack_coalesce_window_ns"), std::string::npos);
+  EXPECT_EQ(cfg.find("vbuf_reserve_per_transfer"), std::string::npos);
 }
 
 TEST(Tunables, ValidationCatchesBadReliabilityKnobs) {
@@ -244,15 +243,15 @@ TEST(Tunables, TopologyKnobsValidated) {
 
 TEST(Tunables, RoutingAndEcnKnobsDefaultOff) {
   Tunables t;
-  EXPECT_EQ(t.route_select, mv2gnc::core::RouteSelect::kDmodK);
+  EXPECT_EQ(t.route_select, mv2gnc::netsim::RouteSelect::kDmodK);
   EXPECT_EQ(t.ecn_backlog_ns, 0);
 }
 
 TEST(Tunables, RoutingAndEcnKnobsRoundTrip) {
   for (const auto& [route, name] :
-       {std::pair{mv2gnc::core::RouteSelect::kHash, "hash"},
-        std::pair{mv2gnc::core::RouteSelect::kAdaptive, "adaptive"},
-        std::pair{mv2gnc::core::RouteSelect::kDmodK, "dmodk"}}) {
+       {std::pair{mv2gnc::netsim::RouteSelect::kHash, "hash"},
+        std::pair{mv2gnc::netsim::RouteSelect::kAdaptive, "adaptive"},
+        std::pair{mv2gnc::netsim::RouteSelect::kDmodK, "dmodk"}}) {
     Tunables t;
     t.route_select = route;
     t.ecn_backlog_ns = 25'000;

@@ -460,7 +460,7 @@ TEST(Chaos, AdaptiveRoutingSurvivesLossyFatTree) {
   cfg.ranks = 8;
   cfg.rng_seed = 11;
   cfg.topology = netsim::FabricTopology::fat_tree(4, 2.0);
-  cfg.tunables.route_select = core::RouteSelect::kAdaptive;
+  cfg.tunables.route_select = netsim::RouteSelect::kAdaptive;
   cfg.tunables.ecn_backlog_ns = 20'000;
   cfg.tunables.chunk_select = core::ChunkSelect::kFixed;
   cfg.tunables.rndv_timeout_ns = 400'000;

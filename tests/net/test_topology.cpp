@@ -487,7 +487,7 @@ TEST(RouteSelect, ClusterMapsTunableOntoTopologyAndPrintsRouteMode) {
   mpisim::ClusterConfig cfg;
   cfg.ranks = 16;
   cfg.topology = netsim::FabricTopology::fat_tree(8, 2.0);
-  cfg.tunables.route_select = mv2gnc::core::RouteSelect::kAdaptive;
+  cfg.tunables.route_select = netsim::RouteSelect::kAdaptive;
   mpisim::Cluster cluster(cfg);
   cluster.run([](mpisim::Context& ctx) {
     auto dt = mpisim::Datatype::byte();
