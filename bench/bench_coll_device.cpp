@@ -5,21 +5,24 @@
 // bench times two configurations per cell:
 //
 //   staged     gpu_offload = false (the PCIe ablation): full-size D2H, the
-//              host butterfly, full-size H2D — every leg exposed (the
+//              host allreduce, full-size H2D — every leg exposed (the
 //              zero-overlap baseline).
-//   default    default tunables: the cost sketch picks per call. Where it
-//              picks the sliced pipeline, slice k's D2H overlaps slice
-//              k-1's Rabenseifner wire leg (on-device folds) while earlier
-//              slices' write-backs drain on their own stream, and at
-//              rpn > 1 the intra-node rings stay device-resident over the
-//              IPC peer path; elsewhere it stays staged.
+//   default    default tunables: the schedule price picks per call
+//              (CollEngine::plan_device, from the messages each schedule
+//              sends). Where it picks the sliced pipeline, slice k's D2H
+//              overlaps slice k-1's Rabenseifner wire leg (on-device
+//              folds) while earlier slices' write-backs drain on their own
+//              stream, and at rpn > 1 the intra-node rings stay
+//              device-resident over the IPC peer path; elsewhere it stays
+//              staged.
 //
-// Swept across the paper's large-message range at 1 and 2 ranks per node.
-// The bench asserts the claims behind the choice: the default is never
-// slower than staged, and from 256 KB up it takes the pipeline and wins —
-// plus result correctness against the host-computed reduction and a
-// non-vacuous sweep (slices cut, reduction kernels launched, peer bytes
-// moved at rpn 2).
+// Swept across the paper's large-message range on 8 ranks at 1 and 2
+// ranks per node; the full sweep adds 4 ranks (perfbench
+// allreduce_device's placement at rpn 2). The bench asserts the claims
+// behind the choice: the default is never slower than staged, and from
+// 256 KB up it takes the pipeline and wins — plus result correctness
+// against the host-computed reduction and a non-vacuous sweep (slices cut,
+// reduction kernels launched, peer bytes moved at rpn 2).
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -38,8 +41,6 @@ namespace sim = mv2gnc::sim;
 
 namespace {
 
-constexpr int kRanks = 8;
-
 struct RunResult {
   sim::SimTime elapsed = 0;   // virtual time of `iters` allreduces, rank 0
   bool correct = false;       // device result == host-computed reduction
@@ -50,9 +51,10 @@ struct RunResult {
   std::uint64_t bytes_peer = 0;
 };
 
-RunResult run(std::size_t bytes, int rpn, bool gpu_offload, int iters) {
+RunResult run(int ranks, std::size_t bytes, int rpn, bool gpu_offload,
+              int iters) {
   mpisim::ClusterConfig cfg;
-  cfg.ranks = kRanks;
+  cfg.ranks = ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
   cfg.tunables.gpu_offload = gpu_offload;
   const int count = static_cast<int>(bytes / sizeof(double));
@@ -79,7 +81,7 @@ RunResult run(std::size_t bytes, int rpn, bool gpu_offload, int iters) {
     ctx.cuda->memcpy(got.data(), dout, bytes);
     for (int i = 0; i < count; ++i) {
       // Sum over ranks r of (r+1) * (i%13+1): exact in doubles.
-      const double want = static_cast<double>(kRanks * (kRanks + 1) / 2) *
+      const double want = static_cast<double>(ranks * (ranks + 1) / 2) *
                           static_cast<double>(i % 13 + 1);
       if (got[static_cast<std::size_t>(i)] != want) {
         all_correct = false;
@@ -90,7 +92,7 @@ RunResult run(std::size_t bytes, int rpn, bool gpu_offload, int iters) {
     ctx.cuda->free(dout);
   });
   res.correct = all_correct;
-  for (int r = 0; r < kRanks; ++r) {
+  for (int r = 0; r < ranks; ++r) {
     const auto& ar = cluster.coll_stats(r).allreduce;
     res.device_calls += ar.device_calls;
     res.pipelined_calls += ar.device_pipelined;
@@ -105,7 +107,7 @@ RunResult run(std::size_t bytes, int rpn, bool gpu_offload, int iters) {
 // device-collective counter table.
 void show_device_stats(std::size_t bytes, int rpn, int iters) {
   mpisim::ClusterConfig cfg;
-  cfg.ranks = kRanks;
+  cfg.ranks = 8;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(rpn);
   const int count = static_cast<int>(bytes / sizeof(double));
   mpisim::Cluster cluster(cfg);
@@ -144,78 +146,87 @@ int main(int argc, char** argv) {
             : std::vector<std::size_t>{65536, 262144, 1048576, 4194304};
   const int iters = smoke ? 2 : 3;
   bench::JsonReport report("coll_device");
-  apps::Table table("Allreduce on device buffers, 8 ranks (us per call)",
-                    {"size", "rpn", "staged (us)", "default (us)",
-                     "improvement", "slices", "peer-MB"});
   bool ok = true;
-  for (int rpn : {1, 2}) {
-    for (std::size_t s : sizes) {
-      const RunResult st = run(s, rpn, /*gpu_offload=*/false, iters);
-      const RunResult df = run(s, rpn, /*gpu_offload=*/true, iters);
-      table.add_row(
-          {apps::format_bytes(s), std::to_string(rpn),
-           apps::format_us(st.elapsed / iters),
-           apps::format_us(df.elapsed / iters),
-           apps::format_improvement(static_cast<double>(st.elapsed),
-                                    static_cast<double>(df.elapsed)),
-           std::to_string(df.slices / static_cast<std::uint64_t>(iters)),
-           peer_mb(df.bytes_peer)});
-      const std::string key =
-          std::to_string(s) + "_rpn" + std::to_string(rpn);
-      report.add("staged_us_" + key,
-                 static_cast<double>(st.elapsed / iters) / 1000.0);
-      report.add("default_us_" + key,
-                 static_cast<double>(df.elapsed / iters) / 1000.0);
-      report.add("default_slices_" + key, static_cast<double>(df.slices));
-      report.add("default_peer_mb_" + key,
-                 static_cast<double>(df.bytes_peer) / 1e6);
-      // In-bench asserts — the claims this bench exists to back:
-      // (1) both configurations produce the host-computed reduction,
-      //     bit-exact;
-      if (!st.correct || !df.correct) {
-        std::cout << "FAIL: wrong allreduce result at " << s << " B rpn "
-                  << rpn << " (staged " << st.correct << ", default "
-                  << df.correct << ")\n";
-        ok = false;
-      }
-      // (2) the staged baseline never pipelines, and the default schedule
-      //     is never slower than it;
-      if (st.pipelined_calls != 0 || df.elapsed > st.elapsed) {
-        std::cout << "FAIL: default (" << df.elapsed
-                  << " ns) slower than staged (" << st.elapsed << " ns, "
-                  << st.pipelined_calls << " pipelined calls) at " << s
-                  << " B rpn " << rpn << "\n";
-        ok = false;
-      }
-      if (s < 262144) continue;
-      // (3) from 256 KB up the default takes the pipeline and beats the
-      //     zero-overlap staged schedule, at both 1 and 2 ranks per node;
-      if (df.elapsed >= st.elapsed) {
-        std::cout << "FAIL: default (" << df.elapsed
-                  << " ns) did not beat staged (" << st.elapsed << " ns) at "
-                  << s << " B rpn " << rpn << "\n";
-        ok = false;
-      }
-      // (4) the sweep is not vacuous: the default runs actually took the
-      //     pipeline, cut slices and launched reduction kernels ...
-      if (df.pipelined_calls == 0 || df.slices == 0 ||
-          df.reduce_kernels == 0) {
-        std::cout << "FAIL: vacuous sweep at " << s << " B rpn " << rpn
-                  << " (calls " << df.device_calls << ", pipelined "
-                  << df.pipelined_calls << ", slices " << df.slices
-                  << ", reduce-kernels " << df.reduce_kernels << ")\n";
-        ok = false;
-      }
-      // (5) ... and at rpn 2 the intra-node legs really stayed on the
-      //     device-direct peer path.
-      if (rpn == 2 && df.bytes_peer == 0) {
-        std::cout << "FAIL: no device-direct peer bytes at " << s
-                  << " B rpn 2\n";
-        ok = false;
+  std::vector<apps::Table> tables;
+  for (int ranks : smoke ? std::vector<int>{8} : std::vector<int>{8, 4}) {
+    apps::Table& table = tables.emplace_back(
+        "Allreduce on device buffers, " + std::to_string(ranks) +
+            " ranks (us per call)",
+        std::vector<std::string>{"size", "rpn", "staged (us)", "default (us)",
+                                 "improvement", "slices", "peer-MB"});
+    for (int rpn : {1, 2}) {
+      for (std::size_t s : sizes) {
+        const RunResult st = run(ranks, s, rpn, /*gpu_offload=*/false, iters);
+        const RunResult df = run(ranks, s, rpn, /*gpu_offload=*/true, iters);
+        table.add_row(
+            {apps::format_bytes(s), std::to_string(rpn),
+             apps::format_us(st.elapsed / iters),
+             apps::format_us(df.elapsed / iters),
+             apps::format_improvement(static_cast<double>(st.elapsed),
+                                      static_cast<double>(df.elapsed)),
+             std::to_string(df.slices / static_cast<std::uint64_t>(iters)),
+             peer_mb(df.bytes_peer)});
+        // 8-rank keys keep their names; 4-rank keys start with "p4_".
+        const std::string key = (ranks == 8 ? "" : "p4_") + std::to_string(s) +
+                                "_rpn" + std::to_string(rpn);
+        report.add("staged_us_" + key,
+                   static_cast<double>(st.elapsed / iters) / 1000.0);
+        report.add("default_us_" + key,
+                   static_cast<double>(df.elapsed / iters) / 1000.0);
+        report.add("default_slices_" + key, static_cast<double>(df.slices));
+        report.add("default_peer_mb_" + key,
+                   static_cast<double>(df.bytes_peer) / 1e6);
+        const std::string cell = std::to_string(s) + " B, " +
+                                 std::to_string(ranks) + " ranks, rpn " +
+                                 std::to_string(rpn);
+        // In-bench asserts — the claims this bench exists to back:
+        // (1) both configurations produce the host-computed reduction,
+        //     bit-exact;
+        if (!st.correct || !df.correct) {
+          std::cout << "FAIL: wrong allreduce result at " << cell
+                    << " (staged " << st.correct << ", default " << df.correct
+                    << ")\n";
+          ok = false;
+        }
+        // (2) the staged baseline never pipelines, and the default
+        //     schedule is never slower than it;
+        if (st.pipelined_calls != 0 || df.elapsed > st.elapsed) {
+          std::cout << "FAIL: default (" << df.elapsed
+                    << " ns) slower than staged (" << st.elapsed << " ns, "
+                    << st.pipelined_calls << " pipelined calls) at " << cell
+                    << "\n";
+          ok = false;
+        }
+        if (s < 262144) continue;
+        // (3) from 256 KB up the default takes the pipeline and beats the
+        //     zero-overlap staged schedule, at both 1 and 2 ranks per node;
+        if (df.elapsed >= st.elapsed) {
+          std::cout << "FAIL: default (" << df.elapsed
+                    << " ns) did not beat staged (" << st.elapsed
+                    << " ns) at " << cell << "\n";
+          ok = false;
+        }
+        // (4) the sweep is not vacuous: the default runs actually took the
+        //     pipeline, cut slices and launched reduction kernels ...
+        if (df.pipelined_calls == 0 || df.slices == 0 ||
+            df.reduce_kernels == 0) {
+          std::cout << "FAIL: vacuous sweep at " << cell << " (calls "
+                    << df.device_calls << ", pipelined " << df.pipelined_calls
+                    << ", slices " << df.slices << ", reduce-kernels "
+                    << df.reduce_kernels << ")\n";
+          ok = false;
+        }
+        // (5) ... and at rpn 2 the intra-node legs really stayed on the
+        //     device-direct peer path.
+        if (rpn == 2 && df.bytes_peer == 0) {
+          std::cout << "FAIL: no device-direct peer bytes at " << cell
+                    << "\n";
+          ok = false;
+        }
       }
     }
   }
-  table.print(std::cout);
+  for (const apps::Table& table : tables) table.print(std::cout);
   show_device_stats(smoke ? 262144 : 1048576, 2, iters);
   report.write_and_note();
   if (!ok) {
@@ -227,6 +238,7 @@ int main(int argc, char** argv) {
                "the Rabenseifner exchange moves 2(1-1/p)\nbytes instead of "
                "the butterfly's log2(p), and at rpn 2 the intra-node rings"
                "\npeer-copy device memory instead of bouncing through the "
-               "host.\n";
+               "host. Below that the\nprice picks whichever schedule "
+               "runs faster on the placement.\n";
   return 0;
 }

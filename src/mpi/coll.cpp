@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "mpi/coll_common.hpp"
@@ -129,15 +130,18 @@ void CollEngine::bcast(void* buf, int count, const Datatype& dtype, int root,
                        const CommGroup& g) {
   const std::size_t bytes = dtype.size() * static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
-    bcast_impl(buf, count, dtype, root, g, t,
-               shape_for(CollOp::kBcast, t, bytes));
+    const DevicePlan plan =
+        plan_device(buf, buf, dtype, {CollOp::kBcast, bytes, root}, t,
+                    shape_for(CollOp::kBcast, t, bytes));
+    bcast_impl(buf, count, dtype, root, g, t, plan.shape, plan.schedule);
   });
 }
 
 void CollEngine::bcast(void* buf, int count, const Datatype& dtype, int root,
-                       const CommGroup& g, CollShape shape) {
+                       const CommGroup& g, CollShape shape,
+                       std::optional<DeviceSchedule> schedule) {
   run_guarded(g, [&](const Topology& t) {
-    bcast_impl(buf, count, dtype, root, g, t, shape);
+    bcast_impl(buf, count, dtype, root, g, t, shape, schedule);
   });
 }
 
@@ -145,23 +149,24 @@ void CollEngine::allreduce_doubles(const double* sendbuf, double* recvbuf,
                                    int count, bool take_max,
                                    const CommGroup& g) {
   const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
-  const bool pipelined =
-      use_device_pipeline(sendbuf, recvbuf, bytes, g.size());
-  const CollOp op =
-      pipelined ? CollOp::kDeviceAllreduce : CollOp::kAllreduce;
+  static const Datatype double_t = committed_double();
   run_guarded(g, [&](const Topology& t) {
-    allreduce_impl(sendbuf, recvbuf, count, take_max, g, t,
-                   shape_for(op, t, bytes), pipelined);
+    const DevicePlan plan =
+        plan_device(sendbuf, recvbuf, double_t, {CollOp::kAllreduce, bytes},
+                    t, shape_for(CollOp::kAllreduce, t, bytes));
+    allreduce_impl(sendbuf, recvbuf, count, take_max, g, t, plan.shape,
+                   plan.schedule == DeviceSchedule::kPipelined);
   });
 }
 
 void CollEngine::allreduce_doubles(const double* sendbuf, double* recvbuf,
                                    int count, bool take_max,
-                                   const CommGroup& g, CollShape shape) {
-  const bool pipelined = use_device_pipeline(
-      sendbuf, recvbuf, sizeof(double) * static_cast<std::size_t>(count),
-      g.size());
+                                   const CommGroup& g, CollShape shape,
+                                   std::optional<DeviceSchedule> schedule) {
+  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
+    const bool pipelined = use_device_pipeline(
+        sendbuf, recvbuf, {CollOp::kAllreduce, bytes}, t, shape, schedule);
     allreduce_impl(sendbuf, recvbuf, count, take_max, g, t, shape, pipelined);
   });
 }
@@ -169,17 +174,23 @@ void CollEngine::allreduce_doubles(const double* sendbuf, double* recvbuf,
 void CollEngine::allgather(const void* sendbuf, int count,
                            const Datatype& dtype, void* recvbuf,
                            const CommGroup& g) {
+  const std::size_t block = static_cast<std::size_t>(dtype.extent()) *
+                            static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
-    allgather_impl(sendbuf, count, dtype, recvbuf, g, t,
-                   shape_for(CollOp::kAllgather, t, 0));
+    const DevicePlan plan =
+        plan_device(sendbuf, recvbuf, dtype, {CollOp::kAllgather, block}, t,
+                    shape_for(CollOp::kAllgather, t, 0));
+    allgather_impl(sendbuf, count, dtype, recvbuf, g, t, plan.shape,
+                   plan.schedule);
   });
 }
 
 void CollEngine::allgather(const void* sendbuf, int count,
                            const Datatype& dtype, void* recvbuf,
-                           const CommGroup& g, CollShape shape) {
+                           const CommGroup& g, CollShape shape,
+                           std::optional<DeviceSchedule> schedule) {
   run_guarded(g, [&](const Topology& t) {
-    allgather_impl(sendbuf, count, dtype, recvbuf, g, t, shape);
+    allgather_impl(sendbuf, count, dtype, recvbuf, g, t, shape, schedule);
   });
 }
 
@@ -251,48 +262,72 @@ CollEngine::Topology CollEngine::map_nodes(const CommGroup& g) const {
 
 namespace {
 
-// Per-rank virtual clocks of one allreduce schedule, advanced message by
-// message at the cost the simulator charges for a contiguous host message
-// on its link (net/fabric.cpp, net/ipc.cpp, core/rndv.cpp):
+// Per-rank virtual clocks of one collective schedule, advanced message by
+// message at the cost the simulator charges for a contiguous message on
+// its link (net/fabric.cpp, net/ipc.cpp, core/rndv.cpp, mpi/rank_comm.cpp):
 //   eager       the sender's CPU posts, its link's transmit queue
 //               serializes descriptor + header + payload, and the message
-//               lands one latency later;
+//               lands one latency later; a device buffer's payload first
+//               crosses PCIe into the pageable message (a blocking D2H,
+//               stage_to_host_any) and lands with a blocking H2D
+//               (deliver_eager);
 //   rendezvous  once both ends are ready, the handshake's six one-way
 //               control legs plus one more descriptor and one post fewer
 //               on the critical path (measured), plus the payload at the
-//               link's rate (shm below the IPC channel's CMA threshold,
-//               CMA at or above it). A partner that became ready a control
-//               leg or more earlier already sent its RTS; its CTS then
-//               queues behind its own payload, so the exchange moves the
-//               payload twice.
+//               link's rate (host memory over IPC: shm below the channel's
+//               CMA threshold, CMA at or above it; device memory over IPC:
+//               one device-direct peer copy; device memory over the
+//               fabric: the first chunk's D2H where it outlasts the RTS
+//               and CTS legs, and the last chunk's H2D). In an exchange, a
+//               partner that became ready a control leg or more earlier
+//               already sent its RTS; its CTS then queues behind its own
+//               payload, so the exchange moves the payload twice;
+//   fold        a device reduction kernel, submitted and waited for.
 class StepClock {
  public:
-  StepClock(const CollCostHints& h, std::size_t eager_threshold, int ranks)
+  StepClock(const CollCostHints& h, const core::Tunables& tun, int ranks)
       : h_(h),
-        eager_(eager_threshold),
+        eager_(tun.eager_threshold),
+        chunk_(tun.chunk_bytes),
         ready_(static_cast<std::size_t>(ranks), 0),
         tx_fabric_(static_cast<std::size_t>(ranks), 0),
         tx_ipc_(static_cast<std::size_t>(ranks), 0) {}
 
-  /// a sends to b (one way).
-  void send(int a, int b, bool local, std::size_t bytes) {
+  /// a sends `bytes` of host or `device` memory to b (one way).
+  void send(int a, int b, bool local, std::size_t bytes, bool device = false) {
     if (bytes <= eager_) {
+      if (device) at(a) += d2h_pageable(bytes);
       const sim::SimTime arrival = post_eager(a, local, bytes);
-      at(b) = std::max(at(b), arrival);
+      at(b) = std::max(at(b), arrival) + (device ? h2d_pageable(bytes) : 0);
     } else {
-      rendezvous(a, b, local, bytes);
+      rendezvous(a, b, local, bytes, device, /*exchange=*/false);
     }
   }
   /// a and b swap `bytes` each.
-  void exchange(int a, int b, bool local, std::size_t bytes) {
+  void exchange(int a, int b, bool local, std::size_t bytes,
+                bool device = false) {
     if (bytes <= eager_) {
+      if (device) {
+        at(a) += d2h_pageable(bytes);
+        at(b) += d2h_pageable(bytes);
+      }
       const sim::SimTime to_b = post_eager(a, local, bytes);
       const sim::SimTime to_a = post_eager(b, local, bytes);
-      at(a) = std::max(at(a), to_a);
-      at(b) = std::max(at(b), to_b);
+      const sim::SimTime land = device ? h2d_pageable(bytes) : 0;
+      at(a) = std::max(at(a), to_a) + land;
+      at(b) = std::max(at(b), to_b) + land;
     } else {
-      rendezvous(a, b, local, bytes);
+      rendezvous(a, b, local, bytes, device, /*exchange=*/true);
     }
+  }
+  /// How long a send of `bytes` may run before its payload is ready: a
+  /// rendezvous' RTS and CTS legs.
+  sim::SimTime head_start(bool local, std::size_t bytes) const {
+    return bytes > eager_ ? 2 * link(local).control_leg() : 0;
+  }
+  /// a folds `bytes` into its accumulator with a reduction kernel.
+  void fold(int a, std::size_t bytes) {
+    at(a) += h_.gpu.async_submit_ns + h_.gpu.reduce_time(bytes);
   }
   sim::SimTime finish() const {
     return *std::max_element(ready_.begin(), ready_.end());
@@ -320,6 +355,13 @@ class StepClock {
 
   sim::SimTime& at(int r) { return ready_[static_cast<std::size_t>(r)]; }
 
+  sim::SimTime d2h_pageable(std::size_t bytes) const {
+    return h_.gpu.copy_time(bytes, gpu::CopyDir::kDeviceToHost, false);
+  }
+  sim::SimTime h2d_pageable(std::size_t bytes) const {
+    return h_.gpu.copy_time(bytes, gpu::CopyDir::kHostToDevice, false);
+  }
+
   sim::SimTime post_eager(int a, bool local, std::size_t bytes) {
     const Link l = link(local);
     at(a) += l.post;
@@ -329,20 +371,39 @@ class StepClock {
     return tx + l.latency;
   }
 
-  void rendezvous(int a, int b, bool local, std::size_t bytes) {
+  sim::SimTime payload(bool local, std::size_t bytes, bool device) const {
     const Link l = link(local);
-    const double bw = local ? h_.ipc.host_copy_bw(bytes) : h_.fabric.bw;
-    const sim::SimTime payload = l.at_rate(bytes, bw);
+    if (local) {
+      return l.at_rate(bytes, device ? h_.ipc.peer_d2d_bw
+                                     : h_.ipc.host_copy_bw(bytes));
+    }
+    sim::SimTime t = l.at_rate(bytes, h_.fabric.bw);
+    if (device) {
+      const std::size_t chunk = std::min(bytes, chunk_);
+      t += std::max<sim::SimTime>(
+               h_.gpu.copy_time(chunk, gpu::CopyDir::kDeviceToHost) -
+                   2 * l.control_leg(),
+               0) +
+           h_.gpu.copy_time(chunk, gpu::CopyDir::kHostToDevice);
+    }
+    return t;
+  }
+
+  void rendezvous(int a, int b, bool local, std::size_t bytes, bool device,
+                  bool exchange) {
+    const Link l = link(local);
+    const sim::SimTime data = payload(local, bytes, device);
     const sim::SimTime skew = at(a) > at(b) ? at(a) - at(b) : at(b) - at(a);
-    const sim::SimTime done = std::max(at(a), at(b)) + 6 * l.control_leg() +
-                              l.per_msg - l.post + payload +
-                              (skew >= l.control_leg() ? payload : 0);
+    const sim::SimTime done =
+        std::max(at(a), at(b)) + 6 * l.control_leg() + l.per_msg - l.post +
+        data + (exchange && skew >= l.control_leg() ? data : 0);
     at(a) = done;
     at(b) = done;
   }
 
   const CollCostHints& h_;
   std::size_t eager_;
+  std::size_t chunk_;
   std::vector<sim::SimTime> ready_;
   std::vector<sim::SimTime> tx_fabric_;
   std::vector<sim::SimTime> tx_ipc_;
@@ -353,13 +414,10 @@ class StepClock {
 sim::SimTime CollEngine::butterfly_ns(const Topology& t,
                                       const std::vector<int>& ranks,
                                       std::size_t bytes) const {
-  StepClock clock(hints_, comm_.tunables().eager_threshold,
-                  static_cast<int>(ranks.size()));
+  StepClock clock(hints_, comm_.tunables(), static_cast<int>(ranks.size()));
   auto local = [&](int a, int b) {
-    return t.node_of[static_cast<std::size_t>(
-               ranks[static_cast<std::size_t>(a)])] ==
-           t.node_of[static_cast<std::size_t>(
-               ranks[static_cast<std::size_t>(b)])];
+    return t.same_node(ranks[static_cast<std::size_t>(a)],
+                       ranks[static_cast<std::size_t>(b)]);
   };
   RdSchedule(static_cast<int>(ranks.size()))
       .for_each_step([&](const RdSchedule::Step& st) {
@@ -379,10 +437,161 @@ sim::SimTime CollEngine::striped_ns(const Topology& t,
   const std::size_t n = static_cast<std::size_t>(t.uniform);
   const std::size_t count = bytes / sizeof(double);
   const std::size_t slice = sizeof(double) * ((count + n - 1) / n);
-  StepClock ring(hints_, comm_.tunables().eager_threshold, 2);
-  ring.exchange(0, 1, /*local=*/true, slice);
-  return 2 * static_cast<sim::SimTime>(n - 1) * ring.finish() +
+  return 2 * static_cast<sim::SimTime>(n - 1) *
+             ring_step_ns(/*local=*/true, slice, /*device=*/false) +
          butterfly_ns(t, t.leaders, slice);
+}
+
+sim::SimTime CollEngine::ring_step_ns(bool local, std::size_t bytes,
+                                      bool device) const {
+  StepClock ring(hints_, comm_.tunables(), 2);
+  ring.exchange(0, 1, local, bytes, device);
+  return ring.finish();
+}
+
+CollEngine::SliceLeg CollEngine::rabenseifner_ns(
+    const Topology& t, const std::vector<int>& ranks,
+    std::size_t bytes) const {
+  // The message order of device_slice_wire: pre-pairing, then the halving
+  // reduce-scatter and the doubling allgather (or, on slices too short to
+  // halve, the full-slice butterfly), then post-pairing.
+  const int p = static_cast<int>(ranks.size());
+  StepClock clock(hints_, comm_.tunables(), p);
+  auto local = [&](int a, int b) {
+    return t.same_node(ranks[static_cast<std::size_t>(a)],
+                       ranks[static_cast<std::size_t>(b)]);
+  };
+  const RdSchedule rd(p);
+  const std::size_t count = bytes / sizeof(double);
+  // Every pair of butterfly members `dist` apart swaps `part` bytes and,
+  // when `fold`, folds them.
+  auto round = [&](int dist, std::size_t part, bool fold) {
+    for (int nr = 0; nr < rd.pof2; ++nr) {
+      if ((nr ^ dist) < nr) continue;
+      const int a = rd.index(nr);
+      const int b = rd.index(nr ^ dist);
+      clock.exchange(a, b, local(a, b), part);
+      if (fold) {
+        clock.fold(a, part);
+        clock.fold(b, part);
+      }
+    }
+  };
+  const bool halving = count >= 2 * static_cast<std::size_t>(rd.pof2);
+  // The larger share of each split: one element more when it is uneven.
+  auto part = [&](int dist) {
+    if (!halving) return bytes;
+    const std::size_t pof2 = static_cast<std::size_t>(rd.pof2);
+    return sizeof(double) *
+           ((count * static_cast<std::size_t>(dist) + pof2 - 1) / pof2);
+  };
+  // The first message on the critical path, the pre-pairing send or else
+  // the first exchange, sends its RTS while the slice's D2H runs (the gate
+  // holds only its payload).
+  const int first = halving ? rd.pof2 / 2 : 1;
+  const sim::SimTime head =
+      rd.rem > 0 ? clock.head_start(local(0, 1), bytes)
+                 : clock.head_start(local(rd.index(0), rd.index(first)),
+                                    part(first));
+  for (int i = 0; i < rd.rem; ++i) {
+    clock.send(2 * i, 2 * i + 1, local(2 * i, 2 * i + 1), bytes);
+    clock.fold(2 * i + 1, bytes);
+  }
+  if (!halving) {
+    for (int dist = 1; dist < rd.pof2; dist <<= 1) round(dist, bytes, true);
+  } else {
+    for (int dist = rd.pof2 / 2; dist >= 1; dist >>= 1) {
+      round(dist, part(dist), true);
+    }
+    for (int dist = 1; dist < rd.pof2; dist <<= 1) {
+      round(dist, part(dist), false);
+    }
+  }
+  for (int i = 0; i < rd.rem; ++i) {
+    clock.send(2 * i + 1, 2 * i, local(2 * i, 2 * i + 1), bytes);
+  }
+  return {clock.finish(), head};
+}
+
+sim::SimTime CollEngine::bcast_tree_ns(const Topology& t, CollShape shape,
+                                       int root, std::size_t bytes) const {
+  StepClock clock(hints_, comm_.tunables(),
+                  static_cast<int>(t.node_of.size()));
+  // binomial_bcast's sends, each rank's in its own order: relative rank
+  // rel receives at its lowest set bit and then sends at every lower bit.
+  auto binomial = [&](const std::vector<int>& ranks, int root_idx) {
+    const int n = static_cast<int>(ranks.size());
+    int top = 1;
+    while (top < n) top <<= 1;
+    for (int mask = top >> 1; mask >= 1; mask >>= 1) {
+      for (int rel = 0; rel + mask < n; rel += 2 * mask) {
+        const int a = ranks[static_cast<std::size_t>((rel + root_idx) % n)];
+        const int b =
+            ranks[static_cast<std::size_t>((rel + mask + root_idx) % n)];
+        clock.send(a, b, t.same_node(a, b), bytes);
+      }
+    }
+  };
+  if (shape == CollShape::kFlat || !t.multi_rank_node) {
+    binomial(identity_ranks(static_cast<int>(t.node_of.size())), root);
+    return clock.finish();
+  }
+  // plan_bcast's tree: the root leads its node.
+  const int root_node = t.node_of[static_cast<std::size_t>(root)];
+  std::vector<int> leaders = t.leaders;
+  leaders[static_cast<std::size_t>(root_node)] = root;
+  if (t.num_nodes() > 1) binomial(leaders, root_node);
+  for (int d = 0; d < t.num_nodes(); ++d) {
+    const std::vector<int>& mem = t.members[static_cast<std::size_t>(d)];
+    if (mem.size() > 1) {
+      binomial(mem, index_of(mem, leaders[static_cast<std::size_t>(d)]));
+    }
+  }
+  return clock.finish();
+}
+
+sim::SimTime CollEngine::ring_ns(const Topology& t,
+                                 const std::vector<int>& ranks,
+                                 std::size_t bytes, bool device) const {
+  // Link i carries member i's sends to member i + 1.
+  const std::size_t n = ranks.size();
+  sim::SimTime all = 0;
+  sim::SimTime slowest = 0;
+  sim::SimTime cheapest = std::numeric_limits<sim::SimTime>::max();
+  for (std::size_t i = 0; i < n; ++i) {
+    const sim::SimTime link =
+        ring_step_ns(t.same_node(ranks[i], ranks[(i + 1) % n]), bytes, device);
+    all += link;
+    slowest = std::max(slowest, link);
+    cheapest = std::min(cheapest, link);
+  }
+  // Rendezvous steps run in lockstep at the pace of the slowest link. An
+  // eager block hops on as soon as it lands, so the last block's n - 1
+  // hops add up: every link but the one it never crosses.
+  if (bytes > comm_.tunables().eager_threshold) {
+    return static_cast<sim::SimTime>(n - 1) * slowest;
+  }
+  return all - cheapest;
+}
+
+sim::SimTime CollEngine::allgather_ns(const Topology& t, CollShape shape,
+                                      std::size_t block, bool device) const {
+  const int p = static_cast<int>(t.node_of.size());
+  // The own block through the p2p self path (IPC at rpn > 1, else the
+  // fabric's loopback).
+  const sim::SimTime self = ring_step_ns(t.multi_rank_node, block, device);
+  if (shape == CollShape::kFlat || t.uniform < 2) {
+    return self + ring_ns(t, identity_ranks(p), block, device);
+  }
+  // Intra ring, then the stripe ring across nodes; each arriving block
+  // goes on to the n - 1 co-members while the next fabric step runs, so
+  // a step costs the slower of the two and the last fan-out stays exposed.
+  const sim::SimTime n1 = t.uniform - 1;
+  const sim::SimTime intra = ring_step_ns(true, block, device);
+  const sim::SimTime fabric = ring_step_ns(false, block, device);
+  const sim::SimTime fan = n1 * intra;
+  const sim::SimTime l1 = t.num_nodes() - 1;
+  return self + n1 * intra + (l1 > 0 ? l1 * std::max(fabric, fan) + fan : 0);
 }
 
 CollShape CollEngine::shape_for(CollOp op, const Topology& t,
@@ -414,9 +623,6 @@ CollShape CollEngine::shape_for(CollOp op, const Topology& t,
       // The co-located-first order pays off once each step is a
       // rendezvous; with eager steps it measured up to 24 % slower.
       two_level = t.uniform > 1 && bytes > tun.eager_threshold;
-      break;
-    case CollOp::kDeviceAllreduce:
-      two_level = striped;
       break;
     case CollOp::kAllreduce: {
       const int p = static_cast<int>(t.node_of.size());
@@ -605,14 +811,15 @@ void CollEngine::barrier_impl(const CommGroup& g, const Topology& t,
 
 void CollEngine::bcast_impl(void* buf, int count, const Datatype& dtype,
                             int root, const CommGroup& g, const Topology& t,
-                            CollShape shape) {
+                            CollShape shape,
+                            std::optional<DeviceSchedule> schedule) {
   CollOpStats& op = stats_.bcast;
   ++op.calls;
   // Device-resident contiguous payloads take the staged/pipelined device
   // path; non-contiguous device types keep the legacy pass-through (the
   // rendezvous layer packs them per message).
   if (dtype.is_contiguous() && device_buffer(buf)) {
-    device_bcast(op, buf, count, dtype, root, g, t, shape);
+    device_bcast(op, buf, count, dtype, root, g, t, shape, schedule);
     return;
   }
   bcast_wire(op, buf, count, dtype, root, g, t, shape);
@@ -778,7 +985,7 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
     }
     double* stripe = data + slice_start(me_local);
     if (device) {
-      device_sliced_allreduce(op, g, stripe_group, t.my_node, stripe,
+      device_sliced_allreduce(op, g, t, stripe_group, t.my_node, stripe,
                               slice_len(me_local), take_max);
     } else {
       rd_allreduce(op, g, stripe_group, t.my_node, stripe,
@@ -803,12 +1010,14 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
 void CollEngine::allgather_impl(const void* sendbuf, int count,
                                 const Datatype& dtype, void* recvbuf,
                                 const CommGroup& g, const Topology& t,
-                                CollShape shape) {
+                                CollShape shape,
+                                std::optional<DeviceSchedule> schedule) {
   CollOpStats& op = stats_.allgather;
   ++op.calls;
   if (dtype.is_contiguous() &&
       (device_buffer(sendbuf) || device_buffer(recvbuf))) {
-    device_allgather(op, sendbuf, count, dtype, recvbuf, g, t, shape);
+    device_allgather(op, sendbuf, count, dtype, recvbuf, g, t, shape,
+                     schedule);
     return;
   }
   allgather_wire(op, sendbuf, count, dtype, recvbuf, g, t, shape);
@@ -985,8 +1194,7 @@ void CollEngine::alltoall_impl(const void* sendbuf, void* recvbuf, int count,
     for (int s = 1; s < p; ++s) {
       int c = 0;
       for (int r = 0; r < p; ++r) {
-        if (t.node_of[static_cast<std::size_t>(r)] ==
-            t.node_of[static_cast<std::size_t>((r + s) % p)]) {
+        if (t.same_node(r, (r + s) % p)) {
           ++c;
         }
       }

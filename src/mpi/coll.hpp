@@ -17,13 +17,16 @@
 //
 // Allreduce, allgather and bcast on device-resident buffers run the paths
 // of coll_device.cpp: a sliced D2H / wire / device-fold / H2D pipeline when
-// the cost hints say it beats one synchronous staged copy, the staged
-// copy otherwise. No tunable chooses between them.
+// its price, walked message by message over the cost hints, beats one
+// synchronous staged copy's, the staged copy otherwise. No tunable chooses
+// between them.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cuda/runtime.hpp"
@@ -82,17 +85,19 @@ struct CollCostHints {
   netsim::NetCostModel fabric = netsim::NetCostModel::qdr_ib();
   gpu::GpuCostModel gpu = gpu::GpuCostModel::tesla_c2050();
   netsim::IpcCostModel ipc = netsim::IpcCostModel::from_gpu(gpu);
-
-  /// The PCIe rate a staged leg is bound by (slices cross both ways).
-  double pcie_bw() const {
-    return gpu.d2h_bw < gpu.h2d_bw ? gpu.d2h_bw : gpu.h2d_bw;
-  }
 };
 
 /// Schedule shape of one collective call.
 enum class CollShape {
   kFlat,      // one ring / tree / butterfly over the whole group
   kTwoLevel,  // intra-node phases over IPC around an inter-node phase
+};
+
+/// Schedule of one device-buffer bcast, allreduce or allgather call
+/// (coll_device.cpp).
+enum class DeviceSchedule {
+  kStaged,     // full-size D2H, the host wire algorithm, full-size H2D
+  kPipelined,  // sliced D2H / wire / H2D pipeline, folds on the device
 };
 
 /// One rank's collective-algorithm engine; owned by its RankComm. All
@@ -120,23 +125,29 @@ class CollEngine {
   const CollStats& stats() const { return stats_; }
 
   // Each shaped collective has two entry points. The short form is the
-  // public operation: it fills the shape from shape_for. The form taking a
-  // CollShape runs that shape (where the group admits it; otherwise flat),
-  // which is how the selection-regret test times both shapes.
+  // public operation: it fills the shape from shape_for or, on device
+  // buffers, the shape and schedule from plan_device. The form taking a
+  // CollShape runs that shape (where the group admits it; otherwise flat)
+  // and, when given one, that device schedule (where the buffers admit
+  // it; otherwise staged), which is how the selection-regret test times
+  // every shape and schedule.
   void barrier(const CommGroup& g);
   void barrier(const CommGroup& g, CollShape shape);
   void bcast(void* buf, int count, const Datatype& dtype, int root,
              const CommGroup& g);
   void bcast(void* buf, int count, const Datatype& dtype, int root,
-             const CommGroup& g, CollShape shape);
+             const CommGroup& g, CollShape shape,
+             std::optional<DeviceSchedule> schedule = std::nullopt);
   void allreduce_doubles(const double* sendbuf, double* recvbuf, int count,
                          bool take_max, const CommGroup& g);
   void allreduce_doubles(const double* sendbuf, double* recvbuf, int count,
-                         bool take_max, const CommGroup& g, CollShape shape);
+                         bool take_max, const CommGroup& g, CollShape shape,
+                         std::optional<DeviceSchedule> schedule = std::nullopt);
   void allgather(const void* sendbuf, int count, const Datatype& dtype,
                  void* recvbuf, const CommGroup& g);
   void allgather(const void* sendbuf, int count, const Datatype& dtype,
-                 void* recvbuf, const CommGroup& g, CollShape shape);
+                 void* recvbuf, const CommGroup& g, CollShape shape,
+                 std::optional<DeviceSchedule> schedule = std::nullopt);
   void alltoall(const void* sendbuf, void* recvbuf, int count,
                 const Datatype& dtype, const CommGroup& g);
   void alltoall(const void* sendbuf, void* recvbuf, int count,
@@ -160,19 +171,15 @@ class CollEngine {
     int uniform = 0;  // common member count of every node, 0 when ragged
 
     int num_nodes() const { return static_cast<int>(members.size()); }
+    bool same_node(int a, int b) const {
+      return node_of[static_cast<std::size_t>(a)] ==
+             node_of[static_cast<std::size_t>(b)];
+    }
   };
   Topology map_nodes(const CommGroup& g) const;
 
-  /// Which collective a shape is chosen for. Device allreduce is its own
-  /// case: its sliced pipeline has a different two-level trade-off.
-  enum class CollOp {
-    kBarrier,
-    kBcast,
-    kAllreduce,
-    kDeviceAllreduce,
-    kAllgather,
-    kAlltoall
-  };
+  /// Which collective a shape or a device schedule is chosen for.
+  enum class CollOp { kBarrier, kBcast, kAllreduce, kAllgather, kAlltoall };
   /// The shape rule: a pure function of the group's node map, the message
   /// size and the hints, so every member picks the same shape (a split
   /// group would mismatch tags and deadlock). Two-level only with the IPC
@@ -186,18 +193,47 @@ class CollEngine {
   /// The same for the striped two-level allreduce: two intra-node rings
   /// of n - 1 slice steps around the stripe butterfly across nodes.
   sim::SimTime striped_ns(const Topology& t, std::size_t bytes) const;
+  /// One step of a ring: every member sends `bytes` of host or `device`
+  /// memory to its neighbour (IPC when `local`) while receiving as much.
+  sim::SimTime ring_step_ns(bool local, std::size_t bytes, bool device) const;
+  /// A ring over `ranks` (comm ranks of t) of ranks.size() - 1 steps, each
+  /// member passing `bytes` of host or `device` memory on per step.
+  sim::SimTime ring_ns(const Topology& t, const std::vector<int>& ranks,
+                       std::size_t bytes, bool device) const;
+  /// One pipeline slice's wire leg: how long it runs once the slice's D2H
+  /// has landed, and how much of that (its first rendezvous' RTS and CTS)
+  /// may run before.
+  struct SliceLeg {
+    sim::SimTime wire = 0;
+    sim::SimTime head = 0;
+  };
+  /// One pipeline slice's Rabenseifner leg over `ranks` (comm ranks of t):
+  /// host-slot messages, each halving round's fold a reduction kernel.
+  SliceLeg rabenseifner_ns(const Topology& t, const std::vector<int>& ranks,
+                           std::size_t bytes) const;
+  /// Critical path of the host bcast tree of `bytes` from `root` in
+  /// `shape` (the tree plan_bcast picks), to the last rank's arrival.
+  sim::SimTime bcast_tree_ns(const Topology& t, CollShape shape, int root,
+                             std::size_t bytes) const;
+  /// Critical path of allgather_wire on `block`-byte blocks of host or
+  /// `device` memory in `shape`.
+  sim::SimTime allgather_ns(const Topology& t, CollShape shape,
+                            std::size_t block, bool device) const;
 
   // Un-guarded algorithm bodies (one per public op). `t` is map_nodes(g).
   void barrier_impl(const CommGroup& g, const Topology& t, CollShape shape);
+  /// `schedule`: the device schedule the caller forced or plan_device
+  /// chose, if any (otherwise use_device_pipeline picks one).
   void bcast_impl(void* buf, int count, const Datatype& dtype, int root,
-                  const CommGroup& g, const Topology& t, CollShape shape);
-  /// `pipelined`: use_device_pipeline's verdict on the call's buffers.
+                  const CommGroup& g, const Topology& t, CollShape shape,
+                  std::optional<DeviceSchedule> schedule);
+  /// `pipelined`: plan_device's or use_device_pipeline's verdict.
   void allreduce_impl(const double* sendbuf, double* recvbuf, int count,
                       bool take_max, const CommGroup& g, const Topology& t,
                       CollShape shape, bool pipelined);
   void allgather_impl(const void* sendbuf, int count, const Datatype& dtype,
                       void* recvbuf, const CommGroup& g, const Topology& t,
-                      CollShape shape);
+                      CollShape shape, std::optional<DeviceSchedule> schedule);
   void alltoall_impl(const void* sendbuf, void* recvbuf, int count,
                      const Datatype& dtype, const CommGroup& g,
                      const Topology& t, CollShape shape);
@@ -240,19 +276,49 @@ class CollEngine {
   // -- device-buffer collectives (src/mpi/coll_device.cpp) ----------------
   /// True when `p` lies inside a registered device allocation.
   bool device_buffer(const void* p) const;
-  /// The schedule choice of every device collective: the sliced pipeline
-  /// runs when both buffers are device-resident, gpu_offload is on and
-  /// device_pipeline_wins(bytes, p); otherwise the staged schedule.
+  /// One device-buffer call as the schedule price sees it.
+  struct DeviceCall {
+    CollOp op;          // kBcast, kAllreduce or kAllgather
+    std::size_t bytes;  // the vector (bcast, allreduce) or one rank's block
+    int root = 0;       // bcast only
+  };
+  /// The schedule of a device call in `shape`: the sliced pipeline when
+  /// both buffers are device-resident and either `forced` names it or, with
+  /// none forced, gpu_offload is on and it prices below the staged
+  /// schedule; otherwise staged. The prices read only the node map, the
+  /// call and the hints, so every rank reaches the same verdict.
   bool use_device_pipeline(const void* sendbuf, const void* recvbuf,
-                           std::size_t bytes, int p) const;
-  /// Pure cost sketch: does the sliced pipeline beat one synchronous
-  /// full-size stage for `bytes` over `p` ranks? Rank-invariant (bytes and
-  /// hints only).
-  bool device_pipeline_wins(std::size_t bytes, int p) const;
-  /// Slice size of the pipeline: the power-of-two model pick minimizing
-  /// slices * wire-leg + fill/drain, capped so the per-slice tag offsets
-  /// stay inside one tag span.
-  std::size_t pick_slice_bytes(std::size_t total, int p) const;
+                           const DeviceCall& call, const Topology& t,
+                           CollShape shape,
+                           std::optional<DeviceSchedule> forced) const;
+  struct DevicePlan {
+    CollShape shape;
+    std::optional<DeviceSchedule> schedule;  // empty: not a device call
+  };
+  /// The public operations' plan. On contiguous device buffers it is the
+  /// cheapest of the staged schedule in `staged` (the host rule's shape:
+  /// staged runs the host algorithm) and the pipeline in either shape, by
+  /// the same prices and conditions as use_device_pipeline; on anything
+  /// else, `staged` with no schedule.
+  DevicePlan plan_device(const void* sendbuf, const void* recvbuf,
+                         const Datatype& dtype, const DeviceCall& call,
+                         const Topology& t, CollShape staged) const;
+  /// Critical-path virtual time of `call` run on `schedule` in `shape`.
+  sim::SimTime device_ns(const DeviceCall& call, DeviceSchedule schedule,
+                         CollShape shape, const Topology& t) const;
+  /// Price of one pipeline slice's wire leg, by slice bytes.
+  using LegPrice = std::function<SliceLeg(std::size_t)>;
+  /// Virtual time of `total` bytes through the sliced pipeline in
+  /// `slice`-byte slices: D2H copies on one stream, at most `prefetch`
+  /// slices ahead of the wire, each slice's wire leg (`leg`) once its copy
+  /// landed, and its H2D write-back on another stream.
+  sim::SimTime sliced_ns(std::size_t total, std::size_t slice, int prefetch,
+                         const LegPrice& leg) const;
+  /// Slice size of the pipeline: the power-of-two candidate minimizing
+  /// sliced_ns, capped so the per-slice tag offsets stay inside one tag
+  /// span.
+  std::size_t pick_slice_bytes(std::size_t total, int prefetch,
+                               const LegPrice& leg) const;
   /// Lazily create the collective-owned d2h / h2d / reduce streams.
   void ensure_coll_streams();
   /// Stream-ordered elementwise fold acc = acc (op) in over n doubles,
@@ -274,6 +340,7 @@ class CollEngine {
   /// call: all ranks, full vector; two-level call: stripe group, own
   /// stripe).
   void device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
+                               const Topology& t,
                                const std::vector<int>& ranks, int me,
                                double* dev, int count, bool take_max);
   /// Wire leg of one host-resident slice, with per-slice tags,
@@ -288,11 +355,13 @@ class CollEngine {
                          cusim::Event gate);
   void device_bcast(CollOpStats& op, void* buf, int count,
                     const Datatype& dtype, int root, const CommGroup& g,
-                    const Topology& t, CollShape shape);
+                    const Topology& t, CollShape shape,
+                    std::optional<DeviceSchedule> schedule);
   void device_allgather(CollOpStats& op, const void* sendbuf, int count,
                         const Datatype& dtype, void* recvbuf,
                         const CommGroup& g, const Topology& t,
-                        CollShape shape);
+                        CollShape shape,
+                        std::optional<DeviceSchedule> schedule);
 
   /// Run one collective body under the abort protocol: registers the call
   /// with coll_begin (throws if the context is poisoned), hands the body

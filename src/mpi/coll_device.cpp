@@ -2,16 +2,18 @@
 // buffers"): the CollEngine paths that engage when allreduce / allgather /
 // bcast arguments live in registered device memory.
 //
-// Two schedules per operation; one predicate (use_device_pipeline) picks
-// between them per call from the arguments alone:
+// Two schedules per operation. plan_device picks one per call, and the
+// pipeline's shape, by pricing the messages each schedule sends on the
+// call's node map (device_ns); the verdict depends on nothing a rank sees
+// alone, so every rank runs the same schedule:
 //
 //   staged     synchronous full-size D2H, the host wire algorithm on a
 //              staged copy, synchronous full-size H2D. Zero overlap — the
 //              baseline the paper improves on — but it prices the PCIe legs
-//              the legacy host-only engine silently skipped. Taken for
-//              messages the cost sketch says are too small to pipeline,
-//              for mixed host/device residency, and when gpu_offload is
-//              off (the PCIe ablation).
+//              the legacy host-only engine silently skipped. Taken where
+//              it prices cheaper (eager-sized messages, mostly), for mixed
+//              host/device residency, and when gpu_offload is off (the
+//              PCIe ablation).
 //   pipelined  the vector is cut into model-sized slices; slice k's D2H
 //              (coll_d2h_ stream) overlaps slice k-1's wire leg, whose
 //              folds run as device reduction kernels (coll_red_), while
@@ -38,10 +40,8 @@
 // (result of a failed collective is undefined); like any buffer handed to a
 // collective, it must stay live until the communicator drains.
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <limits>
-#include <numeric>
 
 #include "mpi/coll.hpp"
 #include "mpi/coll_common.hpp"
@@ -123,46 +123,60 @@ void CollEngine::device_fold(CollOpStats& op, double* acc, const double* in,
   ++op.reduce_kernels;
 }
 
+// ---------------------------------------------------------------------------
+// Schedule price
+// ---------------------------------------------------------------------------
+
 namespace {
 
-// Model time of the sliced pipeline moving `total` bytes over `p` ranks in
-// `slice`-byte slices, the short last slice priced at its own size. The
-// wire legs serialize on the calling fiber, so they sum; the PCIe legs
-// hide behind them except the first slice's D2H and the last one's H2D.
-// A slice's Rabenseifner leg moves 2(1-1/p) wire bytes and folds (1-1/p),
-// but each of its 2 log2 p exchanges also pays the rendezvous protocol
-// (handshake round trips plus staging launches) — the term that pushes
-// the pick toward few large slices on a high-latency fabric.
-double pipeline_ns(const CollCostHints& h, std::size_t total,
-                   std::size_t slice, int p) {
-  const double pd = std::max(static_cast<double>(p), 2.0);
-  const double rounds = std::ceil(std::log2(pd));
-  const double frac = 1.0 - 1.0 / pd;
-  const double launch = static_cast<double>(h.gpu.copy_launch_ns);
-  const double proto =
-      4.0 * static_cast<double>(h.fabric.latency_ns) + 2.0 * launch;
-  auto wire = [&](double bytes) {
-    return 2.0 * rounds * proto + 2.0 * frac * bytes / h.fabric.bw +
-           rounds * static_cast<double>(h.gpu.kernel_launch_ns) +
-           frac * bytes / h.gpu.reduce_bw;
-  };
-  const std::size_t first = std::min(slice, total);
-  const std::size_t last = total % slice;
-  return static_cast<double>(total / slice) *
-             wire(static_cast<double>(slice)) +
-         (last > 0 ? wire(static_cast<double>(last)) : 0.0) + 2.0 * launch +
-         static_cast<double>(first + (last > 0 ? last : first)) /
-             h.pcie_bw();
-}
+constexpr int kPrefetch = 2;  // allreduce D2H slices posted ahead of the wire
 
 }  // namespace
 
-std::size_t CollEngine::pick_slice_bytes(std::size_t total, int p) const {
-  // The power-of-two candidate with the least model time.
-  double best = std::numeric_limits<double>::infinity();
+sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
+                                   int prefetch, const LegPrice& leg) const {
+  if (total == 0) return 0;
+  const gpu::GpuCostModel& gpu = hints_.gpu;
+  const std::size_t n = (total + slice - 1) / slice;
+  struct Stage {
+    sim::SimTime d2h;
+    SliceLeg wire;
+    sim::SimTime h2d;
+  };
+  auto stage = [&](std::size_t b) {
+    return Stage{gpu.copy_time(b, gpu::CopyDir::kDeviceToHost), leg(b),
+                 gpu.copy_time(b, gpu::CopyDir::kHostToDevice)};
+  };
+  // Every slice but the short last one has the full length.
+  const Stage full = stage(slice);
+  const Stage last = stage(total - (n - 1) * slice);
+  std::vector<sim::SimTime> landed(n);
+  sim::SimTime fiber = 0;
+  sim::SimTime d2h_free = 0;
+  sim::SimTime h2d_free = 0;
+  std::size_t posted = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    while (posted < n && posted <= k + static_cast<std::size_t>(prefetch)) {
+      fiber += gpu.async_submit_ns;
+      d2h_free = std::max(d2h_free, fiber) +
+                 (posted + 1 == n ? last : full).d2h;
+      landed[posted++] = d2h_free;
+    }
+    const Stage& s = k + 1 == n ? last : full;
+    fiber = std::max(fiber, landed[k] - s.wire.head) + s.wire.wire +
+            gpu.async_submit_ns;
+    h2d_free = std::max(h2d_free, fiber) + s.h2d;
+  }
+  return std::max(fiber, h2d_free);
+}
+
+std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
+                                         const LegPrice& leg) const {
+  // The power-of-two candidate with the least price.
+  sim::SimTime best = std::numeric_limits<sim::SimTime>::max();
   std::size_t s = 64 * 1024;
   for (std::size_t c = 16 * 1024; c <= (std::size_t{4} << 20); c <<= 1) {
-    const double cost = pipeline_ns(hints_, total, c, p);
+    const sim::SimTime cost = sliced_ns(total, c, prefetch, leg);
     if (cost < best) {
       best = cost;
       s = c;
@@ -175,27 +189,140 @@ std::size_t CollEngine::pick_slice_bytes(std::size_t total, int p) const {
   return s;
 }
 
-bool CollEngine::device_pipeline_wins(std::size_t bytes, int p) const {
-  if (p <= 1) return false;
-  // Staged rides the host butterfly (log2 p full-size exchanges, free host
-  // folds) behind two exposed full-size PCIe copies; the pipeline's slices
-  // ride Rabenseifner legs with on-device folds, PCIe hidden except at the
-  // pipeline's ends. Rank-invariant.
-  const double launch = static_cast<double>(hints_.gpu.copy_launch_ns);
-  const double rounds = std::ceil(std::log2(static_cast<double>(p)));
-  const double proto = 4.0 * static_cast<double>(hints_.fabric.latency_ns) +
-                       2.0 * launch;
-  const double bd = static_cast<double>(bytes);
-  const double staged = 2.0 * (launch + bd / hints_.pcie_bw()) +
-                        rounds * (proto + bd / hints_.fabric.bw);
-  return pipeline_ns(hints_, bytes, pick_slice_bytes(bytes, p), p) < staged;
+sim::SimTime CollEngine::device_ns(const DeviceCall& call,
+                                   DeviceSchedule schedule, CollShape shape,
+                                   const Topology& t) const {
+  const gpu::GpuCostModel& gpu = hints_.gpu;
+  const int p = static_cast<int>(t.node_of.size());
+  const std::size_t b = call.bytes;
+  // The staged schedule's blocking copies to and from pageable scratch.
+  auto d2h = [&](std::size_t n) {
+    return gpu.copy_time(n, gpu::CopyDir::kDeviceToHost, false);
+  };
+  auto h2d = [&](std::size_t n) {
+    return gpu.copy_time(n, gpu::CopyDir::kHostToDevice, false);
+  };
+  // The best slicing of `total` bytes whose slices each take leg(bytes).
+  auto sliced = [&](std::size_t total, int prefetch, const LegPrice& leg) {
+    return sliced_ns(total, pick_slice_bytes(total, prefetch, leg), prefetch,
+                     leg);
+  };
+  const bool staged = schedule == DeviceSchedule::kStaged;
+  switch (call.op) {
+    case CollOp::kAllreduce: {
+      const std::size_t count = b / sizeof(double);
+      const bool striped = shape == CollShape::kTwoLevel && t.uniform >= 2 &&
+                           count >= static_cast<std::size_t>(t.uniform);
+      if (staged) {
+        return d2h(b) +
+               (striped ? striped_ns(t, b)
+                        : butterfly_ns(t, identity_ranks(p), b)) +
+               h2d(b);
+      }
+      // Seed the device accumulator, then the sliced pipeline over the
+      // whole group, or the device rings around the stripe's pipeline.
+      const sim::SimTime seed =
+          gpu.async_submit_ns + gpu.copy_time(b, gpu::CopyDir::kDeviceToDevice);
+      if (!striped) {
+        const std::vector<int> all = identity_ranks(p);
+        return seed + sliced(b, kPrefetch, [&](std::size_t len) {
+                 return rabenseifner_ns(t, all, len);
+               });
+      }
+      // Ring steps move stripes of the two lengths the split leaves; an
+      // eager device stripe pays its pageable copies, a rendezvous one the
+      // handshake, so a step costs the dearer of the two.
+      const sim::SimTime n1 = t.uniform - 1;
+      const std::size_t u = static_cast<std::size_t>(t.uniform);
+      const std::size_t stripe = sizeof(double) * ((count + u - 1) / u);
+      const sim::SimTime step =
+          std::max(ring_step_ns(true, stripe, true),
+                   ring_step_ns(true, sizeof(double) * (count / u), true));
+      const sim::SimTime rings =
+          n1 * (2 * step + gpu.async_submit_ns + gpu.reduce_time(stripe));
+      if (t.num_nodes() == 1) return seed + rings;
+      return seed + rings + sliced(stripe, kPrefetch, [&](std::size_t len) {
+               return rabenseifner_ns(t, t.leaders, len);
+             });
+    }
+    case CollOp::kBcast:
+      if (staged) {
+        return d2h(b) + bcast_tree_ns(t, shape, call.root, b) + h2d(b);
+      }
+      return sliced(b, kMaxDevSlices, [&](std::size_t len) {
+        return SliceLeg{bcast_tree_ns(t, shape, call.root, len), 0};
+      });
+    case CollOp::kAllgather: {
+      if (staged) {
+        return d2h(b) + allgather_ns(t, shape, b, false) +
+               h2d(b * static_cast<std::size_t>(p));
+      }
+      if (shape == CollShape::kTwoLevel && t.uniform > 1) {
+        return allgather_ns(t, shape, b, true);
+      }
+      // The host-mirror ring: the own block's D2H, then p - 1 host ring
+      // steps, each arriving block's H2D queued on one stream behind the
+      // earlier ones. The stream drains last, after the last step or after
+      // p - 1 copies from the first arrival, whichever ends later.
+      const sim::SimTime steps = p - 1;
+      const sim::SimTime step =
+          ring_ns(t, identity_ranks(p), b, false) / steps +
+          gpu.async_submit_ns;
+      const sim::SimTime h2d = gpu.copy_time(b, gpu::CopyDir::kHostToDevice);
+      return 2 * gpu.async_submit_ns +
+             gpu.copy_time(b, gpu::CopyDir::kDeviceToHost) +
+             std::max(steps * step + h2d, step + steps * h2d);
+    }
+    default:
+      return 0;
+  }
 }
 
 bool CollEngine::use_device_pipeline(const void* sendbuf,
-                                     const void* recvbuf, std::size_t bytes,
-                                     int p) const {
-  return device_buffer(sendbuf) && device_buffer(recvbuf) &&
-         comm_.tunables().gpu_offload && device_pipeline_wins(bytes, p);
+                                     const void* recvbuf,
+                                     const DeviceCall& call,
+                                     const Topology& t, CollShape shape,
+                                     std::optional<DeviceSchedule> forced)
+    const {
+  if (!device_buffer(sendbuf) || !device_buffer(recvbuf) ||
+      t.node_of.size() <= 1 || call.bytes == 0) {
+    return false;
+  }
+  if (forced) return *forced == DeviceSchedule::kPipelined;
+  return comm_.tunables().gpu_offload &&
+         device_ns(call, DeviceSchedule::kPipelined, shape, t) <
+             device_ns(call, DeviceSchedule::kStaged, shape, t);
+}
+
+CollEngine::DevicePlan CollEngine::plan_device(const void* sendbuf,
+                                               const void* recvbuf,
+                                               const Datatype& dtype,
+                                               const DeviceCall& call,
+                                               const Topology& t,
+                                               CollShape staged) const {
+  if (!dtype.is_contiguous() ||
+      (!device_buffer(sendbuf) && !device_buffer(recvbuf))) {
+    return {staged, std::nullopt};
+  }
+  DevicePlan plan{staged, DeviceSchedule::kStaged};
+  // Forcing the pipeline only asks whether the buffers and group admit it.
+  if (!comm_.tunables().gpu_offload ||
+      !use_device_pipeline(sendbuf, recvbuf, call, t, staged,
+                           DeviceSchedule::kPipelined)) {
+    return plan;
+  }
+  sim::SimTime best = device_ns(call, DeviceSchedule::kStaged, staged, t);
+  for (CollShape shape : {CollShape::kFlat, CollShape::kTwoLevel}) {
+    // Without a node holding two members both shapes run the same steps.
+    if (shape == CollShape::kTwoLevel && !t.multi_rank_node) continue;
+    const sim::SimTime piped =
+        device_ns(call, DeviceSchedule::kPipelined, shape, t);
+    if (piped < best) {
+      best = piped;
+      plan = {shape, DeviceSchedule::kPipelined};
+    }
+  }
+  return plan;
 }
 
 // ---------------------------------------------------------------------------
@@ -346,6 +473,7 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
 }
 
 void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
+                                         const Topology& t,
                                          const std::vector<int>& ranks,
                                          int me, double* dev, int count,
                                          bool take_max) {
@@ -355,7 +483,10 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
-  const std::size_t slice_bytes = pick_slice_bytes(total, p);
+  const std::size_t slice_bytes =
+      pick_slice_bytes(total, kPrefetch, [&](std::size_t len) {
+        return rabenseifner_ns(t, ranks, len);
+      });
   const int sc = static_cast<int>(slice_bytes / sizeof(double));
   const int S = (count + sc - 1) / sc;
   op.device_slices += static_cast<std::uint64_t>(S);
@@ -388,7 +519,6 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
         static_cast<sim::SimTime>(static_cast<double>(b) / hints_.gpu.d2h_bw);
   };
 
-  constexpr int kPrefetch = 2;  // D2H slices posted ahead of the wire leg
   int posted = 0;
   for (int k = 0; k < S; ++k) {
     while (posted < S && posted <= k + kPrefetch) post_d2h(posted++);
@@ -464,7 +594,7 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
     op.device_stage_ns += eng.now() - seed_t0;
   }
   if (shape == CollShape::kFlat || t.uniform < 2 || count < t.uniform) {
-    device_sliced_allreduce(op, g, identity_ranks(g.size()), g.my_rank,
+    device_sliced_allreduce(op, g, t, identity_ranks(g.size()), g.my_rank,
                             recvbuf, count, take_max);
   } else {
     striped_allreduce(op, recvbuf, count, take_max, g, t, /*device=*/true);
@@ -479,7 +609,8 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
 void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
                               const Datatype& dtype, int root,
                               const CommGroup& g, const Topology& t,
-                              CollShape shape) {
+                              CollShape shape,
+                              std::optional<DeviceSchedule> schedule) {
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
@@ -493,7 +624,8 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
   }
   auto* dev = static_cast<std::byte*>(buf);
 
-  if (!use_device_pipeline(buf, buf, bytes, g.size())) {
+  if (!use_device_pipeline(buf, buf, {CollOp::kBcast, bytes, root}, t, shape,
+                           schedule)) {
     std::byte* host = scratch<std::byte>(bytes);
     if (g.my_rank == root) {
       ctx.memcpy(host, dev, bytes);
@@ -517,7 +649,10 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
   ++op.device_pipelined;
   ensure_coll_streams();
   static const Datatype byte_t = committed_byte();
-  const std::size_t slice_bytes = pick_slice_bytes(bytes, g.size());
+  const std::size_t slice_bytes =
+      pick_slice_bytes(bytes, kMaxDevSlices, [&](std::size_t len) {
+        return SliceLeg{bcast_tree_ns(t, shape, root, len), 0};
+      });
   const int S = static_cast<int>((bytes + slice_bytes - 1) / slice_bytes);
   op.device_slices += static_cast<std::uint64_t>(S);
   Topology tree = t;
@@ -575,7 +710,8 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
 void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
                                   int count, const Datatype& dtype,
                                   void* recvbuf, const CommGroup& g,
-                                  const Topology& t, CollShape shape) {
+                                  const Topology& t, CollShape shape,
+                                  std::optional<DeviceSchedule> schedule) {
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
@@ -595,7 +731,8 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
   }
 
   const std::size_t total = block * static_cast<std::size_t>(p);
-  if (!use_device_pipeline(sendbuf, recvbuf, total, p)) {
+  if (!use_device_pipeline(sendbuf, recvbuf, {CollOp::kAllgather, block}, t,
+                           shape, schedule)) {
     std::byte* hin = scratch<std::byte>(block);
     std::byte* hout = scratch<std::byte>(total);
     if (device_buffer(sendbuf)) {

@@ -359,19 +359,21 @@ TEST(CollDevice, NonPowerOfTwoGroupBitExact) {
 }
 
 // The schedule follows the message size under default tunables: on 8
-// ranks a 1 MB device allreduce is pipelined, a 64 KB one is staged. Both
-// still agree with the host result.
+// ranks at one per node a 1 MB device allreduce is pipelined, an 8 KB one
+// is staged (the staged call is about twice as fast there; at 64 KB the two
+// schedules run within 2 % of each other). Both still agree with the host
+// result.
 TEST(CollDevice, DefaultTunablesPickScheduleByMessageSize) {
   ClusterConfig cfg;
   cfg.ranks = 8;
   constexpr int kMiB = (1 << 20) / static_cast<int>(sizeof(double));
-  constexpr int k64KiB = (64 << 10) / static_cast<int>(sizeof(double));
+  constexpr int k8KiB = (8 << 10) / static_cast<int>(sizeof(double));
   const auto big_host = run_allreduce(cfg, false, kMiB);
   const auto big = run_allreduce(cfg, true, kMiB);
-  const auto small_host = run_allreduce(cfg, false, k64KiB);
-  const auto small = run_allreduce(cfg, true, k64KiB);
+  const auto small_host = run_allreduce(cfg, false, k8KiB);
+  const auto small = run_allreduce(cfg, true, k8KiB);
   expect_pipelined(big, 8, "1 MB", 1);
-  expect_staged(small, 8, "64 KB");
+  expect_staged(small, 8, "8 KB");
   EXPECT_EQ(big.out, big_host.out);
   EXPECT_EQ(small.out, small_host.out);
 }

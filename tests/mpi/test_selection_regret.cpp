@@ -1,10 +1,14 @@
-// Selection regret: in every cell, the shape the selection rule picks (the
-// public collective) must run within 2 % of the faster of flat and
-// two-level, both forced through the collective engine's shaped entry
-// points. Each run is one call on a fresh cluster; virtual time is
-// deterministic, so one run per cell suffices. Device-resident bcast,
-// allgather and allreduce are judged as their own collectives: their
-// schedules (staged or sliced pipeline) differ from the host ones.
+// Selection regret: in every cell, the choice the selection rules make (the
+// public collective) must run within 2 % of the fastest forced
+// alternative, each forced through the collective engine's shaped entry
+// points. Host collectives have two alternatives, flat and two-level.
+// Device-resident bcast, allgather and allreduce have four: each shape on
+// the staged schedule and on the sliced pipeline. Device bcast and
+// allgather cells at or below the eager threshold take a 5 % bound: there
+// the two schedules run 2-3 % apart, the pipeline's slot copies against
+// the eager path's pageable ones. Each run is one call on a fresh cluster,
+// timed from the call's start, after any upload of its input; virtual time
+// is deterministic, so one run per cell suffices.
 //
 // The gtest cases cover the Tier-1 grid. `test_selection_regret --sweep`
 // runs the wider sweep (sizes on and off the powers of two, p in {4, 6, 8},
@@ -14,6 +18,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@ using mpisim::Context;
 using mpisim::Datatype;
 using mpisim::detail::CollAccess;
 using mpisim::detail::CollShape;
+using mpisim::detail::DeviceSchedule;
 
 namespace {
 
@@ -63,8 +69,21 @@ struct Cell {
   int root = 0;       // bcast only
 };
 
-// One call of `op`; `forced` null runs the public operation.
-void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
+bool device_op(Op op) {
+  return op == Op::kDevAllreduce || op == Op::kDevBcast ||
+         op == Op::kDevAllgather;
+}
+
+// A forced alternative: a shape, and on device buffers a schedule.
+struct Forced {
+  CollShape shape;
+  std::optional<DeviceSchedule> schedule;
+};
+
+// One call of `op`; `forced` null runs the public operation. `start`
+// learns when the collective begins, after any upload of its input.
+void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
+          sim::SimTime& start) {
   auto& eng = CollAccess::engine(ctx.comm);
   const auto& g = CollAccess::group(ctx.comm);
   Datatype byte_t = Datatype::byte();
@@ -72,11 +91,11 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
   const int n = static_cast<int>(c.bytes);
   switch (op) {
     case Op::kBarrier:
-      forced ? eng.barrier(g, *forced) : ctx.comm.barrier();
+      forced ? eng.barrier(g, forced->shape) : ctx.comm.barrier();
       return;
     case Op::kBcast: {
       std::vector<std::byte> buf(c.bytes);
-      forced ? eng.bcast(buf.data(), n, byte_t, c.root, g, *forced)
+      forced ? eng.bcast(buf.data(), n, byte_t, c.root, g, forced->shape)
              : ctx.comm.bcast(buf.data(), n, byte_t, c.root);
       return;
     }
@@ -85,21 +104,22 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
       std::vector<double> in(static_cast<std::size_t>(count), ctx.rank);
       std::vector<double> out(in.size());
       forced ? eng.allreduce_doubles(in.data(), out.data(), count, false, g,
-                                     *forced)
+                                     forced->shape)
              : ctx.comm.allreduce_sum(in.data(), out.data(), count);
       return;
     }
     case Op::kAllgather: {
       std::vector<std::byte> in(c.bytes);
       std::vector<std::byte> out(c.bytes * static_cast<std::size_t>(c.ranks));
-      forced ? eng.allgather(in.data(), n, byte_t, out.data(), g, *forced)
+      forced ? eng.allgather(in.data(), n, byte_t, out.data(), g,
+                             forced->shape)
              : ctx.comm.allgather(in.data(), n, byte_t, out.data());
       return;
     }
     case Op::kAlltoall: {
       std::vector<std::byte> in(c.bytes * static_cast<std::size_t>(c.ranks));
       std::vector<std::byte> out(in.size());
-      forced ? eng.alltoall(in.data(), out.data(), n, byte_t, g, *forced)
+      forced ? eng.alltoall(in.data(), out.data(), n, byte_t, g, forced->shape)
              : ctx.comm.alltoall(in.data(), out.data(), n, byte_t);
       return;
     }
@@ -111,7 +131,9 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
       auto* din = static_cast<double*>(ctx.cuda->malloc(bytes));
       auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(din, host.data(), bytes);
-      forced ? eng.allreduce_doubles(din, dout, count, false, g, *forced)
+      if (ctx.rank == 0) start = ctx.now();
+      forced ? eng.allreduce_doubles(din, dout, count, false, g,
+                                     forced->shape, forced->schedule)
              : ctx.comm.allreduce_sum(din, dout, count);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
@@ -119,7 +141,8 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
     }
     case Op::kDevBcast: {
       void* dev = ctx.cuda->malloc(c.bytes);
-      forced ? eng.bcast(dev, n, byte_t, c.root, g, *forced)
+      forced ? eng.bcast(dev, n, byte_t, c.root, g, forced->shape,
+                         forced->schedule)
              : ctx.comm.bcast(dev, n, byte_t, c.root);
       ctx.cuda->free(dev);
       return;
@@ -128,7 +151,8 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
       void* din = ctx.cuda->malloc(c.bytes);
       void* dout =
           ctx.cuda->malloc(c.bytes * static_cast<std::size_t>(c.ranks));
-      forced ? eng.allgather(din, n, byte_t, dout, g, *forced)
+      forced ? eng.allgather(din, n, byte_t, dout, g, forced->shape,
+                             forced->schedule)
              : ctx.comm.allgather(din, n, byte_t, dout);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
@@ -137,49 +161,92 @@ void call(Op op, const Cell& c, const CollShape* forced, Context& ctx) {
   }
 }
 
-// Virtual time of one call on a fresh cluster. `pipelined`, when given,
-// learns whether the call took the sliced device pipeline.
-sim::SimTime time_call(Op op, const Cell& c, const CollShape* forced,
+// Virtual time of one call on a fresh cluster, from its start on every
+// rank (the ranks start together and upload alike) to the last rank's
+// finish. `pipelined`, when given, learns whether the call took the sliced
+// device pipeline.
+sim::SimTime time_call(Op op, const Cell& c, const Forced* forced,
                        bool* pipelined = nullptr) {
   ClusterConfig cfg;
   cfg.ranks = c.ranks;
   cfg.tunables.ranks_per_node = static_cast<std::size_t>(c.rpn);
   Cluster cluster(cfg);
-  cluster.run([&](Context& ctx) { call(op, c, forced, ctx); });
+  sim::SimTime start = 0;
+  cluster.run([&](Context& ctx) { call(op, c, forced, ctx, start); });
   if (pipelined != nullptr) {
     const auto& st = cluster.coll_stats(0);
     *pipelined = st.bcast.device_pipelined + st.allreduce.device_pipelined +
                      st.allgather.device_pipelined >
                  0;
   }
-  return cluster.elapsed();
+  return cluster.elapsed() - start;
+}
+
+// The forced alternatives of `op`: both shapes, and on device buffers each
+// shape on both schedules.
+std::vector<Forced> alternatives(Op op) {
+  std::vector<Forced> alts;
+  for (CollShape shape : {CollShape::kFlat, CollShape::kTwoLevel}) {
+    if (!device_op(op)) {
+      alts.push_back({shape, std::nullopt});
+      continue;
+    }
+    for (DeviceSchedule s :
+         {DeviceSchedule::kStaged, DeviceSchedule::kPipelined}) {
+      alts.push_back({shape, s});
+    }
+  }
+  return alts;
+}
+
+const char* alt_name(const Forced& f) {
+  const bool flat = f.shape == CollShape::kFlat;
+  if (!f.schedule) return flat ? "flat" : "two-level";
+  if (*f.schedule == DeviceSchedule::kStaged) {
+    return flat ? "flat staged" : "two-level staged";
+  }
+  return flat ? "flat pipelined" : "two-level pipelined";
 }
 
 struct Verdict {
-  sim::SimTime rule, flat, two_level;
-  bool pipelined;  // the rule's call took the sliced device pipeline
-  bool ok() const {
-    // Within 2 % of the faster forced shape.
-    return 100 * rule <= 102 * std::min(flat, two_level);
+  sim::SimTime rule = 0;
+  std::vector<sim::SimTime> forced;  // one per alternatives(op) entry
+  bool pipelined = false;  // the rule's call took the sliced device pipeline
+  int bound_pct = 2;
+
+  sim::SimTime best() const {
+    return *std::min_element(forced.begin(), forced.end());
+  }
+  bool ok() const { return 100 * rule <= (100 + bound_pct) * best(); }
+  double regret_pct() const {
+    return 100.0 * (static_cast<double>(rule) /
+                        static_cast<double>(best()) -
+                    1.0);
   }
   std::string describe(Op op, const Cell& c) const {
-    char line[200];
-    std::snprintf(line, sizeof line,
-                  "%s p=%d rpn=%d bytes=%zu root=%d: rule %.3f us, flat "
-                  "%.3f us, two-level %.3f us",
-                  op_name(op), c.ranks, c.rpn, c.bytes, c.root, rule / 1e3,
-                  flat / 1e3, two_level / 1e3);
-    return line;
+    char line[160];
+    std::snprintf(line, sizeof line, "%s p=%d rpn=%d bytes=%zu root=%d: rule %.3f us",
+                  op_name(op), c.ranks, c.rpn, c.bytes, c.root, rule / 1e3);
+    std::string out = line;
+    const std::vector<Forced> alts = alternatives(op);
+    for (std::size_t i = 0; i < alts.size(); ++i) {
+      std::snprintf(line, sizeof line, ", %s %.3f us", alt_name(alts[i]),
+                    forced[i] / 1e3);
+      out += line;
+    }
+    return out;
   }
 };
 
 Verdict judge(Op op, const Cell& c) {
-  const CollShape flat = CollShape::kFlat;
-  const CollShape two = CollShape::kTwoLevel;
   Verdict v{};
   v.rule = time_call(op, c, nullptr, &v.pipelined);
-  v.flat = time_call(op, c, &flat);
-  v.two_level = time_call(op, c, &two);
+  for (const Forced& f : alternatives(op)) {
+    v.forced.push_back(time_call(op, c, &f));
+  }
+  const bool eager_device = (op == Op::kDevBcast || op == Op::kDevAllgather) &&
+                            c.bytes <= 8 * 1024;
+  v.bound_pct = eager_device ? 5 : 2;
   return v;
 }
 
@@ -262,10 +329,7 @@ int sweep() {
           if (!v.ok()) {
             ++misses;
             std::printf("MISS %s (+%.1f %%)\n", v.describe(op, c).c_str(),
-                        100.0 * (static_cast<double>(v.rule) /
-                                     static_cast<double>(
-                                         std::min(v.flat, v.two_level)) -
-                                 1.0));
+                        v.regret_pct());
           }
         }
       }
@@ -301,9 +365,9 @@ TEST(SelectionRegret, Alltoall) {
 }
 
 TEST(SelectionRegret, DeviceAllreduce) {
-  // perfbench allreduce_device's placement and size classes, each trimmed
-  // by 63 doubles as its calls are.
-  std::vector<Cell> cells;
+  // The Tier-1 grid, plus perfbench allreduce_device's placement and size
+  // classes, each trimmed by 63 doubles as its calls are.
+  std::vector<Cell> cells = grid(Op::kDevAllreduce);
   for (std::size_t b : {65536u, 262144u, 1048576u, 4194304u}) {
     cells.push_back({4, 2, b - 63 * sizeof(double)});
   }

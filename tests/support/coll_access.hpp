@@ -1,8 +1,10 @@
 // Test access to the engines behind a Communicator: the collective engine,
 // so a test can run a collective in a forced shape (CollShape::kFlat or
-// kTwoLevel) through its shaped entry points (the public operations fill
-// the shape from the selection rule instead), and the rank's point-to-point
-// engine, whose internal isend takes the data gate device collectives use.
+// kTwoLevel) and, on device buffers, a forced schedule (DeviceSchedule::
+// kStaged or kPipelined) through its shaped entry points (the public
+// operations fill both from the selection rules instead), and the rank's
+// point-to-point engine, whose internal isend takes the data gate device
+// collectives use.
 #pragma once
 
 #include "mpi/coll.hpp"
