@@ -12,9 +12,12 @@
 //              sends). Where it picks the sliced pipeline, slice k's D2H
 //              overlaps slice k-1's Rabenseifner wire leg (on-device
 //              folds) while earlier slices' write-backs drain on their own
-//              stream, and at rpn > 1 the intra-node rings stay
-//              device-resident over the IPC peer path; elsewhere it stays
-//              staged.
+//              stream. At rpn > 1 each slice is first reduced inside the
+//              node: its pieces cross the IPC peer path device to device,
+//              fold on the device, and only each member's piece crosses
+//              PCIe and the fabric, so slice k+2's reduce-scatter and
+//              slice k-1's allgather run while slice k is on the fabric;
+//              elsewhere it stays staged.
 //
 // Swept across the paper's large-message range on 8 ranks at 1 and 2
 // ranks per node; the full sweep adds 4 ranks (perfbench
@@ -236,9 +239,9 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected: the sliced pipeline wins from 256 KB up — each "
                "slice's PCIe legs hide\nbehind its neighbours' wire legs, "
                "the Rabenseifner exchange moves 2(1-1/p)\nbytes instead of "
-               "the butterfly's log2(p), and at rpn 2 the intra-node rings"
-               "\npeer-copy device memory instead of bouncing through the "
-               "host. Below that the\nprice picks whichever schedule "
-               "runs faster on the placement.\n";
+               "the butterfly's log2(p), and at rpn 2 each slice's "
+               "intra-node\nexchanges peer-copy device memory while other "
+               "slices are on the fabric. Below\nthat the price picks "
+               "whichever schedule runs faster on the placement.\n";
   return 0;
 }

@@ -325,6 +325,22 @@ class StepClock {
   sim::SimTime head_start(bool local, std::size_t bytes) const {
     return bytes > eager_ ? 2 * link(local).control_leg() : 0;
   }
+  /// One send of `bytes` of device memory to a co-located rank, taken
+  /// apart at its payload: an eager one at the payload's transmit slot, a
+  /// rendezvous at its peer copy, which starts once its RTS and CTS
+  /// crossed and leaves the rest of the handshake's measured total after
+  /// it.
+  IntraSend intra_send(std::size_t bytes) const {
+    const Link l = link(true);
+    if (bytes <= eager_) {
+      return {true, d2h_pageable(bytes), l.post, 0,
+              l.per_msg + l.at_rate(bytes + 64, l.ctrl_bw), l.latency,
+              h2d_pageable(bytes)};
+    }
+    const sim::SimTime head = 2 * l.control_leg();
+    return {false, 0, l.post, head, payload(true, bytes, true),
+            6 * l.control_leg() + l.per_msg - l.post - head, 0};
+  }
   /// a folds `bytes` into its accumulator with a reduction kernel.
   void fold(int a, std::size_t bytes) {
     at(a) += h_.gpu.async_submit_ns + h_.gpu.reduce_time(bytes);
@@ -447,6 +463,10 @@ sim::SimTime CollEngine::ring_step_ns(bool local, std::size_t bytes,
   StepClock ring(hints_, comm_.tunables(), 2);
   ring.exchange(0, 1, local, bytes, device);
   return ring.finish();
+}
+
+IntraSend CollEngine::intra_send_ns(std::size_t bytes) const {
+  return StepClock(hints_, comm_.tunables(), 0).intra_send(bytes);
 }
 
 CollEngine::SliceLeg CollEngine::rabenseifner_ns(
@@ -908,12 +928,12 @@ void CollEngine::allreduce_wire(CollOpStats& op, double* recvbuf, int count,
                  take_max);
     return;
   }
-  striped_allreduce(op, recvbuf, count, take_max, g, t, /*device=*/false);
+  striped_allreduce(op, recvbuf, count, take_max, g, t);
 }
 
 void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
                                    bool take_max, const CommGroup& g,
-                                   const Topology& t, bool device) {
+                                   const Topology& t) {
   static const Datatype double_t = committed_double();
   ++op.hier_calls;
   const std::vector<int>& mem = t.members[static_cast<std::size_t>(t.my_node)];
@@ -923,11 +943,7 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
   // nodes (all n HCAs active in parallel, each on 1/n of the vector);
   // an intra-node ring allgather reassembles the full result. Versus
   // the flat butterfly this trades two cheap IPC phases for an n-fold
-  // cut in per-round fabric bytes. On device data the rings exchange
-  // device pointers, which the IPC transport peer-copies when
-  // device_direct() holds (no host bounce), folds are reduction kernels,
-  // and only the owned stripe runs the sliced host pipeline across the
-  // fabric.
+  // cut in per-round fabric bytes.
   const int n = t.uniform;
   const int me_local = index_of(mem, g.my_rank);
   const int q = count / n;
@@ -938,10 +954,7 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
       mem[static_cast<std::size_t>((me_local + 1) % n)])];
   const int left = g.world[static_cast<std::size_t>(
       mem[static_cast<std::size_t>((me_local - 1 + n) % n)])];
-  const bool peer_direct = device && comm_.net().device_direct(right);
-  const std::size_t tmp_n = static_cast<std::size_t>(q + (r ? 1 : 0));
-  double* tmp = device ? device_scratch(tmp_n) : scratch<double>(tmp_n);
-  sim::Engine& eng = comm_.engine();
+  double* tmp = scratch<double>(static_cast<std::size_t>(q + (r ? 1 : 0)));
   // One ring step: send slice sj right, receive slice rj from the left
   // into `into`.
   auto ring_step = [&](int sj, int rj, double* into, int tag) {
@@ -951,29 +964,18 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
                                double_t, right, tag, g.context);
     cwait(sr);
     cwait(rr);
-    if (device) {
-      const std::size_t sb =
-          sizeof(double) * static_cast<std::size_t>(slice_len(sj));
-      (peer_direct ? op.bytes_peer : op.bytes_staged) += sb;
-    }
   };
   // Phase A: ring reduce-scatter. At step s member i forwards the
   // partial slice (i - s - 1) mod n and folds the arriving slice
   // (i - s - 2) mod n, so slice j circles the ring accumulating in a
   // fixed member order and lands fully reduced on member j.
   ++op.intra_phases;
-  sim::SimTime ring_t0 = eng.now();
   for (int s = 0; s < n - 1; ++s) {
     const int sj = ((me_local - s - 1) % n + n) % n;
     const int rj = ((me_local - s - 2) % n + n) % n;
     ring_step(sj, rj, tmp, kTagAllreduceRs - s);
-    if (device) {
-      device_fold(op, data + slice_start(rj), tmp, slice_len(rj), take_max);
-    } else {
-      reduce_into(data + slice_start(rj), tmp, slice_len(rj), take_max);
-    }
+    reduce_into(data + slice_start(rj), tmp, slice_len(rj), take_max);
   }
-  if (device) op.device_stage_ns += eng.now() - ring_t0;
   // Phase B: per-stripe butterfly over the fabric. Counterpart members
   // (local index j on every node) allreduce slice j among themselves.
   if (t.num_nodes() > 1) {
@@ -983,24 +985,16 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
     for (const std::vector<int>& node_mem : t.members) {
       stripe_group.push_back(node_mem[static_cast<std::size_t>(me_local)]);
     }
-    double* stripe = data + slice_start(me_local);
-    if (device) {
-      device_sliced_allreduce(op, g, t, stripe_group, t.my_node, stripe,
-                              slice_len(me_local), take_max);
-    } else {
-      rd_allreduce(op, g, stripe_group, t.my_node, stripe,
-                   slice_len(me_local), take_max);
-    }
+    rd_allreduce(op, g, stripe_group, t.my_node, data + slice_start(me_local),
+                 slice_len(me_local), take_max);
   }
   // Phase C: ring allgather of the reduced slices.
   ++op.intra_phases;
-  ring_t0 = eng.now();
   for (int s = 0; s < n - 1; ++s) {
     const int sj = ((me_local - s) % n + n) % n;
     const int rj = ((me_local - s - 1) % n + n) % n;
     ring_step(sj, rj, data + slice_start(rj), kTagAllreduceAg - s);
   }
-  if (device) op.device_stage_ns += eng.now() - ring_t0;
 }
 
 // ---------------------------------------------------------------------------

@@ -19,7 +19,9 @@
 // of coll_device.cpp: a sliced D2H / wire / device-fold / H2D pipeline when
 // its price, walked message by message over the cost hints, beats one
 // synchronous staged copy's, the staged copy otherwise. No tunable chooses
-// between them.
+// between them. The two-level device allreduce runs the node's
+// reduce-scatter and allgather per slice inside that pipeline, overlapped
+// with other slices' fabric legs.
 #pragma once
 
 #include <cstddef>
@@ -98,6 +100,25 @@ enum class CollShape {
 enum class DeviceSchedule {
   kStaged,     // full-size D2H, the host wire algorithm, full-size H2D
   kPipelined,  // sliced D2H / wire / H2D pipeline, folds on the device
+};
+
+/// The parts of one send of device memory to a co-located rank that the
+/// device allreduce's slice pipeline overlaps with its other legs
+/// (CollEngine::intra_send_ns). A rendezvous (device-direct peer copy)
+/// costs the sender `post`, may start its copy `head` after the post (RTS
+/// and CTS), holds the sender's IPC port for `data`, and completes `tail`
+/// after the copy. An eager send costs the sender `stage` (its blocking D2H
+/// into the pageable payload) and `post`, holds the port for `data`, lands
+/// `tail` later, and costs the receiver `land` (the blocking H2D on
+/// delivery).
+struct IntraSend {
+  bool eager = false;
+  sim::SimTime stage = 0;
+  sim::SimTime post = 0;
+  sim::SimTime head = 0;
+  sim::SimTime data = 0;
+  sim::SimTime tail = 0;
+  sim::SimTime land = 0;
 };
 
 /// One rank's collective-algorithm engine; owned by its RankComm. All
@@ -211,6 +232,9 @@ class CollEngine {
   /// host-slot messages, each halving round's fold a reduction kernel.
   SliceLeg rabenseifner_ns(const Topology& t, const std::vector<int>& ranks,
                            std::size_t bytes) const;
+  /// One send of `bytes` of device memory to a co-located rank, taken
+  /// apart as the slice pipeline overlaps it.
+  IntraSend intra_send_ns(std::size_t bytes) const;
   /// Critical path of the host bcast tree of `bytes` from `root` in
   /// `shape` (the tree plan_bcast picks), to the last rank's arrival.
   sim::SimTime bcast_tree_ns(const Topology& t, CollShape shape, int root,
@@ -247,13 +271,12 @@ class CollEngine {
   // staged/pipelined paths.
   void allreduce_wire(CollOpStats& op, double* data, int count, bool take_max,
                       const CommGroup& g, const Topology& t, CollShape shape);
-  /// The two-level allreduce on uniform nodes (t.uniform >= 2, count >=
-  /// t.uniform): intra ring reduce-scatter, stripe butterfly across nodes,
-  /// intra ring allgather. With `device`, `data` is device memory: folds
-  /// run as kernels and the stripe rides the sliced pipeline.
+  /// The two-level allreduce of host `data` on uniform nodes (t.uniform >=
+  /// 2, count >= t.uniform): intra ring reduce-scatter, stripe butterfly
+  /// across nodes, intra ring allgather. (Device data runs the two-level
+  /// shape of device_sliced_allreduce instead.)
   void striped_allreduce(CollOpStats& op, double* data, int count,
-                         bool take_max, const CommGroup& g, const Topology& t,
-                         bool device);
+                         bool take_max, const CommGroup& g, const Topology& t);
   void bcast_wire(CollOpStats& op, void* buf, int count, const Datatype& dtype,
                   int root, const CommGroup& g, const Topology& t,
                   CollShape shape);
@@ -306,18 +329,26 @@ class CollEngine {
   /// Critical-path virtual time of `call` run on `schedule` in `shape`.
   sim::SimTime device_ns(const DeviceCall& call, DeviceSchedule schedule,
                          CollShape shape, const Topology& t) const;
-  /// Price of one pipeline slice's wire leg, by slice bytes.
+  /// Price of one pipeline slice's wire leg, by the bytes it carries.
   using LegPrice = std::function<SliceLeg(std::size_t)>;
   /// Virtual time of `total` bytes through the sliced pipeline in
-  /// `slice`-byte slices: D2H copies on one stream, at most `prefetch`
-  /// slices ahead of the wire, each slice's wire leg (`leg`) once its copy
-  /// landed, and its H2D write-back on another stream.
+  /// `slice`-byte slices, walked as device_sliced_allreduce runs it. With
+  /// `members` == 1 (the flat shape, and the bcast): D2H copies on one
+  /// stream, at most `prefetch` slices ahead of the wire, each slice's
+  /// wire leg (`leg`) once its copy landed, and its H2D write-back on
+  /// another stream. With `members` > 1 (the two-level allreduce) each
+  /// slice is cut into one piece per node member, and the slice's piece
+  /// first takes an intra-node exchange over the rank's IPC port and the
+  /// folds of its arrivals, stream-ordered ahead of its D2H, and after its
+  /// H2D an intra-node exchange that gathers the pieces back; `leg` then
+  /// prices the piece's fabric leg, and is empty on one node, where no
+  /// piece crosses PCIe.
   sim::SimTime sliced_ns(std::size_t total, std::size_t slice, int prefetch,
-                         const LegPrice& leg) const;
+                         int members, const LegPrice& leg) const;
   /// Slice size of the pipeline: the power-of-two candidate minimizing
   /// sliced_ns, capped so the per-slice tag offsets stay inside one tag
   /// span.
-  std::size_t pick_slice_bytes(std::size_t total, int prefetch,
+  std::size_t pick_slice_bytes(std::size_t total, int prefetch, int members,
                                const LegPrice& leg) const;
   /// Lazily create the collective-owned d2h / h2d / reduce streams.
   void ensure_coll_streams();
@@ -335,13 +366,16 @@ class CollEngine {
                         double* recvbuf, int count, bool take_max,
                         const CommGroup& g, const Topology& t,
                         CollShape shape, bool pipelined);
-  /// Sliced D2H / wire / fold / H2D pipeline over `ranks` for the device
-  /// range [dev, dev+count); the heart of the pipelined allreduce (flat
-  /// call: all ranks, full vector; two-level call: stripe group, own
-  /// stripe).
+  /// The pipelined allreduce of the device vector [dev, dev+count), one
+  /// slice loop in either shape. Flat: each slice's D2H, its Rabenseifner
+  /// wire leg over the whole group and its H2D. Two-level (`shape` on
+  /// uniform nodes of >= 2 members, count >= t.uniform): member j of each
+  /// node owns piece j of every slice; per slice, an intra-node
+  /// reduce-scatter over device-direct IPC, the folds and the D2H of the
+  /// owned piece, its wire leg among the counterpart members of the other
+  /// nodes, its H2D, and an intra-node allgather gated on that H2D.
   void device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
-                               const Topology& t,
-                               const std::vector<int>& ranks, int me,
+                               const Topology& t, CollShape shape,
                                double* dev, int count, bool take_max);
   /// Wire leg of one host-resident slice, with per-slice tags,
   /// device-kernel folds and the slice's D2H event `gate` holding the first

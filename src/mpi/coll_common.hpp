@@ -42,7 +42,8 @@ inline constexpr int kTagBarrierFan = -5 * kTagSpan;   // -0 fan-in, -1 out
 inline constexpr int kTagBarrierLeader = -6 * kTagSpan;  // - round
 inline constexpr int kTagAllreduceRs = -10 * kTagSpan;  // intra RS: - step
 inline constexpr int kTagAllreduceAg = -11 * kTagSpan;  // intra AG: - step
-// (the striped allreduce uses both on host and device data alike)
+// (the host striped allreduce offsets both by its ring step, the two-level
+// device pipeline by its slice)
 
 // Device-buffer pipelines, one span each. Per-slice offsets are
 // slice * stride + round (see coll_device.cpp).

@@ -25,12 +25,17 @@
 //              and a last launch_host_trigger marks the drain of the
 //              pipeline.
 //
-// At rpn > 1 the two-level pipelined allreduce keeps the intra-node
-// reduce-scatter / allgather rings entirely device-resident: co-located
-// ranks exchange device pointers, which the IPC transport peer-copies
-// (device_direct()) without a host bounce; only the owned 1/n stripe
-// crosses PCIe for the inter-node butterfly. The pipelined bcast runs the
-// host bcast tree on each slice's staging slot.
+// The pipelined allreduce is one slice loop in both shapes
+// (device_sliced_allreduce). At rpn > 1 its two-level shape cuts every
+// slice into one piece per node member and reduces it inside the node
+// first: co-located ranks send each other their pieces as device pointers,
+// which the IPC transport peer-copies (device_direct()) without a host
+// bounce, the owner folds the arrivals on coll_d2h_ ahead of the piece's
+// D2H, only the owned piece crosses PCIe and the fabric, and after its H2D
+// the piece goes back to the co-members through sends gated on that copy.
+// Slice k+1's folds and D2H, slice k+2's reduce-scatter and slice k-1's
+// allgather run while the fiber drives slice k's fabric leg. The pipelined
+// bcast runs the host bcast tree on each slice's staging slot.
 //
 // Residency contract: the pipelined schedules assume residency is uniform
 // across the group (all ranks device or all host) — mixed residency per
@@ -129,57 +134,265 @@ void CollEngine::device_fold(CollOpStats& op, double* acc, const double* in,
 
 namespace {
 
-constexpr int kPrefetch = 2;  // allreduce D2H slices posted ahead of the wire
+// Flat allreduce: D2H slices posted ahead of the wire.
+constexpr int kPrefetch = 2;
+// Two-level allreduce: slices whose pieces are staged ahead of the wire.
+// Each piece's reduce-scatter runs one slice ahead of its staging, never
+// more: the IPC port is one FIFO, and a rendezvous completes only when its
+// SEND_DONE crosses it, so an exchange posted further ahead would hold the
+// earlier one's completion behind its copy.
+constexpr int kPiecePrefetch = 1;
+// Two-level slice size: the largest priced within this many percent of the
+// cheapest (pick_slice_bytes).
+constexpr sim::SimTime kSliceBand = 8;
+
+// The rank's IPC port as the two-level slice loop loads it: one FIFO of
+// payload copies in the order they queue (a rendezvous copy once its CTS
+// is back and its data ready, an eager payload when posted). A rendezvous
+// completes only after its SEND_DONE crossed the same FIFO, so behind
+// every copy queued before that; the co-members' ports run the same
+// schedule. Copies are placed once no later post can queue ahead of them.
+class PortClock {
+ public:
+  /// Queues exchange `x`'s `copies` payloads of `dur` each at `q`, posted
+  /// at fiber time `now` (q >= now). A rendezvous posts its SEND_DONE
+  /// `lag` after its last copy and completes `after` later; an eager
+  /// exchange completes `after` after its last copy.
+  int post(sim::SimTime now, sim::SimTime q, int copies, sim::SimTime dur,
+           bool rendezvous, sim::SimTime lag, sim::SimTime after) {
+    place(now);
+    const int x = static_cast<int>(ex_.size());
+    ex_.push_back({copies, 0, 0, rendezvous, lag, after});
+    auto it = std::upper_bound(
+        open_.begin(), open_.end(), q,
+        [](sim::SimTime v, const Copy& c) { return v < c.q; });
+    open_.insert(it, static_cast<std::size_t>(copies), Copy{q, dur, x});
+    return x;
+  }
+  /// Completion of exchange `x`, for a fiber that waits for it at `now`:
+  /// nothing queues meanwhile.
+  sim::SimTime done(int x, sim::SimTime now) {
+    place(now);
+    Ex& e = ex_[static_cast<std::size_t>(x)];
+    while (!open_.empty() &&
+           (e.remaining > 0 || (e.rendezvous && open_.front().q < e.sd))) {
+      retire();
+    }
+    return e.sd + e.after;
+  }
+  /// The last completion of every exchange posted.
+  sim::SimTime drain() {
+    sim::SimTime last = 0;
+    while (!open_.empty()) retire();
+    for (const Ex& e : ex_) last = std::max(last, e.sd + e.after);
+    return last;
+  }
+
+ private:
+  struct Copy {
+    sim::SimTime q;
+    sim::SimTime dur;
+    int x;
+  };
+  struct Ex {
+    int remaining;     // copies not yet placed
+    sim::SimTime end;  // its last copy's end
+    sim::SimTime sd;   // SEND_DONE queued (eager: its last copy's end)
+    bool rendezvous;
+    sim::SimTime lag;
+    sim::SimTime after;
+  };
+
+  // Places every copy that queued by `now`: later posts queue after it.
+  void place(sim::SimTime now) {
+    while (!open_.empty() && open_.front().q <= now) retire();
+  }
+  void retire() {
+    const Copy c = open_.front();
+    open_.erase(open_.begin());
+    free_ = std::max(free_, c.q) + c.dur;
+    for (int y : live_) {
+      Ex& e = ex_[static_cast<std::size_t>(y)];
+      if (c.q < e.sd) e.sd = std::max(e.sd, free_);
+    }
+    // Nothing queues before c.q any more: a SEND_DONE queued by then is
+    // final.
+    std::erase_if(live_, [&](int y) {
+      return ex_[static_cast<std::size_t>(y)].sd <= c.q;
+    });
+    Ex& e = ex_[static_cast<std::size_t>(c.x)];
+    e.end = std::max(e.end, free_);
+    if (--e.remaining == 0) {
+      e.sd = e.end + (e.rendezvous ? e.lag : 0);
+      if (e.rendezvous) live_.push_back(c.x);
+    }
+  }
+
+  sim::SimTime free_ = 0;
+  std::vector<Copy> open_;  // queued, not yet placed, by queue time
+  std::vector<Ex> ex_;
+  std::vector<int> live_;
+};
 
 }  // namespace
 
 sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
-                                   int prefetch, const LegPrice& leg) const {
+                                   int prefetch, int members,
+                                   const LegPrice& leg) const {
   if (total == 0) return 0;
   const gpu::GpuCostModel& gpu = hints_.gpu;
+  const sim::SimTime submit = gpu.async_submit_ns;
   const std::size_t n = (total + slice - 1) / slice;
+  const std::size_t m = static_cast<std::size_t>(members);
+  const sim::SimTime others = members - 1;
+  // The stages of one slice: of its whole length at members == 1, else of
+  // one of its pieces, the larger or the smaller of the two lengths the
+  // split leaves.
   struct Stage {
-    sim::SimTime d2h;
+    sim::SimTime d2h = 0;
     SliceLeg wire;
-    sim::SimTime h2d;
+    sim::SimTime h2d = 0;
+    sim::SimTime fold = 0;  // one arrival's reduction kernel
+    IntraSend intra;        // one piece to one co-member
   };
-  auto stage = [&](std::size_t b) {
-    return Stage{gpu.copy_time(b, gpu::CopyDir::kDeviceToHost), leg(b),
-                 gpu.copy_time(b, gpu::CopyDir::kHostToDevice)};
-  };
-  // Every slice but the short last one has the full length.
-  const Stage full = stage(slice);
-  const Stage last = stage(total - (n - 1) * slice);
-  std::vector<sim::SimTime> landed(n);
-  sim::SimTime fiber = 0;
-  sim::SimTime d2h_free = 0;
-  sim::SimTime h2d_free = 0;
-  std::size_t posted = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    while (posted < n && posted <= k + static_cast<std::size_t>(prefetch)) {
-      fiber += gpu.async_submit_ns;
-      d2h_free = std::max(d2h_free, fiber) +
-                 (posted + 1 == n ? last : full).d2h;
-      landed[posted++] = d2h_free;
+  auto stage = [&](std::size_t b, bool larger) {
+    const std::size_t c = b / sizeof(double);
+    const std::size_t piece =
+        m == 1 ? b : sizeof(double) * (larger ? (c + m - 1) / m : c / m);
+    Stage s;
+    if (leg) {
+      s.d2h = gpu.copy_time(piece, gpu::CopyDir::kDeviceToHost);
+      s.wire = leg(piece);
+      s.h2d = gpu.copy_time(piece, gpu::CopyDir::kHostToDevice);
     }
-    const Stage& s = k + 1 == n ? last : full;
-    fiber = std::max(fiber, landed[k] - s.wire.head) + s.wire.wire +
-            gpu.async_submit_ns;
-    h2d_free = std::max(h2d_free, fiber) + s.h2d;
-  }
-  return std::max(fiber, h2d_free);
+    if (members > 1) {
+      s.fold = gpu.reduce_time(piece);
+      s.intra = intra_send_ns(piece);
+    }
+    return s;
+  };
+  // One member's walk through the loop, every piece of the larger or the
+  // smaller length.
+  auto walk = [&](bool larger) {
+    // Every slice but the short last one has the full length.
+    const Stage full = stage(slice, larger);
+    const Stage last = stage(total - (n - 1) * slice, larger);
+    auto at = [&](std::size_t k) -> const Stage& {
+      return k + 1 == n ? last : full;
+    };
+    sim::SimTime fiber = 0;
+    sim::SimTime d2h_free = 0;  // the stream of the folds and D2H copies
+    sim::SimTime h2d_free = 0;
+    PortClock port;
+    std::vector<int> reduce(n);           // a slice's reduce-scatter
+    std::vector<sim::SimTime> landed(n);  // its D2H landed (or its folds)
+    // One intra exchange of slice k: n - 1 sends of its piece, each copy
+    // queued once its data is `ready` too. A rendezvous' SEND_DONE and its
+    // ack take the two control legs its RTS and CTS took. Eager pieces
+    // sent from device memory pay their blocking D2H first, queued on the
+    // one D2H engine behind the stream's folds and copies (the
+    // allgather's leave from the host slot when one holds them), and land
+    // with a blocking H2D on the receiving fiber: the reduce-scatter's
+    // while the fiber waits for them, the allgather's on top of whatever
+    // it does next.
+    auto exchange = [&](std::size_t k, sim::SimTime ready, bool gather) {
+      const IntraSend& x = at(k).intra;
+      if (!x.eager) {
+        fiber += others * x.post;
+        return port.post(fiber, std::max(fiber + x.head, ready), members - 1,
+                         x.data, true, x.tail - x.head, x.head);
+      }
+      if (!gather || !leg) {
+        fiber = std::max({fiber, ready, d2h_free}) + others * x.stage;
+        d2h_free = fiber;
+      }
+      fiber += others * x.post;
+      const int id = port.post(fiber, fiber, members - 1, x.data, false, 0,
+                               x.tail + others * x.land);
+      if (gather) fiber += others * x.land;
+      return id;
+    };
+    std::size_t reduced = 0;  // slices whose reduce-scatter is posted
+    std::size_t staged = 0;   // slices whose folds and D2H are queued
+    auto reduce_next = [&] {
+      if (members > 1 && reduced < n) {
+        reduce[reduced] = exchange(reduced, 0, false);
+        ++reduced;
+      }
+    };
+    reduce_next();
+    for (std::size_t k = 0; k < n; ++k) {
+      while (staged < n && staged <= k + static_cast<std::size_t>(prefetch)) {
+        const Stage& s = at(staged);
+        if (members > 1) {
+          fiber = std::max(fiber, port.done(reduce[staged], fiber));
+          for (sim::SimTime f = 0; f < others; ++f) {
+            fiber += submit;
+            d2h_free = std::max(d2h_free, fiber) + s.fold;
+          }
+        }
+        if (leg) {
+          fiber += submit;
+          d2h_free = std::max(d2h_free, fiber) + s.d2h;
+        }
+        // A host trigger behind the queued work wakes the progress loop
+        // for the sends gated on it.
+        if (members > 1) fiber += submit;
+        landed[staged++] = d2h_free;
+        reduce_next();
+      }
+      const Stage& s = at(k);
+      sim::SimTime ready = landed[k];
+      if (leg) {
+        fiber =
+            std::max(fiber, landed[k] - s.wire.head) + s.wire.wire + submit;
+        h2d_free = std::max(h2d_free, fiber) + s.h2d;
+        ready = h2d_free;
+        if (members > 1) fiber += submit;
+      }
+      if (members > 1) exchange(k, ready, true);
+    }
+    return std::max({fiber, h2d_free, members > 1 ? port.drain() : 0});
+  };
+  // Every member waits for its slowest co-member. Pieces one double apart
+  // price alike unless the threshold between eager and rendezvous falls
+  // between them, where the smaller, eager one is the slower.
+  auto straddles = [&](std::size_t b) {
+    const std::size_t c = b / sizeof(double);
+    const std::size_t eager = comm_.tunables().eager_threshold;
+    return m > 1 && sizeof(double) * (c / m) <= eager &&
+           sizeof(double) * ((c + m - 1) / m) > eager;
+  };
+  const bool uneven = straddles(slice) || straddles(total - (n - 1) * slice);
+  return uneven ? std::max(walk(true), walk(false)) : walk(true);
 }
 
 std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
+                                         int members,
                                          const LegPrice& leg) const {
-  // The power-of-two candidate with the least price.
+  // The power-of-two candidate with the least price. A two-level slice
+  // adds the node's two exchanges to the fabric leg (at 2 ranks per node
+  // about 100 simulator events per rank and slice), so there the largest
+  // candidate priced within kSliceBand % of the least wins: where the
+  // price barely moves, more slices buy the modeled system little and
+  // cost the simulator's wall clock their events.
+  constexpr std::size_t kMin = 16 * 1024;
+  constexpr std::size_t kMax = std::size_t{4} << 20;
+  std::vector<std::pair<std::size_t, sim::SimTime>> priced;
   sim::SimTime best = std::numeric_limits<sim::SimTime>::max();
   std::size_t s = 64 * 1024;
-  for (std::size_t c = 16 * 1024; c <= (std::size_t{4} << 20); c <<= 1) {
-    const sim::SimTime cost = sliced_ns(total, c, prefetch, leg);
+  for (std::size_t c = kMin; c <= kMax; c <<= 1) {
+    const sim::SimTime cost = sliced_ns(total, c, prefetch, members, leg);
+    priced.emplace_back(c, cost);
     if (cost < best) {
       best = cost;
       s = c;
+    }
+    if (c >= total) break;  // every larger candidate is the same one slice
+  }
+  if (members > 1) {
+    for (const auto& [c, cost] : priced) {
+      if (100 * cost <= (100 + kSliceBand) * best) s = c;
     }
   }
   // Per-slice tag offsets must stay inside one tag span.
@@ -202,10 +415,12 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
   auto h2d = [&](std::size_t n) {
     return gpu.copy_time(n, gpu::CopyDir::kHostToDevice, false);
   };
-  // The best slicing of `total` bytes whose slices each take leg(bytes).
-  auto sliced = [&](std::size_t total, int prefetch, const LegPrice& leg) {
-    return sliced_ns(total, pick_slice_bytes(total, prefetch, leg), prefetch,
-                     leg);
+  // The best slicing of `total` bytes at `members` per node whose slices
+  // (or pieces) each take leg(bytes) on the wire.
+  auto sliced = [&](std::size_t total, int prefetch, int members,
+                    const LegPrice& leg) {
+    return sliced_ns(total, pick_slice_bytes(total, prefetch, members, leg),
+                     prefetch, members, leg);
   };
   const bool staged = schedule == DeviceSchedule::kStaged;
   switch (call.op) {
@@ -219,37 +434,30 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
                         : butterfly_ns(t, identity_ranks(p), b)) +
                h2d(b);
       }
-      // Seed the device accumulator, then the sliced pipeline over the
-      // whole group, or the device rings around the stripe's pipeline.
+      // Seed the device accumulator, then the slice loop: over the whole
+      // group, or per slice the node's exchanges around the stripe's leg
+      // across nodes (none on one node).
       const sim::SimTime seed =
           gpu.async_submit_ns + gpu.copy_time(b, gpu::CopyDir::kDeviceToDevice);
       if (!striped) {
         const std::vector<int> all = identity_ranks(p);
-        return seed + sliced(b, kPrefetch, [&](std::size_t len) {
+        return seed + sliced(b, kPrefetch, 1, [&](std::size_t len) {
                  return rabenseifner_ns(t, all, len);
                });
       }
-      // Ring steps move stripes of the two lengths the split leaves; an
-      // eager device stripe pays its pageable copies, a rendezvous one the
-      // handshake, so a step costs the dearer of the two.
-      const sim::SimTime n1 = t.uniform - 1;
-      const std::size_t u = static_cast<std::size_t>(t.uniform);
-      const std::size_t stripe = sizeof(double) * ((count + u - 1) / u);
-      const sim::SimTime step =
-          std::max(ring_step_ns(true, stripe, true),
-                   ring_step_ns(true, sizeof(double) * (count / u), true));
-      const sim::SimTime rings =
-          n1 * (2 * step + gpu.async_submit_ns + gpu.reduce_time(stripe));
-      if (t.num_nodes() == 1) return seed + rings;
-      return seed + rings + sliced(stripe, kPrefetch, [&](std::size_t len) {
-               return rabenseifner_ns(t, t.leaders, len);
-             });
+      LegPrice stripe;
+      if (t.num_nodes() > 1) {
+        stripe = [&](std::size_t len) {
+          return rabenseifner_ns(t, t.leaders, len);
+        };
+      }
+      return seed + sliced(b, kPiecePrefetch, t.uniform, stripe);
     }
     case CollOp::kBcast:
       if (staged) {
         return d2h(b) + bcast_tree_ns(t, shape, call.root, b) + h2d(b);
       }
-      return sliced(b, kMaxDevSlices, [&](std::size_t len) {
+      return sliced(b, kMaxDevSlices, 1, [&](std::size_t len) {
         return SliceLeg{bcast_tree_ns(t, shape, call.root, len), 0};
       });
     case CollOp::kAllgather: {
@@ -473,68 +681,232 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
 }
 
 void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
-                                         const Topology& t,
-                                         const std::vector<int>& ranks,
-                                         int me, double* dev, int count,
+                                         const Topology& t, CollShape shape,
+                                         double* dev, int count,
                                          bool take_max) {
-  const int p = static_cast<int>(ranks.size());
-  if (p <= 1 || count <= 0) return;
+  static const Datatype double_t = committed_double();
+  if (g.size() <= 1 || count <= 0) return;
   ensure_coll_streams();
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
+  const gpu::GpuCostModel& gpu = hints_.gpu;
+  // The node's members cut each slice into one piece apiece (the flat
+  // shape: this rank alone, the piece the whole slice). Member j of every
+  // node owns piece j and runs its wire leg with its counterparts.
+  const bool two_level = shape == CollShape::kTwoLevel && t.uniform >= 2 &&
+                         count >= t.uniform;
+  const std::vector<int> mem =
+      two_level ? t.members[static_cast<std::size_t>(t.my_node)]
+                : std::vector<int>{g.my_rank};
+  const int m = static_cast<int>(mem.size());
+  const int me = index_of(mem, g.my_rank);
+  std::vector<int> stripe = identity_ranks(g.size());
+  if (two_level) {
+    stripe.clear();
+    for (const std::vector<int>& node_mem : t.members) {
+      stripe.push_back(node_mem[static_cast<std::size_t>(me)]);
+    }
+  }
+  const int me_stripe = two_level ? t.my_node : g.my_rank;
+  const bool fabric = stripe.size() > 1;
+  if (two_level) {
+    ++op.hier_calls;
+    op.intra_phases += 2;
+    if (fabric) ++op.leader_phases;
+  }
+  LegPrice leg;
+  if (fabric) {
+    leg = [&](std::size_t len) { return rabenseifner_ns(t, stripe, len); };
+  }
   const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
-  const std::size_t slice_bytes =
-      pick_slice_bytes(total, kPrefetch, [&](std::size_t len) {
-        return rabenseifner_ns(t, ranks, len);
-      });
+  const int prefetch = two_level ? kPiecePrefetch : kPrefetch;
+  const std::size_t slice_bytes = pick_slice_bytes(total, prefetch, m, leg);
   const int sc = static_cast<int>(slice_bytes / sizeof(double));
   const int S = (count + sc - 1) / sc;
   op.device_slices += static_cast<std::uint64_t>(S);
 
-  struct SliceState {
-    core::detail::StagingSlot* slot = nullptr;
-    cusim::Event d2h;
+  auto world_of = [&](int j) {
+    return g.world[static_cast<std::size_t>(mem[static_cast<std::size_t>(j)])];
+  };
+  // Piece j of slice k: the split the host ring uses, so a slice shorter
+  // than the member count leaves some pieces empty.
+  struct Piece {
     int off = 0;
     int len = 0;
   };
+  auto piece = [&](int k, int j) {
+    const int off = k * sc;
+    const int len = std::min(sc, count - off);
+    return Piece{off + j * (len / m) + std::min(j, len % m),
+                 len / m + (j < len % m ? 1 : 0)};
+  };
+  auto bytes_of = [](int len) {
+    return sizeof(double) * static_cast<std::size_t>(len);
+  };
+  // Every request the loop leaves in flight, waited for at the end.
+  std::vector<Request> pending;
+  // One piece of `len` doubles at `buf` to co-located `dst`, its payload
+  // held by `gate` when valid. A device-direct rendezvous counts as peer
+  // bytes; anything else crosses PCIe on some end. Its stage is the
+  // modeled peer copy.
+  auto send_piece = [&](const void* buf, int len, int dst, int tag,
+                        cusim::Event gate) {
+    const std::size_t b = bytes_of(len);
+    const bool direct = device_buffer(buf) &&
+                        b > comm_.tunables().eager_threshold &&
+                        comm_.net().device_direct(dst);
+    (direct ? op.bytes_peer : op.bytes_staged) += b;
+    op.bytes_sent += b;
+    op.device_stage_ns +=
+        hints_.ipc.per_msg_overhead_ns +
+        static_cast<sim::SimTime>(static_cast<double>(b) /
+                                  hints_.ipc.peer_d2d_bw);
+    Request r = comm_.isend(buf, len, double_t, dst, tag, g.context,
+                            std::move(gate));
+    inflight_.push_back(r);
+    pending.push_back(r);
+  };
+  auto wake = [this] { comm_.wake_progress(); };
+
+  struct SliceState {
+    Piece mine;
+    double* in = nullptr;                // co-members' pieces, member order
+    std::vector<Request> arrivals;       // their receives, member order
+    core::detail::StagingSlot* slot = nullptr;
+    cusim::Event d2h;    // the piece staged to the host
+    cusim::Event ready;  // its result on the device
+  };
   std::vector<SliceState> sl(static_cast<std::size_t>(S));
 
-  auto post_d2h = [&](int k) {
+  // Intra reduce-scatter of slice k: every co-member's contribution to
+  // this rank's piece arrives in device scratch, and this rank sends each
+  // co-member its piece, n - 1 concurrent device-direct sends.
+  auto post_reduce = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
-    s.off = k * sc;
-    s.len = std::min(sc, count - s.off);
-    const std::size_t b = sizeof(double) * static_cast<std::size_t>(s.len);
-    s.slot = slot_scratch(b);
-    ctx.memcpy_async(s.slot->ptr, dev + s.off, b,
-                     cusim::MemcpyKind::kDeviceToHost, coll_d2h_);
-    s.d2h = ctx.record_event(coll_d2h_);
-    // A send gated on s.d2h is re-driven by the progress loop, not by the
-    // event completing: wake the loop the moment the copy drains, or the
-    // gated send sleeps until its retry timer (and charges a spurious
-    // timeout).
-    ctx.launch_host_trigger(coll_d2h_, [this] { comm_.wake_progress(); });
-    op.bytes_staged += b;
-    op.device_stage_ns +=
-        hints_.gpu.copy_launch_ns +
-        static_cast<sim::SimTime>(static_cast<double>(b) / hints_.gpu.d2h_bw);
+    const int tag = kTagAllreduceRs - k;
+    if (s.mine.len > 0) {
+      s.in = device_scratch(static_cast<std::size_t>((m - 1) * s.mine.len));
+      for (int j = 0, i = 0; j < m; ++j) {
+        if (j == me) continue;
+        s.arrivals.push_back(irecv_track(s.in + i++ * s.mine.len, s.mine.len,
+                                         double_t, world_of(j), tag,
+                                         g.context));
+      }
+    }
+    for (int d = 1; d < m; ++d) {
+      const int j = (me + d) % m;
+      const Piece pj = piece(k, j);
+      if (pj.len > 0) send_piece(dev + pj.off, pj.len, world_of(j), tag, {});
+    }
   };
-
-  int posted = 0;
-  for (int k = 0; k < S; ++k) {
-    while (posted < S && posted <= k + kPrefetch) post_d2h(posted++);
+  // Fold the arrivals in member order, then stage the piece: both on the
+  // D2H stream, so the copy waits for the folds and no fiber does.
+  auto post_stage = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
-    double* host = reinterpret_cast<double*>(s.slot->ptr);
-    const std::size_t b = sizeof(double) * static_cast<std::size_t>(s.len);
+    if (s.mine.len == 0) return;
+    double* acc = dev + s.mine.off;
+    const std::size_t b = bytes_of(s.mine.len);
+    for (int i = 0; i < m - 1; ++i) {
+      cwait(s.arrivals[static_cast<std::size_t>(i)]);
+      const double* in = s.in + i * s.mine.len;
+      ctx.launch_device_reduce(coll_d2h_, b, [acc, in, len = s.mine.len,
+                                              take_max] {
+        reduce_into(acc, in, len, take_max);
+      });
+      ++op.reduce_kernels;
+      op.device_stage_ns += gpu.reduce_time(b);
+    }
+    if (fabric) {
+      s.slot = slot_scratch(b);
+      ctx.memcpy_async(s.slot->ptr, acc, b, cusim::MemcpyKind::kDeviceToHost,
+                       coll_d2h_);
+      s.d2h = ctx.record_event(coll_d2h_);
+      op.bytes_staged += b;
+      op.device_stage_ns +=
+          gpu.copy_launch_ns +
+          static_cast<sim::SimTime>(static_cast<double>(b) / gpu.d2h_bw);
+    } else {
+      s.ready = ctx.record_event(coll_d2h_);
+    }
+    // A send gated on an event is re-driven by the progress loop, not by
+    // the event completing: wake the loop the moment the stream gets
+    // there, or the gated send sleeps until its retry timer (and charges
+    // a spurious timeout).
+    ctx.launch_host_trigger(coll_d2h_, wake);
+  };
+  // The piece's wire leg across nodes, gated on its D2H, and its
+  // write-back on the H2D stream.
+  auto run_wire = [&](int k) {
+    SliceState& s = sl[static_cast<std::size_t>(k)];
+    if (!fabric || s.mine.len == 0) return;
+    auto* host = reinterpret_cast<double*>(s.slot->ptr);
+    const std::size_t b = bytes_of(s.mine.len);
     const sim::SimTime wire_t0 = eng.now();
-    device_slice_wire(op, g, ranks, me, host, s.len, take_max, k, s.d2h);
-    ctx.memcpy_async(dev + s.off, host, b, cusim::MemcpyKind::kHostToDevice,
-                     coll_h2d_);
+    device_slice_wire(op, g, stripe, me_stripe, host, s.mine.len, take_max,
+                      k, s.d2h);
+    ctx.memcpy_async(dev + s.mine.off, host, b,
+                     cusim::MemcpyKind::kHostToDevice, coll_h2d_);
     op.device_stage_ns += eng.now() - wire_t0;
     op.device_stage_ns +=
-        hints_.gpu.copy_launch_ns +
-        static_cast<sim::SimTime>(static_cast<double>(b) / hints_.gpu.h2d_bw);
+        gpu.copy_launch_ns +
+        static_cast<sim::SimTime>(static_cast<double>(b) / gpu.h2d_bw);
     op.bytes_staged += b;
+    if (m > 1) {
+      s.ready = ctx.record_event(coll_h2d_);
+      ctx.launch_host_trigger(coll_h2d_, wake);
+    }
+  };
+  // Intra allgather of slice k: each co-member's piece lands in place, and
+  // this rank's goes to each co-member once its result is on the device.
+  // An eager piece leaves from the host slot instead (an eager send would
+  // block on the gate); without a slot (one node) it waits for the gate.
+  auto post_gather = [&](int k) {
+    SliceState& s = sl[static_cast<std::size_t>(k)];
+    const int tag = kTagAllreduceAg - k;
+    for (int j = 0; j < m; ++j) {
+      const Piece pj = piece(k, j);
+      if (j == me || pj.len == 0) continue;
+      pending.push_back(irecv_track(dev + pj.off, pj.len, double_t,
+                                    world_of(j), tag, g.context));
+    }
+    if (s.mine.len == 0) return;
+    const std::size_t b = bytes_of(s.mine.len);
+    for (int d = 1; d < m; ++d) {
+      const int dst = world_of((me + d) % m);
+      if (b > comm_.tunables().eager_threshold &&
+          comm_.net().device_direct(dst)) {
+        send_piece(dev + s.mine.off, s.mine.len, dst, tag, s.ready);
+      } else if (s.slot != nullptr) {
+        send_piece(s.slot->ptr, s.mine.len, dst, tag, {});
+      } else {
+        s.ready.synchronize();
+        send_piece(dev + s.mine.off, s.mine.len, dst, tag, {});
+      }
+    }
+  };
+
+  for (int k = 0; k < S; ++k) {
+    sl[static_cast<std::size_t>(k)].mine = piece(k, me);
   }
+  // Staging runs `prefetch` slices ahead of the wire and each slice's
+  // reduce-scatter one ahead of its staging: in the two-level shape slice
+  // k+1's folds and D2H, slice k+2's reduce-scatter and slice k-1's
+  // allgather run while this fiber drives slice k's wire leg.
+  int reduced = 0;
+  int staged = 0;
+  auto reduce_next = [&] {
+    if (m > 1 && reduced < S) post_reduce(reduced++);
+  };
+  reduce_next();
+  for (int k = 0; k < S; ++k) {
+    while (staged < S && staged <= k + prefetch) {
+      post_stage(staged++);
+      reduce_next();
+    }
+    run_wire(k);
+    if (m > 1) post_gather(k);
+  }
+  for (Request& r : pending) cwait(r);
   // Drain the write-back leg: the host trigger fires in scheduler context
   // the instant the stream empties and releases the waiting fiber.
   sim::EventFlag drained(eng);
@@ -593,12 +965,7 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
     ctx.record_event(coll_red_).synchronize();
     op.device_stage_ns += eng.now() - seed_t0;
   }
-  if (shape == CollShape::kFlat || t.uniform < 2 || count < t.uniform) {
-    device_sliced_allreduce(op, g, t, identity_ranks(g.size()), g.my_rank,
-                            recvbuf, count, take_max);
-  } else {
-    striped_allreduce(op, recvbuf, count, take_max, g, t, /*device=*/true);
-  }
+  device_sliced_allreduce(op, g, t, shape, recvbuf, count, take_max);
   op.device_elapsed_ns += eng.now() - t0;
 }
 
@@ -650,7 +1017,7 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
   ensure_coll_streams();
   static const Datatype byte_t = committed_byte();
   const std::size_t slice_bytes =
-      pick_slice_bytes(bytes, kMaxDevSlices, [&](std::size_t len) {
+      pick_slice_bytes(bytes, kMaxDevSlices, 1, [&](std::size_t len) {
         return SliceLeg{bcast_tree_ns(t, shape, root, len), 0};
       });
   const int S = static_cast<int>((bytes + slice_bytes - 1) / slice_bytes);

@@ -333,6 +333,21 @@ TEST_P(CollDeviceMatrix, BcastAndAllgatherBitExactAcrossSchedules) {
   }
 }
 
+// A vector one double past 2 MB: whatever slice the price picks (16 KB to
+// 2 MB), the last slice holds one double, fewer than a node's members, so
+// the two-level loop leaves that slice's other pieces empty.
+TEST_P(CollDeviceMatrix, AllreduceShortLastSliceBitExact) {
+  const MatrixCase& mc = GetParam();
+  constexpr int kShortTail = (2 << 20) / static_cast<int>(sizeof(double)) + 1;
+  const auto host = run_allreduce(matrix_config(8, mc.rpn, true),
+                                  /*device=*/false, kShortTail, mc.sel);
+  const auto piped = run_allreduce(matrix_config(8, mc.rpn, true),
+                                   /*device=*/true, kShortTail, mc.sel);
+  expect_pipelined(piped, 8, "2 MB + 8 B", 2);
+  expect_shape(piped, mc, "2 MB + 8 B");
+  EXPECT_EQ(host.out, piped.out);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Placements, CollDeviceMatrix,
     ::testing::Values(
@@ -455,6 +470,37 @@ TEST(CollDevice, PipelinedCountersAndPeerBytes) {
     EXPECT_GT(ar.bytes_staged, 0u) << "rank " << r;
     EXPECT_GT(ar.device_elapsed_ns, 0) << "rank " << r;
   }
+}
+
+// The two-level pipeline runs each slice's intra-node exchanges while
+// other slices cross the fabric: on 4 ranks at 2 per node a 4 MB call
+// takes less virtual time than rank 0's IPC port and NIC are busy during
+// it, which only their overlap allows.
+TEST(CollDevice, TwoLevelOverlapsIpcWithFabric) {
+  constexpr int k4MiB = (4 << 20) / static_cast<int>(sizeof(double));
+  Cluster cluster(matrix_config(4, 2, true));
+  sim::SimTime elapsed = 0;
+  cluster.run([&](Context& ctx) {
+    const std::vector<double> in = seed_vector(ctx.rank, k4MiB);
+    const std::size_t bytes = sizeof(double) * k4MiB;
+    auto* din = static_cast<double*>(ctx.cuda->malloc(bytes));
+    auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
+    ctx.cuda->memcpy(din, in.data(), bytes);
+    const sim::SimTime t0 = ctx.now();
+    ctx.comm.allreduce_sum(din, dout, k4MiB);
+    if (ctx.rank == 0) elapsed = ctx.now() - t0;
+    ctx.cuda->free(din);
+    ctx.cuda->free(dout);
+  });
+  const auto& ar = cluster.coll_stats(0).allreduce;
+  EXPECT_EQ(ar.device_pipelined, 1u);
+  EXPECT_EQ(ar.hier_calls, 1u);
+  // The call is the only traffic of the run.
+  const mpisim::RankStats st = cluster.rank_stats(0);
+  EXPECT_GT(st.ipc_busy, 0);
+  EXPECT_GT(st.nic_busy, 0);
+  EXPECT_LT(elapsed, st.ipc_busy + st.nic_busy)
+      << "ipc " << st.ipc_busy << " ns, nic " << st.nic_busy << " ns";
 }
 
 // ---------------------------------------------------------------------------
