@@ -265,7 +265,6 @@ void RndvSend::trace_event(const char* category) {
 
 void RndvSend::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
-  msg.flow = req_id_;  // hashed routing keys this transfer's path on it
   res_.sched->note_ctrl(msg.kind);
   res_.net->post_send(dst_, std::move(msg));
 }
@@ -555,7 +554,6 @@ void RndvSend::post_chunk_rdma(std::size_t i, bool retransmit) {
   netsim::WireMessage fin;
   fin.kind = kChunkFin;
   fin.seq = ctrl_seq_++;
-  fin.flow = req_id_;
   fin.header[0] = peer_req_;
   fin.header[1] = i;
   fin.header[2] = slot_idx;
@@ -892,7 +890,6 @@ void RndvRecv::trace_event(const char* category) {
 
 void RndvRecv::post_ctrl(netsim::WireMessage msg) {
   msg.seq = ctrl_seq_++;
-  msg.flow = sender_req_;  // same flow label as the sender's leg
   res_.sched->note_ctrl(msg.kind);
   res_.net->post_send(src_, std::move(msg));
 }

@@ -142,7 +142,6 @@ Tunables Tunables::from_stream(std::istream& in) {
       else if (key == "sched_policy") t.sched_policy = parse_sched_policy(value);
       else if (key == "ranks_per_node") t.ranks_per_node = std::stoull(value);
       else if (key == "transport_select") t.transport_select = parse_transport_select(value);
-      else if (key == "route_select") t.route_select = netsim::parse_route_select(value);
       else if (key == "ecn_backlog_ns") t.ecn_backlog_ns = std::stoll(value);
       else if (key == "rndv_timeout_ns") t.rndv_timeout_ns = std::stoll(value);
       else if (key == "rndv_max_retries") t.rndv_max_retries = std::stoull(value);
@@ -195,7 +194,6 @@ std::string Tunables::to_config_string() const {
      << "transport_select = "
      << (transport_select == TransportSelect::kAuto ? "auto" : "fabric")
      << "\n"
-     << "route_select = " << netsim::route_select_name(route_select) << "\n"
      << "ecn_backlog_ns = " << ecn_backlog_ns << "\n"
      << "rndv_timeout_ns = " << rndv_timeout_ns << "\n"
      << "rndv_max_retries = " << rndv_max_retries << "\n"

@@ -11,7 +11,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "net/topology.hpp"
 #include "sim/time.hpp"
 
 namespace mv2gnc::core {
@@ -95,15 +94,7 @@ struct Tunables {
   /// inter-node path everywhere, which isolates the transport's effect.
   TransportSelect transport_select = TransportSelect::kAuto;
 
-  // -- congestion-adaptive routing + ECN feedback (docs/SIMULATION.md,
-  //    docs/CONCURRENCY.md) ----------------------------------------------
-  /// Link-selection policy on a multi-path fabric (fat tree: which spine;
-  /// dragonfly: minimal vs Valiant/UGAL global route; see
-  /// docs/SIMULATION.md). kDmodK reproduces the static-routing behavior
-  /// bit-for-bit; on a crossbar every value is an accepted no-op. A
-  /// non-default value overrides ClusterConfig::topology.route.
-  netsim::RouteSelect route_select = netsim::RouteSelect::kDmodK;
-
+  // -- ECN feedback (docs/CONCURRENCY.md) --------------------------------
   /// ECN-style congestion feedback: a chunk whose fabric traversal queued
   /// behind more than this much backlog on one shared link carries a
   /// congestion mark; the receiver echoes the mark on the chunk ack and

@@ -18,13 +18,6 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   config_.tunables.validate();
   trace_.set_enabled(config_.trace_enabled);
   engine_.seed_rng(config_.rng_seed);
-  // The routing tunable rides on the topology description. Only a
-  // non-default value is copied over, so a route set directly on
-  // config_.topology stays authoritative (and the byte-identical default
-  // path never rewrites anything).
-  if (config_.tunables.route_select != netsim::RouteSelect::kDmodK) {
-    config_.topology.route = config_.tunables.route_select;
-  }
   fabric_ = std::make_unique<netsim::Fabric>(engine_, config_.ranks,
                                              config_.net_cost,
                                              config_.topology);
@@ -277,30 +270,21 @@ void Cluster::print_stats(std::ostream& os) {
                   sim::to_ms(s.kernel_busy), s.vbuf_high_water);
     os << line;
   }
-  // Inter-switch link occupancy. Only the fat-tree topology has shared
-  // links, so every crossbar run (the default) prints exactly as before.
+  // Inter-switch link occupancy. Only the fat tree and the dragonfly have
+  // shared links, so a crossbar run (the default) prints no such table.
   const std::vector<netsim::LinkStats> links = fabric_->link_stats();
   if (!links.empty()) {
     const netsim::FabricTopology& topo = fabric_->topology();
     const bool dragonfly =
         topo.kind == netsim::FabricTopology::Kind::kDragonfly;
-    const char* route_name = netsim::route_select_name(topo.route);
-    // New congestion columns only render when their feature is on, so the
-    // default fat-tree output (pinned by the bench baselines) is unchanged.
-    const bool show_route =
-        dragonfly || topo.route != netsim::RouteSelect::kDmodK;
-    const bool show_ecn = fabric_->ecn_threshold() > 0;
+    // The ECN column renders only when some link marked a crossing.
+    bool show_ecn = false;
+    for (const netsim::LinkStats& l : links) show_ecn |= l.ecn_marks > 0;
     char head[160];
     if (dragonfly) {
       std::snprintf(head, sizeof(head),
-                    "fabric links (dragonfly: %d ranks/group, route %s)\n",
-                    topo.leaf_ports, route_name);
-    } else if (show_route) {
-      std::snprintf(head, sizeof(head),
-                    "fabric links (fat-tree: %d ports/leaf, %d uplinks/leaf, "
-                    "oversubscription %.1f:1, route %s)\n",
-                    topo.leaf_ports, topo.uplinks(), topo.oversubscription,
-                    route_name);
+                    "fabric links (dragonfly: %d ranks/group)\n",
+                    topo.leaf_ports);
     } else {
       std::snprintf(head, sizeof(head),
                     "fabric links (fat-tree: %d ports/leaf, %d uplinks/leaf, "
@@ -563,18 +547,16 @@ void Cluster::print_stats(std::ostream& os) {
     }
   }
   bool any_sched = false;
+  bool show_ecn = false;  // ECN columns render only when some ack was marked
   for (int r = 0; r < config_.ranks; ++r) {
     const core::SchedStats& ss = sched_stats(r);
     if (ss.grants_reserve + ss.grants_overflow + ss.denials +
             ss.acks_individual + ss.ecn_marks > 0) {
       any_sched = true;
-      break;
     }
+    show_ecn |= ss.ecn_marks > 0;
   }
   if (any_sched) {
-    // ECN columns render only when marking is armed, keeping every
-    // ECN-off run (all the pinned baselines) byte-identical.
-    const bool show_ecn = config_.tunables.ecn_backlog_ns > 0;
     os << "rank  act-hw  grants(res/ovf)  denials  q-waits  avg-qwait  "
           "depth(-/+)  ack-ind";
     if (show_ecn) os << "  ecn-marks  ecn-depth(-/+)";

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <array>
 
+#include "mpi/coll.hpp"
 #include "mpi/rank_comm.hpp"
 
 namespace mv2gnc::mpisim {
@@ -282,14 +283,14 @@ void Communicator::unpack(const void* inbuf, std::size_t insize,
   impl().unpack(inbuf, insize, position, outbuf, count, dtype);
 }
 
-void Communicator::barrier() { impl().barrier(group()); }
+void Communicator::barrier() { impl().coll().barrier(group()); }
 
 void Communicator::gather(const void* sendbuf, int count,
                           const Datatype& dtype, void* recvbuf, int root) {
   if (root < 0 || root >= size()) {
     throw std::invalid_argument("gather: bad root rank");
   }
-  impl().gather(sendbuf, count, dtype, recvbuf, root, group());
+  impl().coll().gather(sendbuf, count, dtype, recvbuf, root, group());
 }
 
 void Communicator::scatter(const void* sendbuf, void* recvbuf, int count,
@@ -297,17 +298,17 @@ void Communicator::scatter(const void* sendbuf, void* recvbuf, int count,
   if (root < 0 || root >= size()) {
     throw std::invalid_argument("scatter: bad root rank");
   }
-  impl().scatter(sendbuf, recvbuf, count, dtype, root, group());
+  impl().coll().scatter(sendbuf, recvbuf, count, dtype, root, group());
 }
 
 void Communicator::allgather(const void* sendbuf, int count,
                              const Datatype& dtype, void* recvbuf) {
-  impl().allgather(sendbuf, count, dtype, recvbuf, group());
+  impl().coll().allgather(sendbuf, count, dtype, recvbuf, group());
 }
 
 void Communicator::alltoall(const void* sendbuf, void* recvbuf, int count,
                             const Datatype& dtype) {
-  impl().alltoall(sendbuf, recvbuf, count, dtype, group());
+  impl().coll().alltoall(sendbuf, recvbuf, count, dtype, group());
 }
 
 void Communicator::bcast(void* buf, int count, const Datatype& dtype,
@@ -315,19 +316,19 @@ void Communicator::bcast(void* buf, int count, const Datatype& dtype,
   if (root < 0 || root >= size()) {
     throw std::invalid_argument("bcast: bad root rank");
   }
-  impl().bcast(buf, count, dtype, root, group());
+  impl().coll().bcast(buf, count, dtype, root, group());
 }
 
 void Communicator::allreduce_sum(const double* sendbuf, double* recvbuf,
                                  int count) {
-  impl().allreduce_doubles(sendbuf, recvbuf, count, /*take_max=*/false,
-                           group());
+  impl().coll().allreduce_doubles(sendbuf, recvbuf, count,
+                                  /*take_max=*/false, group());
 }
 
 void Communicator::allreduce_max(const double* sendbuf, double* recvbuf,
                                  int count) {
-  impl().allreduce_doubles(sendbuf, recvbuf, count, /*take_max=*/true,
-                           group());
+  impl().coll().allreduce_doubles(sendbuf, recvbuf, count,
+                                  /*take_max=*/true, group());
 }
 
 Communicator Communicator::split(int color, int key) {
@@ -341,7 +342,7 @@ Communicator Communicator::split(int color, int key) {
   }();
   std::array<std::int32_t, 3> mine{color, key, impl().next_context_hint()};
   std::vector<std::int32_t> all(static_cast<std::size_t>(p) * 3);
-  impl().allgather(mine.data(), 3, int_t, all.data(), g);
+  impl().coll().allgather(mine.data(), 3, int_t, all.data(), g);
 
   // Context base: one past the largest hint anywhere in the parent, so all
   // members agree and fresh ids never collide with live ones.

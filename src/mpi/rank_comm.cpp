@@ -765,42 +765,4 @@ void RankComm::unpack(const void* inbuf, std::size_t insize,
   position += view.packed_bytes;
 }
 
-// ---------------------------------------------------------------------------
-// Collectives (forwarders into the engine)
-// ---------------------------------------------------------------------------
-
-void RankComm::barrier(const CommGroup& g) { coll_->barrier(g); }
-
-void RankComm::bcast(void* buf, int count, const Datatype& dtype, int root,
-                     const CommGroup& g) {
-  coll_->bcast(buf, count, dtype, root, g);
-}
-
-void RankComm::allreduce_doubles(const double* sendbuf, double* recvbuf,
-                                 int count, bool take_max,
-                                 const CommGroup& g) {
-  coll_->allreduce_doubles(sendbuf, recvbuf, count, take_max, g);
-}
-
-void RankComm::allgather(const void* sendbuf, int count,
-                         const Datatype& dtype, void* recvbuf,
-                         const CommGroup& g) {
-  coll_->allgather(sendbuf, count, dtype, recvbuf, g);
-}
-
-void RankComm::gather(const void* sendbuf, int count, const Datatype& dtype,
-                      void* recvbuf, int root, const CommGroup& g) {
-  coll_->gather(sendbuf, count, dtype, recvbuf, root, g);
-}
-
-void RankComm::scatter(const void* sendbuf, void* recvbuf, int count,
-                       const Datatype& dtype, int root, const CommGroup& g) {
-  coll_->scatter(sendbuf, recvbuf, count, dtype, root, g);
-}
-
-void RankComm::alltoall(const void* sendbuf, void* recvbuf, int count,
-                        const Datatype& dtype, const CommGroup& g) {
-  coll_->alltoall(sendbuf, recvbuf, count, dtype, g);
-}
-
 }  // namespace mv2gnc::mpisim::detail

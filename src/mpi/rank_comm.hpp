@@ -198,25 +198,10 @@ class RankComm {
   void unpack(const void* inbuf, std::size_t insize, std::size_t& position,
               void* outbuf, int count, const Datatype& dtype);
 
-  // Collectives run over a CommGroup (roots are comm-relative ranks).
-  // All algorithm choice lives in the CollEngine (mpi/coll.hpp); these
-  // forwarders keep the call surface the Communicator layer sees stable.
-  void barrier(const CommGroup& g);
-  void bcast(void* buf, int count, const Datatype& dtype, int root,
-             const CommGroup& g);
-  void allreduce_doubles(const double* sendbuf, double* recvbuf, int count,
-                         bool take_max, const CommGroup& g);
-  void allgather(const void* sendbuf, int count, const Datatype& dtype,
-                 void* recvbuf, const CommGroup& g);
-  void gather(const void* sendbuf, int count, const Datatype& dtype,
-              void* recvbuf, int root, const CommGroup& g);
-  void scatter(const void* sendbuf, void* recvbuf, int count,
-               const Datatype& dtype, int root, const CommGroup& g);
-  void alltoall(const void* sendbuf, void* recvbuf, int count,
-                const Datatype& dtype, const CommGroup& g);
-
   /// The collectives engine (algorithm selection, topology map, per-op
-  /// counters). The Cluster feeds it cost hints after construction.
+  /// counters); Communicator's collectives call it directly over their
+  /// CommGroup (roots are comm-relative ranks). The Cluster feeds it cost
+  /// hints after construction.
   CollEngine& coll() { return *coll_; }
   const CollEngine& coll() const { return *coll_; }
 

@@ -71,7 +71,7 @@ void Endpoint::send_receipt(const DeliveryReceipt& r,
                  }
                  extra = draw_jitter(spec);
                }
-               extra += fabric_.traverse(node_, dst, 64, msg->flow);
+               extra += fabric_.traverse(node_, dst, 64);
                deliver_remote(dst_ep, std::move(msg), extra);
              });
 }
@@ -116,8 +116,7 @@ std::uint64_t Endpoint::post_send(int dst, WireMessage msg) {
     // Dropped messages never reach the switch fabric's shared links; a
     // delivered one queues behind whatever else its route is carrying —
     // and may pick up a congestion mark doing so.
-    extra += fabric_.traverse(node_, dst, m->payload.size() + 64, m->flow,
-                              &m->ecn);
+    extra += fabric_.traverse(node_, dst, m->payload.size() + 64, &m->ecn);
     deliver_remote(dst_ep, std::move(m), extra);
   });
   return wr;
@@ -170,8 +169,7 @@ std::uint64_t Endpoint::post_rdma_write(int dst, const void* local,
     // so a receiver never learns of data the shared links have not
     // carried yet.
     const sim::SimTime link_delay = fabric_.traverse(
-        node_, dst, bytes + 64, imm_msg ? imm_msg->flow : 0,
-        imm_msg ? &imm_msg->ecn : nullptr);
+        node_, dst, bytes + 64, imm_msg ? &imm_msg->ecn : nullptr);
     if (imm_msg) {
       sim::SimTime extra = link_delay;
       if (spec != nullptr) {
@@ -213,25 +211,6 @@ Fabric::Fabric(sim::Engine& engine, int nodes, NetCostModel cost,
   }
 }
 
-namespace {
-
-// Seedless splitmix-style mixer for hashed (ECMP-like) routing: a pure
-// function of (src, dst, flow), so the same transfer always takes the same
-// path and runs stay bit-reproducible with no RNG draw.
-std::uint64_t mix_route(std::uint64_t src, std::uint64_t dst,
-                        std::uint64_t flow) {
-  std::uint64_t x = src * 0x9E3779B97F4A7C15ull + dst;
-  x ^= x >> 30;
-  x *= 0xBF58476D1CE4E5B9ull;
-  x += flow;
-  x ^= x >> 27;
-  x *= 0x94D049BB133111EBull;
-  x ^= x >> 31;
-  return x;
-}
-
-}  // namespace
-
 sim::SimTime Fabric::cross_link(Link& l, sim::SimTime arrival,
                                 sim::SimTime wire, std::size_t bytes,
                                 bool* ecn_mark) {
@@ -256,56 +235,35 @@ sim::SimTime Fabric::cross_link(Link& l, sim::SimTime arrival,
   return start;
 }
 
-int Fabric::pick_uplink(int src, int src_leaf, int dst, int dst_leaf,
-                        std::uint64_t flow, sim::SimTime now) const {
-  switch (topology_.route) {
-    case RouteSelect::kDmodK:
-      // D-mod-k static routing: the uplink (== spine) is picked from the
-      // destination alone, so every packet for one dst funnels through the
-      // same spine — deterministic, and it produces the incast hot-spot a
-      // hashed ECMP fabric shows on average.
-      return dst % uplinks_per_leaf_;
-    case RouteSelect::kHash:
-      // Hash the actual source node, not its leaf: same-leaf senders with
-      // equal flow labels must still be able to spread over the uplinks.
-      return static_cast<int>(mix_route(static_cast<std::uint64_t>(src),
-                                        static_cast<std::uint64_t>(dst),
-                                        flow) %
-                              static_cast<std::uint64_t>(uplinks_per_leaf_));
-    case RouteSelect::kAdaptive: {
-      // Least-backlogged path at injection time, counting both the shared
-      // links the message will cross (the down-link into the destination
-      // leaf is where incast piles up; the up-link is where an
-      // oversubscribed alltoall does). Strict index order breaks ties, so
-      // an idle fabric routes exactly like spine 0 every time.
-      int best = 0;
-      sim::SimTime best_backlog = 0;
-      for (int u = 0; u < uplinks_per_leaf_; ++u) {
-        const sim::SimTime b =
-            backlog_of(up_[static_cast<std::size_t>(
-                           src_leaf * uplinks_per_leaf_ + u)],
-                       now) +
-            backlog_of(down_[static_cast<std::size_t>(
-                             dst_leaf * uplinks_per_leaf_ + u)],
-                       now);
-        if (u == 0 || b < best_backlog) {
-          best = u;
-          best_backlog = b;
-        }
-      }
-      return best;
+int Fabric::pick_uplink(int src_leaf, int dst_leaf, sim::SimTime now) const {
+  // Least-backlogged path at injection time, counting both the shared
+  // links the message will cross (the down-link into the destination leaf
+  // is where incast piles up; the up-link is where an oversubscribed
+  // alltoall does). Strict index order breaks ties, so an idle fabric
+  // routes exactly like spine 0 every time.
+  const Link* up =
+      &up_[static_cast<std::size_t>(src_leaf * uplinks_per_leaf_)];
+  const Link* down =
+      &down_[static_cast<std::size_t>(dst_leaf * uplinks_per_leaf_)];
+  int best = 0;
+  sim::SimTime best_backlog = 0;
+  for (int u = 0; u < uplinks_per_leaf_; ++u) {
+    const sim::SimTime b = backlog_of(up[u], now) + backlog_of(down[u], now);
+    if (u == 0 || b < best_backlog) {
+      best = u;
+      best_backlog = b;
     }
   }
-  return dst % uplinks_per_leaf_;
+  return best;
 }
 
 sim::SimTime Fabric::traverse_fat_tree(int src, int dst, std::size_t bytes,
-                                       std::uint64_t flow, bool* ecn_mark) {
+                                       bool* ecn_mark) {
   const int src_leaf = src / topology_.leaf_ports;
   const int dst_leaf = dst / topology_.leaf_ports;
   if (src_leaf == dst_leaf) return 0;  // same edge switch, dedicated path
   const sim::SimTime now = engine_.now();
-  const int u = pick_uplink(src, src_leaf, dst, dst_leaf, flow, now);
+  const int u = pick_uplink(src_leaf, dst_leaf, now);
   const sim::SimTime wire = cost_.wire_time(bytes);
   // Cut-through accounting: serialization on the switch links overlaps the
   // sender's own transmit serialization, so an idle path adds zero delay
@@ -323,43 +281,27 @@ sim::SimTime Fabric::traverse_fat_tree(int src, int dst, std::size_t bytes,
 }
 
 sim::SimTime Fabric::traverse_dragonfly(int src, int dst, std::size_t bytes,
-                                        std::uint64_t flow, bool* ecn_mark) {
+                                        bool* ecn_mark) {
   const int gs = src / topology_.leaf_ports;
   const int gd = dst / topology_.leaf_ports;
   if (gs == gd) return 0;  // same group: router-local, dedicated path
   const sim::SimTime now = engine_.now();
   const sim::SimTime wire = cost_.wire_time(bytes);
-  // Pick the global route. Minimal is the single direct link gs -> gd (the
-  // D-mod-k analogue: no choice, fully static). Valiant-style (kHash)
-  // bounces through a deterministic hash-chosen intermediate group, and
-  // UGAL-style (kAdaptive) takes the direct link unless some two-hop
-  // detour currently has strictly less total backlog.
-  int via = gd;  // direct
-  switch (topology_.route) {
-    case RouteSelect::kDmodK:
-      break;
-    case RouteSelect::kHash: {
-      const int h = static_cast<int>(
-          mix_route(static_cast<std::uint64_t>(src),
-                    static_cast<std::uint64_t>(dst), flow) %
-          static_cast<std::uint64_t>(groups_));
-      if (h != gs) via = h;  // h == gd degenerates to the direct route
-      break;
-    }
-    case RouteSelect::kAdaptive: {
-      sim::SimTime best = backlog_of(global_link(gs, gd), now);
-      for (int h = 0; best > 0 && h < groups_; ++h) {
-        if (h == gs || h == gd) continue;
-        const sim::SimTime b = backlog_of(global_link(gs, h), now) +
-                               backlog_of(global_link(h, gd), now);
-        // Strictly less: at equal backlog the shorter (direct) route or
-        // the lower intermediate index wins, keeping ties deterministic.
-        if (b < best) {
-          best = b;
-          via = h;
-        }
-      }
-      break;
+  // UGAL-style global route: the direct link gs -> gd unless some two-hop
+  // detour through group h is cheaper. A detour crosses two links, each
+  // one serialization of this message, so its summed backlog counts
+  // twice: it wins only when 2 * (backlog(gs->h) + backlog(h->gd)) <
+  // backlog(gs->gd). Strictly less: at equal cost the direct route or the
+  // lower intermediate index wins, keeping ties deterministic.
+  int via = gd;
+  sim::SimTime best = backlog_of(global_link(gs, gd), now);
+  for (int h = 0; best > 0 && h < groups_; ++h) {
+    if (h == gs || h == gd) continue;
+    const sim::SimTime b = 2 * (backlog_of(global_link(gs, h), now) +
+                                backlog_of(global_link(h, gd), now));
+    if (b < best) {
+      best = b;
+      via = h;
     }
   }
   sim::SimTime t = now;
@@ -369,11 +311,9 @@ sim::SimTime Fabric::traverse_dragonfly(int src, int dst, std::size_t bytes,
 }
 
 sim::SimTime Fabric::traverse(int src, int dst, std::size_t bytes,
-                              std::uint64_t flow, bool* ecn_mark) {
-  if (!up_.empty()) return traverse_fat_tree(src, dst, bytes, flow, ecn_mark);
-  if (!global_.empty()) {
-    return traverse_dragonfly(src, dst, bytes, flow, ecn_mark);
-  }
+                              bool* ecn_mark) {
+  if (!up_.empty()) return traverse_fat_tree(src, dst, bytes, ecn_mark);
+  if (!global_.empty()) return traverse_dragonfly(src, dst, bytes, ecn_mark);
   return 0;  // crossbar: no shared links
 }
 

@@ -150,23 +150,21 @@ class Fabric {
   /// (cut-through: an uncontended traversal costs nothing on top of the
   /// wire latency; contention on a shared up/down link delays delivery by
   /// the backlog in front of it). Crossbar: always 0, touches nothing.
-  /// Deterministic — uses only the clock, the link state the simulation
-  /// already determined, and the route policy (see RouteSelect).
+  /// Deterministic — the route is the least-backlogged path, read from
+  /// the clock and the link state the simulation already determined.
   ///
-  /// `flow` labels the transfer for hashed routing (0 is a valid "no
-  /// label": the hash then spreads by pair only). When `ecn_mark` is
-  /// non-null and the traversal queued behind more than the armed ECN
-  /// backlog threshold on any link, *ecn_mark is set (never cleared) —
-  /// the congestion-experienced bit of docs/CONCURRENCY.md.
+  /// When `ecn_mark` is non-null and the traversal queued behind more
+  /// than the armed ECN backlog threshold on any link, *ecn_mark is set
+  /// (never cleared) — the congestion-experienced bit of
+  /// docs/CONCURRENCY.md.
   sim::SimTime traverse(int src, int dst, std::size_t bytes,
-                        std::uint64_t flow = 0, bool* ecn_mark = nullptr);
+                        bool* ecn_mark = nullptr);
 
   /// Arm ECN-style marking: a crossing that queues behind more than
   /// `backlog_ns` of earlier traffic on one shared link counts an
   /// ecn_mark on that link and marks the message (see traverse). 0 (the
   /// default) disables marking entirely — no state, no comparisons.
   void set_ecn_threshold(sim::SimTime backlog_ns) { ecn_ns_ = backlog_ns; }
-  sim::SimTime ecn_threshold() const { return ecn_ns_; }
 
   /// Snapshot of every inter-switch link's counters, up-links first
   /// (empty on a crossbar; dragonfly: every used ordered group pair).
@@ -225,14 +223,13 @@ class Fabric {
   sim::SimTime backlog_of(const Link& l, sim::SimTime now) const {
     return l.busy_until > now ? l.busy_until - now : 0;
   }
-  // Fat-tree uplink choice for (src_leaf, dst, dst_leaf, flow) under the
-  // topology's route policy.
-  int pick_uplink(int src, int src_leaf, int dst, int dst_leaf, std::uint64_t flow,
-                  sim::SimTime now) const;
+  // Fat-tree uplink (== spine) with the least up + down backlog from
+  // src_leaf to dst_leaf now.
+  int pick_uplink(int src_leaf, int dst_leaf, sim::SimTime now) const;
   sim::SimTime traverse_fat_tree(int src, int dst, std::size_t bytes,
-                                 std::uint64_t flow, bool* ecn_mark);
+                                 bool* ecn_mark);
   sim::SimTime traverse_dragonfly(int src, int dst, std::size_t bytes,
-                                  std::uint64_t flow, bool* ecn_mark);
+                                  bool* ecn_mark);
   Link& global_link(int g_from, int g_to) {
     return global_[static_cast<std::size_t>(g_from) *
                        static_cast<std::size_t>(groups_) +

@@ -12,59 +12,20 @@
 // by direct point-to-point global links (fully connected group graph), the
 // geometry where adaptive (UGAL-style) routing decisions matter most.
 //
-// Routing is selectable per fabric (RouteSelect) and always deterministic:
-//   * kDmodK    — dst-indexed static choice (the classic D-mod-k route; on
-//                 a dragonfly this is the minimal/direct route). Same
-//                 inputs => same link crossings => bit-reproducible runs,
-//                 and the byte-identical default.
-//   * kHash     — a seedless mix of (src, dst, flow) spreads flows across
-//                 the parallel paths, breaking D-mod-k's dst-index
-//                 pathologies (incast funneling) the way ECMP hashing does
-//                 on real fabrics. Still a pure function of its inputs.
-//   * kAdaptive — least-backlogged path at injection time, tie-broken by
-//                 index order, so equal-backlog runs stay exactly
-//                 reproducible. Reads only link state the simulation
-//                 already determines — no RNG anywhere in routing.
-// See docs/SIMULATION.md, "Switch topology, routing and link contention".
+// Routing is adaptive and always deterministic: a message takes the
+// least-backlogged of its parallel paths at injection time, index order
+// breaking ties, so equal-backlog runs stay exactly reproducible. It reads
+// only link state the simulation already determines — no RNG anywhere in
+// routing. On the dragonfly a two-hop detour counts both of its hops.
+// See docs/SIMULATION.md, "Switch topology and link contention".
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
-#include <string>
 
 #include "sim/time.hpp"
 
 namespace mv2gnc::netsim {
-
-/// How a message picks among the parallel shared links of its route.
-/// Ignored by the crossbar (which has no shared links, hence no choice):
-/// selecting adaptive routing there is a no-op, not an error.
-enum class RouteSelect {
-  kDmodK,     // static dst-indexed choice (default; byte-identical baseline)
-  kHash,      // deterministic (src, dst, flow) hash across parallel paths
-  kAdaptive,  // least-backlogged path now, index order breaks ties
-};
-
-/// The `route_select` config-file spelling of `r`.
-inline const char* route_select_name(RouteSelect r) {
-  switch (r) {
-    case RouteSelect::kDmodK: return "dmodk";
-    case RouteSelect::kHash: return "hash";
-    case RouteSelect::kAdaptive: return "adaptive";
-  }
-  return "dmodk";
-}
-
-/// Inverse of route_select_name; throws std::invalid_argument on any other
-/// spelling.
-inline RouteSelect parse_route_select(const std::string& v) {
-  for (RouteSelect r :
-       {RouteSelect::kDmodK, RouteSelect::kHash, RouteSelect::kAdaptive}) {
-    if (v == route_select_name(r)) return r;
-  }
-  throw std::invalid_argument(
-      "route_select must be 'dmodk', 'hash' or 'adaptive', got: " + v);
-}
 
 /// Shape of the inter-node interconnect.
 struct FabricTopology {
@@ -85,11 +46,6 @@ struct FabricTopology {
   /// 1.0 is fully provisioned (one uplink per port); 2.0 is the classic
   /// cost-reduced 2:1 fabric with half the uplinks.
   double oversubscription = 1.0;
-
-  /// Link-selection policy (see RouteSelect). On the fat tree it picks the
-  /// uplink (== spine); on the dragonfly it decides minimal vs Valiant
-  /// (kHash) vs UGAL-style (kAdaptive) global routes.
-  RouteSelect route = RouteSelect::kDmodK;
 
   /// Uplinks per leaf switch implied by the oversubscription ratio
   /// (rounded, floored at 1). Each uplink u leads to spine switch u.
@@ -122,7 +78,7 @@ struct FabricTopology {
   /// Dragonfly: `group_size` endpoints per group, every ordered group pair
   /// joined by one direct global link (the canonical fully connected
   /// inter-group graph). Oversubscription does not apply — the global
-  /// links ARE the scarce resource; routing policy decides how traffic
+  /// links ARE the scarce resource; adaptive routing decides how traffic
   /// spreads over them.
   static FabricTopology dragonfly(int group_size) {
     FabricTopology t;

@@ -19,12 +19,6 @@ struct WireMessage {
   std::uint64_t seq = 0;            // sender-assigned sequence number, used
                                     // by reliable protocols to discard
                                     // duplicate retransmissions
-  std::uint64_t flow = 0;           // transfer/flow label: hashed routing
-                                    // (RouteSelect::kHash) spreads flows by
-                                    // (src, dst, flow), so messages of one
-                                    // rendezvous keep one path while
-                                    // different transfers between the same
-                                    // pair may take different spines
   bool ecn = false;                 // congestion-experienced mark, set by
                                     // the switch fabric when this message
                                     // queued behind more than the ECN

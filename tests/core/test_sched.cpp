@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "mpi/cluster.hpp"
@@ -447,4 +449,11 @@ TEST(Sched, EcnFeedbackThrottlesFunneledIncastEndToEnd) {
     link_marks += l.ecn_marks;
   }
   EXPECT_GT(link_marks, 0u);
+  // Marks were counted, so both the link table and the scheduler table
+  // render their ECN columns.
+  std::ostringstream os;
+  cluster.print_stats(os);
+  EXPECT_NE(os.str().find("peak-backlog  ecn-marks\n"), std::string::npos);
+  EXPECT_NE(os.str().find("ack-ind  ecn-marks  ecn-depth(-/+)\n"),
+            std::string::npos);
 }

@@ -452,15 +452,14 @@ TEST(Chaos, FailoverRestoresAfterChannelHeals) {
 TEST(Chaos, AdaptiveRoutingSurvivesLossyFatTree) {
   // The PR-7 fault matrix, pointed at the congestion machinery: seeded
   // drops + jitter on every rendezvous control kind over an oversubscribed
-  // fat tree, with adaptive routing AND ECN feedback armed. Retransmitted
-  // fins may take different uplinks than their originals and re-marked
-  // acks may echo stale congestion — none of that may corrupt data, leak
-  // vbufs, or hang a rank.
+  // fat tree, under its adaptive routing with ECN feedback armed.
+  // Retransmitted fins may take different uplinks than their originals and
+  // re-marked acks may echo stale congestion — none of that may corrupt
+  // data, leak vbufs, or hang a rank.
   ClusterConfig cfg;
   cfg.ranks = 8;
   cfg.rng_seed = 11;
   cfg.topology = netsim::FabricTopology::fat_tree(4, 2.0);
-  cfg.tunables.route_select = netsim::RouteSelect::kAdaptive;
   cfg.tunables.ecn_backlog_ns = 20'000;
   cfg.tunables.chunk_select = core::ChunkSelect::kFixed;
   cfg.tunables.rndv_timeout_ns = 400'000;
