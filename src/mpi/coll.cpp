@@ -469,68 +469,82 @@ IntraSend CollEngine::intra_send_ns(std::size_t bytes) const {
   return StepClock(hints_, comm_.tunables(), 0).intra_send(bytes);
 }
 
-CollEngine::SliceLeg CollEngine::rabenseifner_ns(
-    const Topology& t, const std::vector<int>& ranks,
-    std::size_t bytes) const {
+CollEngine::SliceLeg CollEngine::slice_leg_ns(const Topology& t,
+                                              const std::vector<int>& ranks,
+                                              std::size_t bytes) const {
   // The message order of device_slice_wire: pre-pairing, then the halving
-  // reduce-scatter and the doubling allgather (or, on slices too short to
-  // halve, the full-slice butterfly), then post-pairing.
+  // reduce-scatter and the doubling allgather or the full-slice butterfly,
+  // then post-pairing.
   const int p = static_cast<int>(ranks.size());
-  StepClock clock(hints_, comm_.tunables(), p);
   auto local = [&](int a, int b) {
     return t.same_node(ranks[static_cast<std::size_t>(a)],
                        ranks[static_cast<std::size_t>(b)]);
   };
   const RdSchedule rd(p);
   const std::size_t count = bytes / sizeof(double);
-  // Every pair of butterfly members `dist` apart swaps `part` bytes and,
-  // when `fold`, folds them.
-  auto round = [&](int dist, std::size_t part, bool fold) {
-    for (int nr = 0; nr < rd.pof2; ++nr) {
-      if ((nr ^ dist) < nr) continue;
-      const int a = rd.index(nr);
-      const int b = rd.index(nr ^ dist);
-      clock.exchange(a, b, local(a, b), part);
-      if (fold) {
-        clock.fold(a, part);
-        clock.fold(b, part);
+  auto price = [&](bool halving) {
+    StepClock clock(hints_, comm_.tunables(), p);
+    // Every pair of butterfly members `dist` apart swaps `part` bytes and,
+    // when `fold`, folds them.
+    auto round = [&](int dist, std::size_t part, bool fold) {
+      for (int nr = 0; nr < rd.pof2; ++nr) {
+        if ((nr ^ dist) < nr) continue;
+        const int a = rd.index(nr);
+        const int b = rd.index(nr ^ dist);
+        clock.exchange(a, b, local(a, b), part);
+        if (fold) {
+          clock.fold(a, part);
+          clock.fold(b, part);
+        }
+      }
+    };
+    // The larger share of each split: one element more when it is uneven.
+    auto part = [&](int dist) {
+      if (!halving) return bytes;
+      const std::size_t pof2 = static_cast<std::size_t>(rd.pof2);
+      return sizeof(double) *
+             ((count * static_cast<std::size_t>(dist) + pof2 - 1) / pof2);
+    };
+    // The first message on the critical path, the pre-pairing send or else
+    // the first exchange, sends its RTS while the slice's D2H runs (the
+    // gate holds only its payload).
+    const int first = halving ? rd.pof2 / 2 : 1;
+    const sim::SimTime head =
+        rd.rem > 0 ? clock.head_start(local(0, 1), bytes)
+                   : clock.head_start(local(rd.index(0), rd.index(first)),
+                                      part(first));
+    for (int i = 0; i < rd.rem; ++i) {
+      clock.send(2 * i, 2 * i + 1, local(2 * i, 2 * i + 1), bytes);
+      clock.fold(2 * i + 1, bytes);
+    }
+    // A butterfly without post-pairing ends in its last round's fold, which
+    // leaves the leg for the write-back stream.
+    const bool defer = !halving && rd.rem == 0;
+    if (!halving) {
+      for (int dist = 1; dist < rd.pof2; dist <<= 1) {
+        round(dist, bytes, !defer || 2 * dist < rd.pof2);
+      }
+    } else {
+      for (int dist = rd.pof2 / 2; dist >= 1; dist >>= 1) {
+        round(dist, part(dist), true);
+      }
+      for (int dist = 1; dist < rd.pof2; dist <<= 1) {
+        round(dist, part(dist), false);
       }
     }
-  };
-  const bool halving = count >= 2 * static_cast<std::size_t>(rd.pof2);
-  // The larger share of each split: one element more when it is uneven.
-  auto part = [&](int dist) {
-    if (!halving) return bytes;
-    const std::size_t pof2 = static_cast<std::size_t>(rd.pof2);
-    return sizeof(double) *
-           ((count * static_cast<std::size_t>(dist) + pof2 - 1) / pof2);
-  };
-  // The first message on the critical path, the pre-pairing send or else
-  // the first exchange, sends its RTS while the slice's D2H runs (the gate
-  // holds only its payload).
-  const int first = halving ? rd.pof2 / 2 : 1;
-  const sim::SimTime head =
-      rd.rem > 0 ? clock.head_start(local(0, 1), bytes)
-                 : clock.head_start(local(rd.index(0), rd.index(first)),
-                                    part(first));
-  for (int i = 0; i < rd.rem; ++i) {
-    clock.send(2 * i, 2 * i + 1, local(2 * i, 2 * i + 1), bytes);
-    clock.fold(2 * i + 1, bytes);
-  }
-  if (!halving) {
-    for (int dist = 1; dist < rd.pof2; dist <<= 1) round(dist, bytes, true);
-  } else {
-    for (int dist = rd.pof2 / 2; dist >= 1; dist >>= 1) {
-      round(dist, part(dist), true);
+    for (int i = 0; i < rd.rem; ++i) {
+      clock.send(2 * i + 1, 2 * i, local(2 * i, 2 * i + 1), bytes);
     }
-    for (int dist = 1; dist < rd.pof2; dist <<= 1) {
-      round(dist, part(dist), false);
-    }
-  }
-  for (int i = 0; i < rd.rem; ++i) {
-    clock.send(2 * i + 1, 2 * i, local(2 * i, 2 * i + 1), bytes);
-  }
-  return {clock.finish(), head};
+    return SliceLeg{clock.finish(), head,
+                    defer ? hints_.gpu.reduce_time(bytes) : 0, halving};
+  };
+  // Halving splits the slice into pof2 shares of at least two elements.
+  const SliceLeg doubling = price(false);
+  if (count < 2 * static_cast<std::size_t>(rd.pof2)) return doubling;
+  const SliceLeg halving = price(true);
+  return halving.wire + halving.fold <= doubling.wire + doubling.fold
+             ? halving
+             : doubling;
 }
 
 sim::SimTime CollEngine::bcast_tree_ns(const Topology& t, CollShape shape,

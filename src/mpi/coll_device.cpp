@@ -17,13 +17,15 @@
 //   pipelined  the vector is cut into model-sized slices; slice k's D2H
 //              (coll_d2h_ stream) overlaps slice k-1's wire leg, whose
 //              folds run as device reduction kernels (coll_red_), while
-//              slice k-2's write-back drains on coll_h2d_. The slice's
-//              D2H event gates its first send's wire, so the RTS leaves
-//              while the copy is still in flight; a launch_host_trigger
-//              behind each D2H wakes the progress loop the moment the gate
-//              opens, the write-back is enqueued once the wire leg lands,
-//              and a last launch_host_trigger marks the drain of the
-//              pipeline.
+//              slice k-2's write-back drains on coll_h2d_. Each leg takes
+//              the cheaper of two exchange shapes (slice_leg_ns); a
+//              full-slice butterfly leaves its last fold on coll_h2d_,
+//              ahead of the slice's write-back. The slice's D2H event
+//              gates its first send's wire, so the RTS leaves while the
+//              copy is still in flight; a launch_host_trigger behind each
+//              D2H wakes the progress loop the moment the gate opens, the
+//              write-back is enqueued once the wire leg lands, and a last
+//              launch_host_trigger marks the drain of the pipeline.
 //
 // The pipelined allreduce is one slice loop in both shapes
 // (device_sliced_allreduce). At rpn > 1 its two-level shape cuts every
@@ -115,16 +117,13 @@ double* CollEngine::device_scratch(std::size_t n) {
   return static_cast<double*>(p);
 }
 
-void CollEngine::device_fold(CollOpStats& op, double* acc, const double* in,
-                             int n, bool take_max) {
-  ensure_coll_streams();
-  cusim::CudaContext& ctx = comm_.cuda();
+void CollEngine::launch_fold(CollOpStats& op, cusim::Stream& stream,
+                             double* acc, const double* in, int n,
+                             bool take_max) {
   const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(n);
-  ctx.launch_device_reduce(coll_red_, bytes, [acc, in, n, take_max] {
+  comm_.cuda().launch_device_reduce(stream, bytes, [acc, in, n, take_max] {
     reduce_into(acc, in, n, take_max);
   });
-  cusim::Event done = ctx.record_event(coll_red_);
-  done.synchronize();
   ++op.reduce_kernels;
 }
 
@@ -137,10 +136,12 @@ namespace {
 // Flat allreduce: D2H slices posted ahead of the wire.
 constexpr int kPrefetch = 2;
 // Two-level allreduce: slices whose pieces are staged ahead of the wire.
-// Each piece's reduce-scatter runs one slice ahead of its staging, never
-// more: the IPC port is one FIFO, and a rendezvous completes only when its
-// SEND_DONE crosses it, so an exchange posted further ahead would hold the
-// earlier one's completion behind its copy.
+// Each piece's reduce-scatter runs one slice ahead of its staging. Deeper
+// measured slower: on 4 ranks at 2 per node, staging 3 slices ahead takes
+// 442.19 us per 1 MB call and 1172.61 us per 4 MB call, against 376.22
+// and 1093.42 us at 1. Giving the IPC port's control messages a transmit
+// queue of their own moved none of those four times, so the port's one
+// FIFO does not explain the limit.
 constexpr int kPiecePrefetch = 1;
 // Two-level slice size: the largest priced within this many percent of the
 // cheapest (pick_slice_bytes).
@@ -291,11 +292,12 @@ sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
     // ack take the two control legs its RTS and CTS took. Eager pieces
     // sent from device memory pay their blocking D2H first, queued on the
     // one D2H engine behind the stream's folds and copies (the
-    // allgather's leave from the host slot when one holds them), and land
-    // with a blocking H2D on the receiving fiber: the reduce-scatter's
-    // while the fiber waits for them, the allgather's on top of whatever
-    // it does next.
-    auto exchange = [&](std::size_t k, sim::SimTime ready, bool gather) {
+    // allgather's leave from the host slot when one holds them, once the
+    // leg's deferred fold ended at `folded`), and land with a blocking H2D
+    // on the receiving fiber: the reduce-scatter's while the fiber waits
+    // for them, the allgather's on top of whatever it does next.
+    auto exchange = [&](std::size_t k, sim::SimTime ready, bool gather,
+                        sim::SimTime folded) {
       const IntraSend& x = at(k).intra;
       if (!x.eager) {
         fiber += others * x.post;
@@ -305,6 +307,8 @@ sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
       if (!gather || !leg) {
         fiber = std::max({fiber, ready, d2h_free}) + others * x.stage;
         d2h_free = fiber;
+      } else {
+        fiber = std::max(fiber, folded);
       }
       fiber += others * x.post;
       const int id = port.post(fiber, fiber, members - 1, x.data, false, 0,
@@ -316,7 +320,7 @@ sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
     std::size_t staged = 0;   // slices whose folds and D2H are queued
     auto reduce_next = [&] {
       if (members > 1 && reduced < n) {
-        reduce[reduced] = exchange(reduced, 0, false);
+        reduce[reduced] = exchange(reduced, 0, false, 0);
         ++reduced;
       }
     };
@@ -343,14 +347,20 @@ sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
       }
       const Stage& s = at(k);
       sim::SimTime ready = landed[k];
+      sim::SimTime folded = 0;
       if (leg) {
-        fiber =
-            std::max(fiber, landed[k] - s.wire.head) + s.wire.wire + submit;
+        fiber = std::max(fiber, landed[k] - s.wire.head) + s.wire.wire;
+        // The leg's deferred fold, then the write-back, on the H2D stream.
+        if (s.wire.fold > 0) {
+          fiber += submit;
+          folded = h2d_free = std::max(h2d_free, fiber) + s.wire.fold;
+        }
+        fiber += submit;
         h2d_free = std::max(h2d_free, fiber) + s.h2d;
         ready = h2d_free;
         if (members > 1) fiber += submit;
       }
-      if (members > 1) exchange(k, ready, true);
+      if (members > 1) exchange(k, ready, true, folded);
     }
     return std::max({fiber, h2d_free, members > 1 ? port.drain() : 0});
   };
@@ -375,7 +385,9 @@ std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
   // about 100 simulator events per rank and slice), so there the largest
   // candidate priced within kSliceBand % of the least wins: where the
   // price barely moves, more slices buy the modeled system little and
-  // cost the simulator's wall clock their events.
+  // cost the simulator's wall clock their events. The band never turns a
+  // pipeline into one slice, whose legs all run back to back (4 ranks at
+  // 2 per node, 64 KB: 79.21 us in two slices, 80.11 in one).
   constexpr std::size_t kMin = 16 * 1024;
   constexpr std::size_t kMax = std::size_t{4} << 20;
   std::vector<std::pair<std::size_t, sim::SimTime>> priced;
@@ -391,7 +403,9 @@ std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
     if (c >= total) break;  // every larger candidate is the same one slice
   }
   if (members > 1) {
+    const bool piped = s < total;
     for (const auto& [c, cost] : priced) {
+      if (piped && c >= total) break;
       if (100 * cost <= (100 + kSliceBand) * best) s = c;
     }
   }
@@ -442,13 +456,13 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
       if (!striped) {
         const std::vector<int> all = identity_ranks(p);
         return seed + sliced(b, kPrefetch, 1, [&](std::size_t len) {
-                 return rabenseifner_ns(t, all, len);
+                 return slice_leg_ns(t, all, len);
                });
       }
       LegPrice stripe;
       if (t.num_nodes() > 1) {
         stripe = [&](std::size_t len) {
-          return rabenseifner_ns(t, t.leaders, len);
+          return slice_leg_ns(t, t.leaders, len);
         };
       }
       return seed + sliced(b, kPiecePrefetch, t.uniform, stripe);
@@ -537,13 +551,16 @@ CollEngine::DevicePlan CollEngine::plan_device(const void* sendbuf,
 // Sliced allreduce pipeline
 // ---------------------------------------------------------------------------
 
-void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
-                                   const std::vector<int>& ranks, int me,
-                                   double* data, int count, bool take_max,
-                                   int slice, cusim::Event gate) {
+cusim::Event CollEngine::device_slice_wire(CollOpStats& op,
+                                           const CommGroup& g,
+                                           const std::vector<int>& ranks,
+                                           int me, double* data, int count,
+                                           bool take_max, int slice,
+                                           bool halving, cusim::Event gate) {
   static const Datatype double_t = committed_double();
   const int p = static_cast<int>(ranks.size());
-  if (p <= 1) return;
+  if (p <= 1) return {};
+  cusim::CudaContext& ctx = comm_.cuda();
   auto world_of = [&](int idx) {
     return g.world[static_cast<std::size_t>(
         ranks[static_cast<std::size_t>(idx)])];
@@ -569,7 +586,8 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       gate.synchronize();
       gate_pending = false;
     }
-    device_fold(op, data + off, tmp + off, cnt, take_max);
+    launch_fold(op, coll_red_, data + off, tmp + off, cnt, take_max);
+    ctx.record_event(coll_red_).synchronize();
   };
   // Non-power-of-two pre-pairing: evens hand their whole slice to the odd
   // neighbour and rejoin after the allgather (the MPICH shape).
@@ -586,9 +604,11 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       fold_at(0, count);
     }
   }
-  if (newrank >= 0 && count < 2 * pof2) {
-    // Too few elements to split into pof2 chunks: full-vector recursive
-    // doubling (the short-vector shape; folds still run on-device).
+  cusim::Event folded;
+  if (newrank >= 0 && !halving) {
+    // Full-slice recursive doubling. Without post-pairing the last round's
+    // fold ends the leg: it runs on the write-back stream, ahead of the
+    // slice's H2D, while this fiber moves on.
     int round = 0;
     for (int mask = 1; mask < pof2; mask <<= 1, ++round) {
       const int dst = world_of(rd.index(newrank ^ mask));
@@ -597,7 +617,12 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       Request sr = gated_send(data, count, dst, tag);
       cwait(sr);
       cwait(rr);
-      fold_at(0, count);
+      if (rd.rem == 0 && 2 * mask == pof2) {
+        launch_fold(op, coll_h2d_, data, tmp, count, take_max);
+        folded = ctx.record_event(coll_h2d_);
+      } else {
+        fold_at(0, count);
+      }
     }
   } else if (newrank >= 0) {
     // Rabenseifner: recursive-halving reduce-scatter, then the same
@@ -678,6 +703,7 @@ void CollEngine::device_slice_wire(CollOpStats& op, const CommGroup& g,
       cwait(s);
     }
   }
+  return folded;
 }
 
 void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
@@ -716,7 +742,7 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   }
   LegPrice leg;
   if (fabric) {
-    leg = [&](std::size_t len) { return rabenseifner_ns(t, stripe, len); };
+    leg = [&](std::size_t len) { return slice_leg_ns(t, stripe, len); };
   }
   const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
   const int prefetch = two_level ? kPiecePrefetch : kPrefetch;
@@ -773,8 +799,9 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     double* in = nullptr;                // co-members' pieces, member order
     std::vector<Request> arrivals;       // their receives, member order
     core::detail::StagingSlot* slot = nullptr;
-    cusim::Event d2h;    // the piece staged to the host
-    cusim::Event ready;  // its result on the device
+    cusim::Event d2h;     // the piece staged to the host
+    cusim::Event folded;  // the wire leg's deferred fold, if any
+    cusim::Event ready;   // its result on the device
   };
   std::vector<SliceState> sl(static_cast<std::size_t>(S));
 
@@ -808,12 +835,8 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     const std::size_t b = bytes_of(s.mine.len);
     for (int i = 0; i < m - 1; ++i) {
       cwait(s.arrivals[static_cast<std::size_t>(i)]);
-      const double* in = s.in + i * s.mine.len;
-      ctx.launch_device_reduce(coll_d2h_, b, [acc, in, len = s.mine.len,
-                                              take_max] {
-        reduce_into(acc, in, len, take_max);
-      });
-      ++op.reduce_kernels;
+      launch_fold(op, coll_d2h_, acc, s.in + i * s.mine.len, s.mine.len,
+                  take_max);
       op.device_stage_ns += gpu.reduce_time(b);
     }
     if (fabric) {
@@ -834,19 +857,21 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     // a spurious timeout).
     ctx.launch_host_trigger(coll_d2h_, wake);
   };
-  // The piece's wire leg across nodes, gated on its D2H, and its
-  // write-back on the H2D stream.
+  // The piece's wire leg across nodes in the shape its price picked, gated
+  // on its D2H, and its write-back on the H2D stream, behind the leg's
+  // deferred fold when it left one.
   auto run_wire = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
     if (!fabric || s.mine.len == 0) return;
     auto* host = reinterpret_cast<double*>(s.slot->ptr);
     const std::size_t b = bytes_of(s.mine.len);
     const sim::SimTime wire_t0 = eng.now();
-    device_slice_wire(op, g, stripe, me_stripe, host, s.mine.len, take_max,
-                      k, s.d2h);
+    s.folded = device_slice_wire(op, g, stripe, me_stripe, host, s.mine.len,
+                                 take_max, k, leg(b).halving, s.d2h);
     ctx.memcpy_async(dev + s.mine.off, host, b,
                      cusim::MemcpyKind::kHostToDevice, coll_h2d_);
     op.device_stage_ns += eng.now() - wire_t0;
+    if (s.folded.valid()) op.device_stage_ns += gpu.reduce_time(b);
     op.device_stage_ns +=
         gpu.copy_launch_ns +
         static_cast<sim::SimTime>(static_cast<double>(b) / gpu.h2d_bw);
@@ -859,7 +884,8 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   // Intra allgather of slice k: each co-member's piece lands in place, and
   // this rank's goes to each co-member once its result is on the device.
   // An eager piece leaves from the host slot instead (an eager send would
-  // block on the gate); without a slot (one node) it waits for the gate.
+  // block on the gate), once the leg's deferred fold wrote it; without a
+  // slot (one node) it waits for the gate.
   auto post_gather = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
     const int tag = kTagAllreduceAg - k;
@@ -877,7 +903,7 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
           comm_.net().device_direct(dst)) {
         send_piece(dev + s.mine.off, s.mine.len, dst, tag, s.ready);
       } else if (s.slot != nullptr) {
-        send_piece(s.slot->ptr, s.mine.len, dst, tag, {});
+        send_piece(s.slot->ptr, s.mine.len, dst, tag, s.folded);
       } else {
         s.ready.synchronize();
         send_piece(dev + s.mine.off, s.mine.len, dst, tag, {});

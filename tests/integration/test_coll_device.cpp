@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "core/protocol.hpp"
 #include "mpi/cluster.hpp"
 #include "mpi/coll.hpp"
 #include "support/coll_access.hpp"
@@ -501,6 +502,46 @@ TEST(CollDevice, TwoLevelOverlapsIpcWithFabric) {
   EXPECT_GT(st.nic_busy, 0);
   EXPECT_LT(elapsed, st.ipc_busy + st.nic_busy)
       << "ipc " << st.ipc_busy << " ns, nic " << st.nic_busy << " ns";
+}
+
+// On two nodes every stripe has two members, where one full-piece exchange
+// and a fold deferred to the write-back stream price below Rabenseifner's
+// two: each slice of a 1 MB call on 4 ranks at 2 per node crosses the
+// fabric in one rendezvous per rank. A rank's RTS census counts its IPC
+// rendezvous too, one peer copy each, so the fabric's are the difference.
+TEST(CollDevice, TwoNodeStripeLegIsOneExchange) {
+  constexpr int kMiB = (1 << 20) / static_cast<int>(sizeof(double));
+  const ClusterConfig cfg = matrix_config(4, 2, true);
+  const auto host = run_allreduce(cfg, false, kMiB);
+  Cluster cluster(cfg);
+  std::vector<std::vector<double>> out(
+      4, std::vector<double>(static_cast<std::size_t>(kMiB)));
+  cluster.run([&](Context& ctx) {
+    const std::vector<double> in = seed_vector(ctx.rank, kMiB);
+    const std::size_t bytes = sizeof(double) * kMiB;
+    auto* din = static_cast<double*>(ctx.cuda->malloc(bytes));
+    auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
+    ctx.cuda->memcpy(din, in.data(), bytes);
+    ctx.comm.allreduce_sum(din, dout, kMiB);
+    ctx.cuda->memcpy(out[static_cast<std::size_t>(ctx.rank)].data(), dout,
+                     bytes);
+    ctx.cuda->free(din);
+    ctx.cuda->free(dout);
+  });
+  expect_pools_quiesced(cluster);
+  for (int r = 0; r < 4; ++r) {
+    const CollOpStats& ar = cluster.coll_stats(r).allreduce;
+    EXPECT_EQ(ar.device_pipelined, 1u) << "rank " << r;
+    EXPECT_EQ(ar.hier_calls, 1u) << "rank " << r;
+    EXPECT_GE(ar.device_slices, 2u) << "rank " << r;
+    const mpisim::RankStats st = cluster.rank_stats(r);
+    const std::uint64_t rts = st.sched.ctrl_by_kind[mv2gnc::core::kRts];
+    ASSERT_GE(rts, st.ipc_copies) << "rank " << r;
+    EXPECT_EQ(rts - st.ipc_copies, ar.device_slices) << "rank " << r;
+    EXPECT_EQ(out[static_cast<std::size_t>(r)],
+              host.out[static_cast<std::size_t>(r)])
+        << "rank " << r;
+  }
 }
 
 // ---------------------------------------------------------------------------
