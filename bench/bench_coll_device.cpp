@@ -7,9 +7,10 @@
 //   staged     gpu_offload = false (the PCIe ablation): full-size D2H, the
 //              host allreduce, full-size H2D — every leg exposed (the
 //              zero-overlap baseline).
-//   default    default tunables: the schedule price picks per call
-//              (CollEngine::plan_device, from the messages each schedule
-//              sends). Where it picks the sliced pipeline, slice k's D2H
+//   default    default tunables: each call's one plan (CollEngine::
+//              plan_device) picks the schedule, its shape and the slice
+//              from the messages each schedule sends, and the call runs
+//              it. Where it picks the sliced pipeline, slice k's D2H
 //              overlaps slice k-1's wire leg (Rabenseifner or the
 //              full-slice butterfly, whichever prices cheaper; on-device
 //              folds) while earlier slices' write-backs drain on their own

@@ -116,99 +116,58 @@ void CollEngine::run_guarded(const CommGroup& g, Fn&& body) {
   // sends no wave — its peers detect the silence themselves.
 }
 
-void CollEngine::barrier(const CommGroup& g) {
+void CollEngine::barrier(const CommGroup& g, const CollForce& force) {
   run_guarded(g, [&](const Topology& t) {
-    barrier_impl(g, t, shape_for(CollOp::kBarrier, t, 0));
+    barrier_impl(g, t,
+                 force.shape ? *force.shape
+                             : shape_for(CollOp::kBarrier, t, 0));
   });
 }
 
-void CollEngine::barrier(const CommGroup& g, CollShape shape) {
-  run_guarded(g, [&](const Topology& t) { barrier_impl(g, t, shape); });
-}
-
 void CollEngine::bcast(void* buf, int count, const Datatype& dtype, int root,
-                       const CommGroup& g) {
+                       const CommGroup& g, const CollForce& force) {
   const std::size_t bytes = dtype.size() * static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
-    const DevicePlan plan =
-        plan_device(buf, buf, dtype, {CollOp::kBcast, bytes, root}, t,
-                    shape_for(CollOp::kBcast, t, bytes));
-    bcast_impl(buf, count, dtype, root, g, t, plan.shape, plan.schedule);
-  });
-}
-
-void CollEngine::bcast(void* buf, int count, const Datatype& dtype, int root,
-                       const CommGroup& g, CollShape shape,
-                       std::optional<DeviceSchedule> schedule) {
-  run_guarded(g, [&](const Topology& t) {
-    bcast_impl(buf, count, dtype, root, g, t, shape, schedule);
+    bcast_impl(buf, count, dtype, root, g, t,
+               plan_device(buf, buf, dtype, {CollOp::kBcast, bytes, root}, t,
+                           force));
   });
 }
 
 void CollEngine::allreduce_doubles(const double* sendbuf, double* recvbuf,
                                    int count, bool take_max,
-                                   const CommGroup& g) {
+                                   const CommGroup& g,
+                                   const CollForce& force) {
   const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
   static const Datatype double_t = committed_double();
   run_guarded(g, [&](const Topology& t) {
-    const DevicePlan plan =
-        plan_device(sendbuf, recvbuf, double_t, {CollOp::kAllreduce, bytes},
-                    t, shape_for(CollOp::kAllreduce, t, bytes));
-    allreduce_impl(sendbuf, recvbuf, count, take_max, g, t, plan.shape,
-                   plan.schedule == DeviceSchedule::kPipelined);
-  });
-}
-
-void CollEngine::allreduce_doubles(const double* sendbuf, double* recvbuf,
-                                   int count, bool take_max,
-                                   const CommGroup& g, CollShape shape,
-                                   std::optional<DeviceSchedule> schedule) {
-  const std::size_t bytes = sizeof(double) * static_cast<std::size_t>(count);
-  run_guarded(g, [&](const Topology& t) {
-    const bool pipelined = use_device_pipeline(
-        sendbuf, recvbuf, {CollOp::kAllreduce, bytes}, t, shape, schedule);
-    allreduce_impl(sendbuf, recvbuf, count, take_max, g, t, shape, pipelined);
+    allreduce_impl(sendbuf, recvbuf, count, take_max, g, t,
+                   plan_device(sendbuf, recvbuf, double_t,
+                               {CollOp::kAllreduce, bytes}, t, force));
   });
 }
 
 void CollEngine::allgather(const void* sendbuf, int count,
                            const Datatype& dtype, void* recvbuf,
-                           const CommGroup& g) {
+                           const CommGroup& g, const CollForce& force) {
   const std::size_t block = static_cast<std::size_t>(dtype.extent()) *
                             static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
-    const DevicePlan plan =
-        plan_device(sendbuf, recvbuf, dtype, {CollOp::kAllgather, block}, t,
-                    shape_for(CollOp::kAllgather, t, 0));
-    allgather_impl(sendbuf, count, dtype, recvbuf, g, t, plan.shape,
-                   plan.schedule);
-  });
-}
-
-void CollEngine::allgather(const void* sendbuf, int count,
-                           const Datatype& dtype, void* recvbuf,
-                           const CommGroup& g, CollShape shape,
-                           std::optional<DeviceSchedule> schedule) {
-  run_guarded(g, [&](const Topology& t) {
-    allgather_impl(sendbuf, count, dtype, recvbuf, g, t, shape, schedule);
-  });
-}
-
-void CollEngine::alltoall(const void* sendbuf, void* recvbuf, int count,
-                          const Datatype& dtype, const CommGroup& g) {
-  const std::size_t block = static_cast<std::size_t>(dtype.extent()) *
-                            static_cast<std::size_t>(count);
-  run_guarded(g, [&](const Topology& t) {
-    alltoall_impl(sendbuf, recvbuf, count, dtype, g, t,
-                  shape_for(CollOp::kAlltoall, t, block));
+    allgather_impl(sendbuf, count, dtype, recvbuf, g, t,
+                   plan_device(sendbuf, recvbuf, dtype,
+                               {CollOp::kAllgather, block}, t, force));
   });
 }
 
 void CollEngine::alltoall(const void* sendbuf, void* recvbuf, int count,
                           const Datatype& dtype, const CommGroup& g,
-                          CollShape shape) {
+                          const CollForce& force) {
+  const std::size_t block = static_cast<std::size_t>(dtype.extent()) *
+                            static_cast<std::size_t>(count);
   run_guarded(g, [&](const Topology& t) {
-    alltoall_impl(sendbuf, recvbuf, count, dtype, g, t, shape);
+    alltoall_impl(sendbuf, recvbuf, count, dtype, g, t,
+                  force.shape ? *force.shape
+                              : shape_for(CollOp::kAlltoall, t, block));
   });
 }
 
@@ -845,18 +804,17 @@ void CollEngine::barrier_impl(const CommGroup& g, const Topology& t,
 
 void CollEngine::bcast_impl(void* buf, int count, const Datatype& dtype,
                             int root, const CommGroup& g, const Topology& t,
-                            CollShape shape,
-                            std::optional<DeviceSchedule> schedule) {
+                            const DevicePlan& plan) {
   CollOpStats& op = stats_.bcast;
   ++op.calls;
   // Device-resident contiguous payloads take the staged/pipelined device
   // path; non-contiguous device types keep the legacy pass-through (the
   // rendezvous layer packs them per message).
-  if (dtype.is_contiguous() && device_buffer(buf)) {
-    device_bcast(op, buf, count, dtype, root, g, t, shape, schedule);
+  if (plan.schedule) {
+    device_bcast(op, buf, count, dtype, root, g, t, plan);
     return;
   }
-  bcast_wire(op, buf, count, dtype, root, g, t, shape);
+  bcast_wire(op, buf, count, dtype, root, g, t, plan.shape);
 }
 
 void CollEngine::bcast_wire(CollOpStats& op, void* buf, int count,
@@ -917,18 +875,16 @@ void CollEngine::bcast_tree(CollOpStats& op, const CommGroup& g,
 
 void CollEngine::allreduce_impl(const double* sendbuf, double* recvbuf,
                                 int count, bool take_max, const CommGroup& g,
-                                const Topology& t, CollShape shape,
-                                bool pipelined) {
+                                const Topology& t, const DevicePlan& plan) {
   CollOpStats& op = stats_.allreduce;
   ++op.calls;
-  if (device_buffer(sendbuf) || device_buffer(recvbuf)) {
-    device_allreduce(op, sendbuf, recvbuf, count, take_max, g, t, shape,
-                     pipelined);
+  if (plan.schedule) {
+    device_allreduce(op, sendbuf, recvbuf, count, take_max, g, t, plan);
     return;
   }
   std::copy(sendbuf, sendbuf + count, recvbuf);
   if (g.size() == 1) return;
-  allreduce_wire(op, recvbuf, count, take_max, g, t, shape);
+  allreduce_wire(op, recvbuf, count, take_max, g, t, plan.shape);
 }
 
 void CollEngine::allreduce_wire(CollOpStats& op, double* recvbuf, int count,
@@ -1018,17 +974,14 @@ void CollEngine::striped_allreduce(CollOpStats& op, double* data, int count,
 void CollEngine::allgather_impl(const void* sendbuf, int count,
                                 const Datatype& dtype, void* recvbuf,
                                 const CommGroup& g, const Topology& t,
-                                CollShape shape,
-                                std::optional<DeviceSchedule> schedule) {
+                                const DevicePlan& plan) {
   CollOpStats& op = stats_.allgather;
   ++op.calls;
-  if (dtype.is_contiguous() &&
-      (device_buffer(sendbuf) || device_buffer(recvbuf))) {
-    device_allgather(op, sendbuf, count, dtype, recvbuf, g, t, shape,
-                     schedule);
+  if (plan.schedule) {
+    device_allgather(op, sendbuf, count, dtype, recvbuf, g, t, plan);
     return;
   }
-  allgather_wire(op, sendbuf, count, dtype, recvbuf, g, t, shape);
+  allgather_wire(op, sendbuf, count, dtype, recvbuf, g, t, plan.shape);
 }
 
 void CollEngine::allgather_wire(CollOpStats& op, const void* sendbuf,

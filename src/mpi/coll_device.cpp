@@ -2,10 +2,11 @@
 // buffers"): the CollEngine paths that engage when allreduce / allgather /
 // bcast arguments live in registered device memory.
 //
-// Two schedules per operation. plan_device picks one per call, and the
-// pipeline's shape, by pricing the messages each schedule sends on the
-// call's node map (device_ns); the verdict depends on nothing a rank sees
-// alone, so every rank runs the same schedule:
+// Two schedules per operation. plan_device picks one per call, with the
+// pipeline's shape and slice, by pricing the messages each schedule sends
+// on the call's node map (device_ns); the plan depends on nothing a rank
+// sees alone, so every rank runs the same schedule, and no body prices it
+// again:
 //
 //   staged     synchronous full-size D2H, the host wire algorithm on a
 //              staged copy, synchronous full-size H2D. Zero overlap — the
@@ -125,6 +126,22 @@ void CollEngine::launch_fold(CollOpStats& op, cusim::Stream& stream,
     reduce_into(acc, in, n, take_max);
   });
   ++op.reduce_kernels;
+}
+
+void CollEngine::stage_copy(CollOpStats& op, void* dst, const void* src,
+                            std::size_t n) {
+  if (device_buffer(dst) || device_buffer(src)) {
+    comm_.cuda().memcpy(dst, src, n);
+    op.bytes_staged += n;
+  } else {
+    std::memcpy(dst, src, n);
+  }
+}
+
+void CollEngine::finish_serial(CollOpStats& op, sim::SimTime t0) {
+  const sim::SimTime dt = comm_.engine().now() - t0;
+  op.device_stage_ns += dt;
+  op.device_elapsed_ns += dt;
 }
 
 // ---------------------------------------------------------------------------
@@ -377,9 +394,9 @@ sim::SimTime CollEngine::sliced_ns(std::size_t total, std::size_t slice,
   return uneven ? std::max(walk(true), walk(false)) : walk(true);
 }
 
-std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
-                                         int members,
-                                         const LegPrice& leg) const {
+CollEngine::Priced CollEngine::pick_slice_bytes(std::size_t total,
+                                                int prefetch, int members,
+                                                const LegPrice& leg) const {
   // The power-of-two candidate with the least price. A two-level slice
   // adds the node's two exchanges to the fabric leg (at 2 ranks per node
   // about 100 simulator events per rank and slice), so there the largest
@@ -413,12 +430,16 @@ std::size_t CollEngine::pick_slice_bytes(std::size_t total, int prefetch,
   while ((total + s - 1) / s > static_cast<std::size_t>(kMaxDevSlices)) {
     s <<= 1;
   }
-  return s;
+  for (const auto& [c, cost] : priced) {
+    if (c == s) return {cost, s};
+  }
+  return {sliced_ns(total, s, prefetch, members, leg), s};
 }
 
-sim::SimTime CollEngine::device_ns(const DeviceCall& call,
-                                   DeviceSchedule schedule, CollShape shape,
-                                   const Topology& t) const {
+CollEngine::Priced CollEngine::device_ns(const DeviceCall& call,
+                                         DeviceSchedule schedule,
+                                         CollShape shape,
+                                         const Topology& t) const {
   const gpu::GpuCostModel& gpu = hints_.gpu;
   const int p = static_cast<int>(t.node_of.size());
   const std::size_t b = call.bytes;
@@ -429,13 +450,6 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
   auto h2d = [&](std::size_t n) {
     return gpu.copy_time(n, gpu::CopyDir::kHostToDevice, false);
   };
-  // The best slicing of `total` bytes at `members` per node whose slices
-  // (or pieces) each take leg(bytes) on the wire.
-  auto sliced = [&](std::size_t total, int prefetch, int members,
-                    const LegPrice& leg) {
-    return sliced_ns(total, pick_slice_bytes(total, prefetch, members, leg),
-                     prefetch, members, leg);
-  };
   const bool staged = schedule == DeviceSchedule::kStaged;
   switch (call.op) {
     case CollOp::kAllreduce: {
@@ -443,44 +457,39 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
       const bool striped = shape == CollShape::kTwoLevel && t.uniform >= 2 &&
                            count >= static_cast<std::size_t>(t.uniform);
       if (staged) {
-        return d2h(b) +
-               (striped ? striped_ns(t, b)
-                        : butterfly_ns(t, identity_ranks(p), b)) +
-               h2d(b);
+        return {d2h(b) +
+                (striped ? striped_ns(t, b)
+                         : butterfly_ns(t, identity_ranks(p), b)) +
+                h2d(b)};
       }
       // Seed the device accumulator, then the slice loop: over the whole
       // group, or per slice the node's exchanges around the stripe's leg
       // across nodes (none on one node).
-      const sim::SimTime seed =
-          gpu.async_submit_ns + gpu.copy_time(b, gpu::CopyDir::kDeviceToDevice);
-      if (!striped) {
-        const std::vector<int> all = identity_ranks(p);
-        return seed + sliced(b, kPrefetch, 1, [&](std::size_t len) {
-                 return slice_leg_ns(t, all, len);
-               });
+      const std::vector<int> ranks = striped ? t.leaders : identity_ranks(p);
+      LegPrice leg;
+      if (ranks.size() > 1) {
+        leg = [&](std::size_t len) { return slice_leg_ns(t, ranks, len); };
       }
-      LegPrice stripe;
-      if (t.num_nodes() > 1) {
-        stripe = [&](std::size_t len) {
-          return slice_leg_ns(t, t.leaders, len);
-        };
-      }
-      return seed + sliced(b, kPiecePrefetch, t.uniform, stripe);
+      Priced piped = pick_slice_bytes(b, striped ? kPiecePrefetch : kPrefetch,
+                                      striped ? t.uniform : 1, leg);
+      piped.ns += gpu.async_submit_ns +
+                  gpu.copy_time(b, gpu::CopyDir::kDeviceToDevice);
+      return piped;
     }
     case CollOp::kBcast:
       if (staged) {
-        return d2h(b) + bcast_tree_ns(t, shape, call.root, b) + h2d(b);
+        return {d2h(b) + bcast_tree_ns(t, shape, call.root, b) + h2d(b)};
       }
-      return sliced(b, kMaxDevSlices, 1, [&](std::size_t len) {
+      return pick_slice_bytes(b, kMaxDevSlices, 1, [&](std::size_t len) {
         return SliceLeg{bcast_tree_ns(t, shape, call.root, len), 0};
       });
     case CollOp::kAllgather: {
       if (staged) {
-        return d2h(b) + allgather_ns(t, shape, b, false) +
-               h2d(b * static_cast<std::size_t>(p));
+        return {d2h(b) + allgather_ns(t, shape, b, false) +
+                h2d(b * static_cast<std::size_t>(p))};
       }
       if (shape == CollShape::kTwoLevel && t.uniform > 1) {
-        return allgather_ns(t, shape, b, true);
+        return {allgather_ns(t, shape, b, true)};
       }
       // The host-mirror ring: the own block's D2H, then p - 1 host ring
       // steps, each arriving block's H2D queued on one stream behind the
@@ -491,29 +500,13 @@ sim::SimTime CollEngine::device_ns(const DeviceCall& call,
           ring_ns(t, identity_ranks(p), b, false) / steps +
           gpu.async_submit_ns;
       const sim::SimTime h2d = gpu.copy_time(b, gpu::CopyDir::kHostToDevice);
-      return 2 * gpu.async_submit_ns +
-             gpu.copy_time(b, gpu::CopyDir::kDeviceToHost) +
-             std::max(steps * step + h2d, step + steps * h2d);
+      return {2 * gpu.async_submit_ns +
+              gpu.copy_time(b, gpu::CopyDir::kDeviceToHost) +
+              std::max(steps * step + h2d, step + steps * h2d)};
     }
     default:
-      return 0;
+      return {};
   }
-}
-
-bool CollEngine::use_device_pipeline(const void* sendbuf,
-                                     const void* recvbuf,
-                                     const DeviceCall& call,
-                                     const Topology& t, CollShape shape,
-                                     std::optional<DeviceSchedule> forced)
-    const {
-  if (!device_buffer(sendbuf) || !device_buffer(recvbuf) ||
-      t.node_of.size() <= 1 || call.bytes == 0) {
-    return false;
-  }
-  if (forced) return *forced == DeviceSchedule::kPipelined;
-  return comm_.tunables().gpu_offload &&
-         device_ns(call, DeviceSchedule::kPipelined, shape, t) <
-             device_ns(call, DeviceSchedule::kStaged, shape, t);
 }
 
 CollEngine::DevicePlan CollEngine::plan_device(const void* sendbuf,
@@ -521,27 +514,36 @@ CollEngine::DevicePlan CollEngine::plan_device(const void* sendbuf,
                                                const Datatype& dtype,
                                                const DeviceCall& call,
                                                const Topology& t,
-                                               CollShape staged) const {
-  if (!dtype.is_contiguous() ||
-      (!device_buffer(sendbuf) && !device_buffer(recvbuf))) {
-    return {staged, std::nullopt};
-  }
-  DevicePlan plan{staged, DeviceSchedule::kStaged};
-  // Forcing the pipeline only asks whether the buffers and group admit it.
-  if (!comm_.tunables().gpu_offload ||
-      !use_device_pipeline(sendbuf, recvbuf, call, t, staged,
-                           DeviceSchedule::kPipelined)) {
+                                               const CollForce& force) const {
+  // The staged schedule runs the host algorithm, in the host rule's shape.
+  DevicePlan plan{force.shape ? *force.shape
+                              : shape_for(call.op, t, call.bytes),
+                  std::nullopt};
+  const bool send_dev = device_buffer(sendbuf);
+  const bool recv_dev = device_buffer(recvbuf);
+  if (!dtype.is_contiguous() || (!send_dev && !recv_dev)) return plan;
+  plan.schedule = DeviceSchedule::kStaged;
+  if (!send_dev || !recv_dev || t.node_of.size() <= 1 || call.bytes == 0 ||
+      force.schedule == DeviceSchedule::kStaged ||
+      (!force.schedule && !comm_.tunables().gpu_offload)) {
     return plan;
   }
-  sim::SimTime best = device_ns(call, DeviceSchedule::kStaged, staged, t);
+  // A forced pipeline runs whatever it prices; otherwise it has to beat
+  // staged.
+  sim::SimTime best =
+      force.schedule
+          ? std::numeric_limits<sim::SimTime>::max()
+          : device_ns(call, DeviceSchedule::kStaged, plan.shape, t).ns;
   for (CollShape shape : {CollShape::kFlat, CollShape::kTwoLevel}) {
     // Without a node holding two members both shapes run the same steps.
-    if (shape == CollShape::kTwoLevel && !t.multi_rank_node) continue;
-    const sim::SimTime piped =
-        device_ns(call, DeviceSchedule::kPipelined, shape, t);
-    if (piped < best) {
-      best = piped;
-      plan = {shape, DeviceSchedule::kPipelined};
+    if (force.shape ? shape != *force.shape
+                    : shape == CollShape::kTwoLevel && !t.multi_rank_node) {
+      continue;
+    }
+    const Priced piped = device_ns(call, DeviceSchedule::kPipelined, shape, t);
+    if (piped.ns < best) {
+      best = piped.ns;
+      plan = {shape, DeviceSchedule::kPipelined, piped.slice};
     }
   }
   return plan;
@@ -707,11 +709,10 @@ cusim::Event CollEngine::device_slice_wire(CollOpStats& op,
 }
 
 void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
-                                         const Topology& t, CollShape shape,
-                                         double* dev, int count,
-                                         bool take_max) {
+                                         const Topology& t,
+                                         const DevicePlan& plan, double* dev,
+                                         int count, bool take_max) {
   static const Datatype double_t = committed_double();
-  if (g.size() <= 1 || count <= 0) return;
   ensure_coll_streams();
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
@@ -719,8 +720,8 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
   // The node's members cut each slice into one piece apiece (the flat
   // shape: this rank alone, the piece the whole slice). Member j of every
   // node owns piece j and runs its wire leg with its counterparts.
-  const bool two_level = shape == CollShape::kTwoLevel && t.uniform >= 2 &&
-                         count >= t.uniform;
+  const bool two_level = plan.shape == CollShape::kTwoLevel &&
+                         t.uniform >= 2 && count >= t.uniform;
   const std::vector<int> mem =
       two_level ? t.members[static_cast<std::size_t>(t.my_node)]
                 : std::vector<int>{g.my_rank};
@@ -740,14 +741,8 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     op.intra_phases += 2;
     if (fabric) ++op.leader_phases;
   }
-  LegPrice leg;
-  if (fabric) {
-    leg = [&](std::size_t len) { return slice_leg_ns(t, stripe, len); };
-  }
-  const std::size_t total = sizeof(double) * static_cast<std::size_t>(count);
   const int prefetch = two_level ? kPiecePrefetch : kPrefetch;
-  const std::size_t slice_bytes = pick_slice_bytes(total, prefetch, m, leg);
-  const int sc = static_cast<int>(slice_bytes / sizeof(double));
+  const int sc = static_cast<int>(plan.slice / sizeof(double));
   const int S = (count + sc - 1) / sc;
   op.device_slices += static_cast<std::uint64_t>(S);
 
@@ -783,10 +778,8 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
                         comm_.net().device_direct(dst);
     (direct ? op.bytes_peer : op.bytes_staged) += b;
     op.bytes_sent += b;
-    op.device_stage_ns +=
-        hints_.ipc.per_msg_overhead_ns +
-        static_cast<sim::SimTime>(static_cast<double>(b) /
-                                  hints_.ipc.peer_d2d_bw);
+    op.device_stage_ns += hints_.ipc.per_msg_overhead_ns +
+                          hints_.ipc.copy_time(b, hints_.ipc.peer_d2d_bw);
     Request r = comm_.isend(buf, len, double_t, dst, tag, g.context,
                             std::move(gate));
     inflight_.push_back(r);
@@ -845,9 +838,7 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
                        coll_d2h_);
       s.d2h = ctx.record_event(coll_d2h_);
       op.bytes_staged += b;
-      op.device_stage_ns +=
-          gpu.copy_launch_ns +
-          static_cast<sim::SimTime>(static_cast<double>(b) / gpu.d2h_bw);
+      op.device_stage_ns += gpu.copy_time(b, gpu::CopyDir::kDeviceToHost);
     } else {
       s.ready = ctx.record_event(coll_d2h_);
     }
@@ -857,9 +848,9 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     // a spurious timeout).
     ctx.launch_host_trigger(coll_d2h_, wake);
   };
-  // The piece's wire leg across nodes in the shape its price picked, gated
-  // on its D2H, and its write-back on the H2D stream, behind the leg's
-  // deferred fold when it left one.
+  // The piece's wire leg across nodes in the shape slice_leg_ns prices
+  // cheaper for its length, gated on its D2H, and its write-back on the
+  // H2D stream, behind the leg's deferred fold when it left one.
   auto run_wire = [&](int k) {
     SliceState& s = sl[static_cast<std::size_t>(k)];
     if (!fabric || s.mine.len == 0) return;
@@ -867,14 +858,13 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
     const std::size_t b = bytes_of(s.mine.len);
     const sim::SimTime wire_t0 = eng.now();
     s.folded = device_slice_wire(op, g, stripe, me_stripe, host, s.mine.len,
-                                 take_max, k, leg(b).halving, s.d2h);
+                                 take_max, k,
+                                 slice_leg_ns(t, stripe, b).halving, s.d2h);
     ctx.memcpy_async(dev + s.mine.off, host, b,
                      cusim::MemcpyKind::kHostToDevice, coll_h2d_);
     op.device_stage_ns += eng.now() - wire_t0;
     if (s.folded.valid()) op.device_stage_ns += gpu.reduce_time(b);
-    op.device_stage_ns +=
-        gpu.copy_launch_ns +
-        static_cast<sim::SimTime>(static_cast<double>(b) / gpu.h2d_bw);
+    op.device_stage_ns += gpu.copy_time(b, gpu::CopyDir::kHostToDevice);
     op.bytes_staged += b;
     if (m > 1) {
       s.ready = ctx.record_event(coll_h2d_);
@@ -943,7 +933,7 @@ void CollEngine::device_sliced_allreduce(CollOpStats& op, const CommGroup& g,
 void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
                                   double* recvbuf, int count, bool take_max,
                                   const CommGroup& g, const Topology& t,
-                                  CollShape shape, bool pipelined) {
+                                  const DevicePlan& plan) {
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
@@ -952,32 +942,18 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
 
   if (g.size() == 1 || count == 0) {
     if (count > 0 && sendbuf != recvbuf) ctx.memcpy(recvbuf, sendbuf, bytes);
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    finish_serial(op, t0);
     return;
   }
 
-  if (!pipelined) {
+  if (plan.schedule == DeviceSchedule::kStaged) {
     // Staged schedule: full-size D2H, host butterfly, full-size H2D, fully
     // serialized.
     double* host = scratch<double>(static_cast<std::size_t>(count));
-    if (device_buffer(sendbuf)) {
-      ctx.memcpy(host, sendbuf, bytes);
-      op.bytes_staged += bytes;
-    } else {
-      std::memcpy(host, sendbuf, bytes);
-    }
-    allreduce_wire(op, host, count, take_max, g, t, shape);
-    if (device_buffer(recvbuf)) {
-      ctx.memcpy(recvbuf, host, bytes);
-      op.bytes_staged += bytes;
-    } else {
-      std::memcpy(recvbuf, host, bytes);
-    }
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    stage_copy(op, host, sendbuf, bytes);
+    allreduce_wire(op, host, count, take_max, g, t, plan.shape);
+    stage_copy(op, recvbuf, host, bytes);
+    finish_serial(op, t0);
     return;
   }
 
@@ -991,7 +967,7 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
     ctx.record_event(coll_red_).synchronize();
     op.device_stage_ns += eng.now() - seed_t0;
   }
-  device_sliced_allreduce(op, g, t, shape, recvbuf, count, take_max);
+  device_sliced_allreduce(op, g, t, plan, recvbuf, count, take_max);
   op.device_elapsed_ns += eng.now() - t0;
 }
 
@@ -1002,36 +978,24 @@ void CollEngine::device_allreduce(CollOpStats& op, const double* sendbuf,
 void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
                               const Datatype& dtype, int root,
                               const CommGroup& g, const Topology& t,
-                              CollShape shape,
-                              std::optional<DeviceSchedule> schedule) {
+                              const DevicePlan& plan) {
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
   ++op.device_calls;
   const std::size_t bytes = dtype.size() * static_cast<std::size_t>(count);
   if (g.size() == 1 || bytes == 0) {
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    finish_serial(op, t0);
     return;
   }
   auto* dev = static_cast<std::byte*>(buf);
 
-  if (!use_device_pipeline(buf, buf, {CollOp::kBcast, bytes, root}, t, shape,
-                           schedule)) {
+  if (plan.schedule == DeviceSchedule::kStaged) {
     std::byte* host = scratch<std::byte>(bytes);
-    if (g.my_rank == root) {
-      ctx.memcpy(host, dev, bytes);
-      op.bytes_staged += bytes;
-    }
-    bcast_wire(op, host, count, dtype, root, g, t, shape);
-    if (g.my_rank != root) {
-      ctx.memcpy(dev, host, bytes);
-      op.bytes_staged += bytes;
-    }
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    if (g.my_rank == root) stage_copy(op, host, dev, bytes);
+    bcast_wire(op, host, count, dtype, root, g, t, plan.shape);
+    if (g.my_rank != root) stage_copy(op, dev, host, bytes);
+    finish_serial(op, t0);
     return;
   }
 
@@ -1042,14 +1006,11 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
   ++op.device_pipelined;
   ensure_coll_streams();
   static const Datatype byte_t = committed_byte();
-  const std::size_t slice_bytes =
-      pick_slice_bytes(bytes, kMaxDevSlices, 1, [&](std::size_t len) {
-        return SliceLeg{bcast_tree_ns(t, shape, root, len), 0};
-      });
+  const std::size_t slice_bytes = plan.slice;
   const int S = static_cast<int>((bytes + slice_bytes - 1) / slice_bytes);
   op.device_slices += static_cast<std::uint64_t>(S);
   Topology tree = t;
-  const bool two_level = plan_bcast(op, g, root, shape, tree);
+  const bool two_level = plan_bcast(op, g, root, plan.shape, tree);
   auto slice_off = [&](int k) {
     return static_cast<std::size_t>(k) * slice_bytes;
   };
@@ -1067,9 +1028,7 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
       d2h[static_cast<std::size_t>(k)] = ctx.record_event(coll_d2h_);
       op.bytes_staged += slice_len(k);
       op.device_stage_ns +=
-          hints_.gpu.copy_launch_ns +
-          static_cast<sim::SimTime>(static_cast<double>(slice_len(k)) /
-                                    hints_.gpu.d2h_bw);
+          hints_.gpu.copy_time(slice_len(k), gpu::CopyDir::kDeviceToHost);
     }
   }
   for (int k = 0; k < S; ++k) {
@@ -1085,9 +1044,7 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
                        cusim::MemcpyKind::kHostToDevice, coll_h2d_);
       op.bytes_staged += b;
       op.device_stage_ns +=
-          hints_.gpu.copy_launch_ns +
-          static_cast<sim::SimTime>(static_cast<double>(b) /
-                                    hints_.gpu.h2d_bw);
+          hints_.gpu.copy_time(b, gpu::CopyDir::kHostToDevice);
     }
   }
   sim::EventFlag drained(eng);
@@ -1103,8 +1060,7 @@ void CollEngine::device_bcast(CollOpStats& op, void* buf, int count,
 void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
                                   int count, const Datatype& dtype,
                                   void* recvbuf, const CommGroup& g,
-                                  const Topology& t, CollShape shape,
-                                  std::optional<DeviceSchedule> schedule) {
+                                  const Topology& t, const DevicePlan& plan) {
   cusim::CudaContext& ctx = comm_.cuda();
   sim::Engine& eng = comm_.engine();
   const sim::SimTime t0 = eng.now();
@@ -1117,46 +1073,31 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
 
   if (p == 1 || block == 0) {
     if (block > 0 && sendbuf != recvbuf) ctx.memcpy(out, sendbuf, block);
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    finish_serial(op, t0);
     return;
   }
 
-  const std::size_t total = block * static_cast<std::size_t>(p);
-  if (!use_device_pipeline(sendbuf, recvbuf, {CollOp::kAllgather, block}, t,
-                           shape, schedule)) {
+  if (plan.schedule == DeviceSchedule::kStaged) {
+    const std::size_t total = block * static_cast<std::size_t>(p);
     std::byte* hin = scratch<std::byte>(block);
     std::byte* hout = scratch<std::byte>(total);
-    if (device_buffer(sendbuf)) {
-      ctx.memcpy(hin, sendbuf, block);
-      op.bytes_staged += block;
-    } else {
-      std::memcpy(hin, sendbuf, block);
-    }
-    allgather_wire(op, hin, count, dtype, hout, g, t, shape);
-    if (device_buffer(recvbuf)) {
-      ctx.memcpy(out, hout, total);
-      op.bytes_staged += total;
-    } else {
-      std::memcpy(out, hout, total);
-    }
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    stage_copy(op, hin, sendbuf, block);
+    allgather_wire(op, hin, count, dtype, hout, g, t, plan.shape);
+    stage_copy(op, out, hout, total);
+    finish_serial(op, t0);
     return;
   }
 
   ++op.device_pipelined;
   ensure_coll_streams();
-  if (shape == CollShape::kTwoLevel && t.uniform > 1) {
+  if (plan.shape == CollShape::kTwoLevel && t.uniform > 1) {
     // Two-level pass-through with device pointers: the intra ring and
     // co-member forwards peer-copy device memory directly (device_direct),
     // and each fabric stripe leg rides the rendezvous' own chunked
     // pipeline. The byte split below attributes this rank's sends to the
     // peer path when its node's IPC channel is device-direct.
     const std::uint64_t sent0 = op.bytes_sent;
-    allgather_wire(op, sendbuf, count, dtype, recvbuf, g, t, shape);
+    allgather_wire(op, sendbuf, count, dtype, recvbuf, g, t, plan.shape);
     const std::uint64_t delta = op.bytes_sent - sent0;
     int peer_probe = -1;
     const std::vector<int>& mem =
@@ -1172,9 +1113,7 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
     } else {
       op.bytes_staged += delta;
     }
-    const sim::SimTime dt = eng.now() - t0;
-    op.device_stage_ns += dt;
-    op.device_elapsed_ns += dt;
+    finish_serial(op, t0);
     return;
   }
   // Flat host-mirror ring: the own block crosses PCIe once (D2H into a
@@ -1192,9 +1131,7 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
   cusim::Event own_d2h = ctx.record_event(coll_d2h_);
   op.bytes_staged += block;
   op.device_stage_ns +=
-      hints_.gpu.copy_launch_ns +
-      static_cast<sim::SimTime>(static_cast<double>(block) /
-                                hints_.gpu.d2h_bw);
+      hints_.gpu.copy_time(block, gpu::CopyDir::kDeviceToHost);
   ctx.memcpy_async(out + static_cast<std::size_t>(my) * block, sendbuf,
                    block, cusim::MemcpyKind::kDeviceToDevice, coll_red_);
   const int right = g.world[static_cast<std::size_t>((my + 1) % p)];
@@ -1220,9 +1157,7 @@ void CollEngine::device_allgather(CollOpStats& op, const void* sendbuf,
                      cusim::MemcpyKind::kHostToDevice, coll_h2d_);
     op.bytes_staged += block;
     op.device_stage_ns +=
-        hints_.gpu.copy_launch_ns +
-        static_cast<sim::SimTime>(static_cast<double>(block) /
-                                  hints_.gpu.h2d_bw);
+        hints_.gpu.copy_time(block, gpu::CopyDir::kHostToDevice);
   }
   ctx.record_event(coll_red_).synchronize();  // own-block D2D
   sim::EventFlag drained(eng);

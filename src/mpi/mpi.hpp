@@ -226,7 +226,8 @@ class Communicator {
  private:
   friend class Cluster;
   friend class PersistentRequest;
-  // Test access to the collective engine's shaped entry points.
+  // Test access to the collective engine, whose operations take a
+  // CollForce.
   friend struct detail::CollAccess;
   explicit Communicator(detail::RankComm* impl);
   Communicator(detail::RankComm* impl,

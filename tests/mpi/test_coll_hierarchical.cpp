@@ -3,8 +3,8 @@
 // algorithms on split communicators across ranks_per_node topologies, on
 // clean and on faulty fabrics, and the co-located intra-node leg must
 // actually be modeled cheaper than the fabric path it replaces. Byte
-// compares force each shape through the engine's shaped entry points;
-// the other tests reach a shape by placement and size.
+// compares force each shape through the engine's CollForce argument; the
+// other tests reach a shape by placement and size.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -24,6 +24,7 @@ using mpisim::ClusterConfig;
 using mpisim::Context;
 using mpisim::Datatype;
 using mpisim::detail::CollAccess;
+using mpisim::detail::CollForce;
 using mpisim::detail::CollShape;
 
 namespace {
@@ -60,16 +61,16 @@ void append(std::vector<std::byte>& sink, const void* data,
 // with reversed key order, and blocked halves) plus the world comm, at an
 // eager and a rendezvous payload size. Each rank's observed bytes are
 // concatenated into one trace; the traces must be invariant under the
-// shape: `shape` forces one through the engine's shaped entry points, null
-// runs the public operations. All doubles are integer-valued so any
-// reduction association yields the same bits.
+// shape: `force` names one, and the empty force runs the public
+// operations' rule. All doubles are integer-valued so any reduction
+// association yields the same bits.
 struct Workload {
   std::vector<std::vector<std::byte>> traces;
   std::uint64_t hier_calls = 0;  // two-level calls, all ranks and ops
 };
 
 Workload run_workload(const ClusterConfig& cfg,
-                      const CollShape* shape = nullptr) {
+                      const CollForce& force = {}) {
   Cluster cluster(cfg);
   Workload w;
   w.traces.resize(static_cast<std::size_t>(cfg.ranks));
@@ -91,9 +92,7 @@ Workload run_workload(const ClusterConfig& cfg,
         }
         std::vector<std::int32_t> gathered(
             static_cast<std::size_t>(p * count));
-        shape ? eng.allgather(mine.data(), count, ints, gathered.data(), g,
-                              *shape)
-              : comm.allgather(mine.data(), count, ints, gathered.data());
+        eng.allgather(mine.data(), count, ints, gathered.data(), g, force);
         append(trace, gathered.data(), gathered.size() * 4);
         // alltoall
         std::vector<std::int32_t> a2a_in(static_cast<std::size_t>(p * count));
@@ -101,17 +100,14 @@ Workload run_workload(const ClusterConfig& cfg,
           a2a_in[i] = salt * 7 + me * 100000 + static_cast<int>(i);
         }
         std::vector<std::int32_t> a2a_out(static_cast<std::size_t>(p * count));
-        shape ? eng.alltoall(a2a_in.data(), a2a_out.data(), count, ints, g,
-                             *shape)
-              : comm.alltoall(a2a_in.data(), a2a_out.data(), count, ints);
+        eng.alltoall(a2a_in.data(), a2a_out.data(), count, ints, g, force);
         append(trace, a2a_out.data(), a2a_out.size() * 4);
         // bcast from the last rank (exercises non-zero roots)
         std::vector<std::int32_t> bc(static_cast<std::size_t>(count));
         if (me == p - 1) {
           std::iota(bc.begin(), bc.end(), salt * 17);
         }
-        shape ? eng.bcast(bc.data(), count, ints, p - 1, g, *shape)
-              : comm.bcast(bc.data(), count, ints, p - 1);
+        eng.bcast(bc.data(), count, ints, p - 1, g, force);
         append(trace, bc.data(), bc.size() * 4);
       }
       // allreduce (integer-valued doubles: exact under any association)
@@ -121,13 +117,11 @@ Workload run_workload(const ClusterConfig& cfg,
       }
       std::vector<double> out(in.size(), 0.0);
       const int n = static_cast<int>(in.size());
-      shape ? eng.allreduce_doubles(in.data(), out.data(), n, false, g, *shape)
-            : comm.allreduce_sum(in.data(), out.data(), n);
+      eng.allreduce_doubles(in.data(), out.data(), n, false, g, force);
       append(trace, out.data(), out.size() * 8);
-      shape ? eng.allreduce_doubles(in.data(), out.data(), n, true, g, *shape)
-            : comm.allreduce_max(in.data(), out.data(), n);
+      eng.allreduce_doubles(in.data(), out.data(), n, true, g, force);
       append(trace, out.data(), out.size() * 8);
-      shape ? eng.barrier(g, *shape) : comm.barrier();
+      eng.barrier(g, force);
     };
 
     exercise(ctx.comm, 1);
@@ -159,8 +153,8 @@ ClusterConfig workload_config(int ranks, int rpn) {
   return cfg;
 }
 
-constexpr CollShape kFlat = CollShape::kFlat;
-constexpr CollShape kTwoLevel = CollShape::kTwoLevel;
+const CollForce kFlat{CollShape::kFlat};
+const CollForce kTwoLevel{CollShape::kTwoLevel};
 
 }  // namespace
 
@@ -168,8 +162,8 @@ class HierCollByTopology : public ::testing::TestWithParam<int> {};
 
 TEST_P(HierCollByTopology, FlatAndHierarchicalAgreeByteForByte) {
   const int rpn = GetParam();
-  const Workload flat = run_workload(workload_config(8, rpn), &kFlat);
-  const Workload hier = run_workload(workload_config(8, rpn), &kTwoLevel);
+  const Workload flat = run_workload(workload_config(8, rpn), kFlat);
+  const Workload hier = run_workload(workload_config(8, rpn), kTwoLevel);
   const Workload rule = run_workload(workload_config(8, rpn));
   // Two-level runs wherever some node holds >= 2 members of the group.
   // (The split calls themselves run the public allgather in both runs.)
@@ -187,21 +181,21 @@ TEST_P(HierCollByTopology, FlatAndHierarchicalAgreeByteForByte) {
 
 TEST_P(HierCollByTopology, AgreementSurvivesLossyFabric) {
   const int rpn = GetParam();
-  for (const CollShape* shape : {&kFlat, &kTwoLevel}) {
+  for (const CollForce* force : {&kFlat, &kTwoLevel}) {
     ClusterConfig cfg = workload_config(8, rpn);
     cfg.rng_seed = 20260807;
     cfg.tunables.rndv_timeout_ns = 200'000;
     cfg.tunables.rndv_max_retries = 25;
     fault_rendezvous_control(cfg.faults, /*drop_send=*/0.03,
                              /*drop_imm=*/0.03, /*fail_write=*/0.01);
-    const Workload lossy = run_workload(cfg, shape);
-    const Workload clean = run_workload(workload_config(8, rpn), shape);
+    const Workload lossy = run_workload(cfg, *force);
+    const Workload clean = run_workload(workload_config(8, rpn), *force);
     EXPECT_EQ(lossy.hier_calls, clean.hier_calls);
     for (int r = 0; r < 8; ++r) {
       const auto i = static_cast<std::size_t>(r);
       EXPECT_EQ(lossy.traces[i], clean.traces[i])
           << "lossy vs clean, rank " << r << ", shape "
-          << (shape == &kFlat ? "flat" : "two-level");
+          << (force == &kFlat ? "flat" : "two-level");
     }
   }
 }

@@ -1,7 +1,7 @@
 // Selection regret: in every cell, the choice the selection rules make (the
 // public collective) must run within 2 % of the fastest forced
-// alternative, each forced through the collective engine's shaped entry
-// points. Host collectives have two alternatives, flat and two-level.
+// alternative, each forced through the collective engine's CollForce
+// argument. Host collectives have two alternatives, flat and two-level.
 // Device-resident bcast, allgather and allreduce have four: each shape on
 // the staged schedule and on the sliced pipeline. Device bcast and
 // allgather cells at or below the eager threshold take a 5 % bound: there
@@ -32,6 +32,7 @@ using mpisim::ClusterConfig;
 using mpisim::Context;
 using mpisim::Datatype;
 using mpisim::detail::CollAccess;
+using mpisim::detail::CollForce;
 using mpisim::detail::CollShape;
 using mpisim::detail::DeviceSchedule;
 
@@ -74,15 +75,9 @@ bool device_op(Op op) {
          op == Op::kDevAllgather;
 }
 
-// A forced alternative: a shape, and on device buffers a schedule.
-struct Forced {
-  CollShape shape;
-  std::optional<DeviceSchedule> schedule;
-};
-
 // One call of `op`; `forced` null runs the public operation. `start`
 // learns when the collective begins, after any upload of its input.
-void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
+void call(Op op, const Cell& c, const CollForce* forced, Context& ctx,
           sim::SimTime& start) {
   auto& eng = CollAccess::engine(ctx.comm);
   const auto& g = CollAccess::group(ctx.comm);
@@ -91,11 +86,11 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
   const int n = static_cast<int>(c.bytes);
   switch (op) {
     case Op::kBarrier:
-      forced ? eng.barrier(g, forced->shape) : ctx.comm.barrier();
+      forced ? eng.barrier(g, *forced) : ctx.comm.barrier();
       return;
     case Op::kBcast: {
       std::vector<std::byte> buf(c.bytes);
-      forced ? eng.bcast(buf.data(), n, byte_t, c.root, g, forced->shape)
+      forced ? eng.bcast(buf.data(), n, byte_t, c.root, g, *forced)
              : ctx.comm.bcast(buf.data(), n, byte_t, c.root);
       return;
     }
@@ -104,22 +99,21 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
       std::vector<double> in(static_cast<std::size_t>(count), ctx.rank);
       std::vector<double> out(in.size());
       forced ? eng.allreduce_doubles(in.data(), out.data(), count, false, g,
-                                     forced->shape)
+                                     *forced)
              : ctx.comm.allreduce_sum(in.data(), out.data(), count);
       return;
     }
     case Op::kAllgather: {
       std::vector<std::byte> in(c.bytes);
       std::vector<std::byte> out(c.bytes * static_cast<std::size_t>(c.ranks));
-      forced ? eng.allgather(in.data(), n, byte_t, out.data(), g,
-                             forced->shape)
+      forced ? eng.allgather(in.data(), n, byte_t, out.data(), g, *forced)
              : ctx.comm.allgather(in.data(), n, byte_t, out.data());
       return;
     }
     case Op::kAlltoall: {
       std::vector<std::byte> in(c.bytes * static_cast<std::size_t>(c.ranks));
       std::vector<std::byte> out(in.size());
-      forced ? eng.alltoall(in.data(), out.data(), n, byte_t, g, forced->shape)
+      forced ? eng.alltoall(in.data(), out.data(), n, byte_t, g, *forced)
              : ctx.comm.alltoall(in.data(), out.data(), n, byte_t);
       return;
     }
@@ -132,8 +126,7 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
       auto* dout = static_cast<double*>(ctx.cuda->malloc(bytes));
       ctx.cuda->memcpy(din, host.data(), bytes);
       if (ctx.rank == 0) start = ctx.now();
-      forced ? eng.allreduce_doubles(din, dout, count, false, g,
-                                     forced->shape, forced->schedule)
+      forced ? eng.allreduce_doubles(din, dout, count, false, g, *forced)
              : ctx.comm.allreduce_sum(din, dout, count);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
@@ -141,8 +134,7 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
     }
     case Op::kDevBcast: {
       void* dev = ctx.cuda->malloc(c.bytes);
-      forced ? eng.bcast(dev, n, byte_t, c.root, g, forced->shape,
-                         forced->schedule)
+      forced ? eng.bcast(dev, n, byte_t, c.root, g, *forced)
              : ctx.comm.bcast(dev, n, byte_t, c.root);
       ctx.cuda->free(dev);
       return;
@@ -151,8 +143,7 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
       void* din = ctx.cuda->malloc(c.bytes);
       void* dout =
           ctx.cuda->malloc(c.bytes * static_cast<std::size_t>(c.ranks));
-      forced ? eng.allgather(din, n, byte_t, dout, g, forced->shape,
-                             forced->schedule)
+      forced ? eng.allgather(din, n, byte_t, dout, g, *forced)
              : ctx.comm.allgather(din, n, byte_t, dout);
       ctx.cuda->free(din);
       ctx.cuda->free(dout);
@@ -165,7 +156,7 @@ void call(Op op, const Cell& c, const Forced* forced, Context& ctx,
 // rank (the ranks start together and upload alike) to the last rank's
 // finish. `pipelined`, when given, learns whether the call took the sliced
 // device pipeline.
-sim::SimTime time_call(Op op, const Cell& c, const Forced* forced,
+sim::SimTime time_call(Op op, const Cell& c, const CollForce* forced,
                        bool* pipelined = nullptr) {
   ClusterConfig cfg;
   cfg.ranks = c.ranks;
@@ -184,8 +175,8 @@ sim::SimTime time_call(Op op, const Cell& c, const Forced* forced,
 
 // The forced alternatives of `op`: both shapes, and on device buffers each
 // shape on both schedules.
-std::vector<Forced> alternatives(Op op) {
-  std::vector<Forced> alts;
+std::vector<CollForce> alternatives(Op op) {
+  std::vector<CollForce> alts;
   for (CollShape shape : {CollShape::kFlat, CollShape::kTwoLevel}) {
     if (!device_op(op)) {
       alts.push_back({shape, std::nullopt});
@@ -199,7 +190,7 @@ std::vector<Forced> alternatives(Op op) {
   return alts;
 }
 
-const char* alt_name(const Forced& f) {
+const char* alt_name(const CollForce& f) {
   const bool flat = f.shape == CollShape::kFlat;
   if (!f.schedule) return flat ? "flat" : "two-level";
   if (*f.schedule == DeviceSchedule::kStaged) {
@@ -228,7 +219,7 @@ struct Verdict {
     std::snprintf(line, sizeof line, "%s p=%d rpn=%d bytes=%zu root=%d: rule %.3f us",
                   op_name(op), c.ranks, c.rpn, c.bytes, c.root, rule / 1e3);
     std::string out = line;
-    const std::vector<Forced> alts = alternatives(op);
+    const std::vector<CollForce> alts = alternatives(op);
     for (std::size_t i = 0; i < alts.size(); ++i) {
       std::snprintf(line, sizeof line, ", %s %.3f us", alt_name(alts[i]),
                     forced[i] / 1e3);
@@ -241,7 +232,7 @@ struct Verdict {
 Verdict judge(Op op, const Cell& c) {
   Verdict v{};
   v.rule = time_call(op, c, nullptr, &v.pipelined);
-  for (const Forced& f : alternatives(op)) {
+  for (const CollForce& f : alternatives(op)) {
     v.forced.push_back(time_call(op, c, &f));
   }
   const bool eager_device = (op == Op::kDevBcast || op == Op::kDevAllgather) &&

@@ -1,10 +1,10 @@
 // Test access to the engines behind a Communicator: the collective engine,
-// so a test can run a collective in a forced shape (CollShape::kFlat or
-// kTwoLevel) and, on device buffers, a forced schedule (DeviceSchedule::
-// kStaged or kPipelined) through its shaped entry points (the public
-// operations fill both from the selection rules instead), and the rank's
-// point-to-point engine, whose internal isend takes the data gate device
-// collectives use.
+// whose operations take a CollForce, so a test can run a collective in a
+// forced shape (CollShape::kFlat or kTwoLevel) and, on device buffers, a
+// forced schedule (DeviceSchedule::kStaged or kPipelined), where the
+// public operation (the empty force) takes both from the selection rules;
+// and the rank's point-to-point engine, whose internal isend takes the
+// data gate device collectives use.
 #pragma once
 
 #include "mpi/coll.hpp"
